@@ -8,7 +8,7 @@ baseline. Results are written as CSV; a short ordering summary goes to
 stderr so the CSV stays clean on stdout.
 
 Usage:
-    python3 scripts/grenoble_campaign.py --runs 20 --seed 0 --threads 4
+    python3 scripts/grenoble_campaign.py --runs 20 --seed 0
     python3 scripts/grenoble_campaign.py --sigmas 0,0.05 --lp --out camp.csv
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 
@@ -39,8 +38,6 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=20,
                         help="disturbance/belief draws per grid point")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int,
-                        default=max(1, min(4, os.cpu_count() or 1)))
     parser.add_argument("--lp", action="store_true",
                         help="append the clairvoyant LP improvement row")
     parser.add_argument("--out", help="CSV path (default: stdout)")
@@ -51,8 +48,7 @@ def main() -> None:
     started = time.perf_counter()
     rows = uncertainty_campaign(builtin_grenoble(args.seed), sigmas=sigmas,
                                 variants=variants, runs=args.runs,
-                                seed=args.seed, include_lp=args.lp,
-                                threads=args.threads)
+                                seed=args.seed, include_lp=args.lp)
     elapsed = time.perf_counter() - started
 
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -78,7 +74,7 @@ def main() -> None:
         return None
 
     print(f"# campaign finished in {elapsed:.1f}s "
-          f"({len(rows)} rows, {args.threads} threads)", file=sys.stderr)
+          f"({len(rows)} rows)", file=sys.stderr)
     for variant in variants:
         for sigma in sigmas:
             nominal = gain(variant, "best_effort", sigma, *MISMATCH_GRID[0])

@@ -190,12 +190,8 @@ def _cmd_bounds(args) -> int:
     except ContractViolationError as e:
         raise _CliFailure(EXIT_CONTRACT, f"bounding run aborted: {e}")
     if args.restrictiveness:
-        ctrl = make_controller("best_effort", scenario.model)
-        traj = simulate(scenario.model, scenario.demand, ctrl,
-                        initial_state=scenario.initial)
-        _emit(restrictiveness_csv_text(
-            restrictiveness_report(scenario.model, traj)),
-            args.restrictiveness)
+        _emit(restrictiveness_csv_text(bounds.restrictiveness),
+              args.restrictiveness)
     _emit(dumps_json(bounds_doc(bounds)), args.out)
     return EXIT_OK
 
@@ -240,8 +236,7 @@ def _cmd_campaign(args) -> int:
         rows = uncertainty_campaign(
             scenario, mismatch_grid=MISMATCH_GRID, sigmas=sigmas,
             variants=variants, runs=args.runs, seed=args.seed,
-            drop_alpha=args.drop_alpha, include_lp=args.include_lp,
-            threads=args.threads)
+            drop_alpha=args.drop_alpha, include_lp=args.include_lp)
     except ContractViolationError as e:
         raise _CliFailure(EXIT_CONTRACT, f"campaign run aborted: {e}")
     except UnsupportedModelError as e:
@@ -265,13 +260,6 @@ def _cmd_validate(args) -> int:
     }
     _emit(dumps_json(doc), args.out)
     return EXIT_OK
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RAMPFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-lp", action="store_true",
                    help="add the optimal benchmark row (noiseless, "
                         "monotonic plant only)")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker threads (default: RAMPFLOW_THREADS or 1)")
     p.add_argument("--out", help="campaign CSV (default stdout)")
     p.set_defaults(fn=_cmd_campaign)
 

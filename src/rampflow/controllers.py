@@ -10,7 +10,8 @@ hardware constants that are assumed known exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,38 +24,53 @@ KINDS = ("none", "best_effort", "relaxed_best_effort", "alinea")
 DEFAULT_KI = 70.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerSpec:
-    """Metering law selector plus the model the law believes in."""
+    """Metering law selector plus the model the law believes in.
+
+    ``internal_model`` is one model, or a stack of R beliefs (see
+    :meth:`FreewayModel.stack`) for a batch of R runs. The law is pure:
+    the only state it carries between steps is the ``memory`` that
+    :func:`simulate` passes in and gets back.
+    """
 
     kind: str
     internal_model: FreewayModel
     ki: float = DEFAULT_KI
-    r_prev: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
 
-    def reset(self) -> None:
-        self.r_prev = None
+    @property
+    def runs(self) -> int | None:
+        return self.internal_model.runs
 
-    def compute_rates(self, state: SimState, w_row: np.ndarray) -> np.ndarray:
-        """Rate vector for one step given measured state and arrivals."""
+    def compute_rates(self, state: SimState, w_row: np.ndarray,
+                      memory=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Rate vector for one step given measured state and arrivals, and
+        the memory for the next step (the integrator of the alinea law,
+        None for the memoryless laws). Pass None on a run's first step."""
         w_now = np.asarray(w_row[1:], dtype=float)
         if self.kind == "none":
             _, hi = _rate_bounds(self.internal_model, state.q, w_now)
-            return hi
+            return hi, None
         if self.kind == "alinea":
-            return alinea_rates(self, state, w_now)
+            r = alinea_rates(self, state, w_now, memory)
+            return r, r
         flows_now = internal_flows(self.internal_model, state.rho, w_row[0])
         if self.kind == "best_effort":
-            return best_effort_rates(self, state, flows_now, w_now)
-        return relaxed_best_effort_rates(self, state, flows_now, w_now)
+            return best_effort_rates(self, state, flows_now, w_now), None
+        return relaxed_best_effort_rates(self, state, flows_now, w_now), None
 
 
-def make_controller(kind: str, model: FreewayModel,
+def make_controller(kind: str,
+                    model: FreewayModel | Sequence[FreewayModel],
                     ki: float = DEFAULT_KI) -> ControllerSpec:
+    """Controller believing in ``model``; a sequence of R belief models
+    makes a controller for a batch of R runs, run r believing model r."""
+    if not isinstance(model, FreewayModel):
+        model = FreewayModel.stack(model)
     return ControllerSpec(kind=kind, internal_model=model, ki=ki)
 
 
@@ -75,7 +91,7 @@ def _tracking_term(model: FreewayModel, state: SimState,
     """Rate that would place each density exactly at its critical value
     one step ahead, given the predicted flows."""
     return (model.length / model.dt * (model.rho_crit - state.rho)
-            + flows_now[1:] / model.beta_bar - flows_now[:-1])
+            + flows_now[..., 1:] / model.beta_bar - flows_now[..., :-1])
 
 
 def best_effort_rates(spec: ControllerSpec, state: SimState,
@@ -101,19 +117,18 @@ def relaxed_best_effort_rates(spec: ControllerSpec, state: SimState,
     return np.clip(raw, lo, hi)
 
 
-def alinea_rates(spec: ControllerSpec, state: SimState,
-                 w_now: np.ndarray) -> np.ndarray:
+def alinea_rates(spec: ControllerSpec, state: SimState, w_now: np.ndarray,
+                 r_prev: np.ndarray | None = None) -> np.ndarray:
     """Integral feedback on the local density error, saturated like the
-    greedy law. The stored previous rate is the saturated one, which keeps
-    the integrator from winding up while a bound is active."""
+    greedy law. ``r_prev`` is the previous step's rate (None: zero); it is
+    the saturated rate, which keeps the integrator from winding up while a
+    bound is active."""
     m = spec.internal_model
-    if spec.r_prev is None:
-        spec.r_prev = np.zeros(m.n)
-    raw = spec.r_prev + spec.ki * (m.rho_crit - state.rho)
+    if r_prev is None:
+        r_prev = 0.0
+    raw = r_prev + spec.ki * (m.rho_crit - state.rho)
     lo, hi = _rate_bounds(m, state.q, w_now)
-    r = np.clip(raw, lo, hi)
-    spec.r_prev = r
-    return r
+    return np.clip(raw, lo, hi)
 
 
 def sample_controller_model(nominal: FreewayModel, dv: float, drho: float,

@@ -19,7 +19,7 @@ maximal flows mean certified minimal time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -319,6 +319,8 @@ class BoundsReport:
     gap_abs: float
     gap_rel: float
     restrictive_fraction: float
+    greedy: Trajectory = field(repr=False, compare=False)
+    restrictiveness: RestrictivenessReport = field(repr=False, compare=False)
 
 
 def tts_bounds(model: FreewayModel, demand: DemandProfile,
@@ -329,7 +331,8 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     rate bounds waived gives a lower bound, because without those bounds
     the law provably maximizes all cumulative flows. When the greedy run
     is nonrestrictive at every interior step it is itself optimal and the
-    certificate says so.
+    certificate says so. The greedy run and its restrictiveness report
+    come back on the result.
     """
     be = simulate(model, demand, controller=make_controller("best_effort", model),
                   initial_state=initial_state)
@@ -346,4 +349,5 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     gap_rel = gap_abs / tts_be if tts_be > 0.0 else 0.0
     return BoundsReport(tts_lb=tts_lb, tts_be=tts_be, certificate=certificate,
                         gap_abs=gap_abs, gap_rel=gap_rel,
-                        restrictive_fraction=report.restrictive_fraction)
+                        restrictive_fraction=report.restrictive_fraction,
+                        greedy=be, restrictiveness=report)

@@ -120,8 +120,10 @@ class FreewayModel:
 
     Unset w_back/capacity entries are resolved with triangular defaults at
     construction. Parameter arrays are read-only numpy views indexed 0..n-1
-    for cells 1..n.
+    for cells 1..n. ``runs`` is None here; see :meth:`stack` for a batch.
     """
+
+    runs: int | None = None
 
     def __init__(self, cells: Sequence[CellParams], dt: float):
         if len(cells) == 0:
@@ -136,27 +138,52 @@ class FreewayModel:
         self.cells: tuple[CellParams, ...] = tuple(resolved)
         self.dt = float(dt)          # hours
         self.n = len(resolved)
+        self._set_params({name: [getattr(c, name) for c in resolved]
+                          for name in _PARAMS})
 
-        def arr(get) -> np.ndarray:
-            a = np.array([get(c) for c in resolved], dtype=float)
+    @classmethod
+    def stack(cls, models: Sequence["FreewayModel"]) -> "FreewayModel":
+        """A batch of R models with equal cell counts and step length.
+
+        Every parameter array gets a leading run axis, (R, n), so
+        :meth:`demand` and :meth:`supply` evaluate all R curves on an
+        (R, n) density array at once. A stack only evaluates curves and
+        bounds for a batched controller; it has no ``cells`` of its own.
+        """
+        models = tuple(models)
+        if not models:
+            raise GeometryError("need at least one model to stack")
+        first = models[0]
+        for m in models:
+            if m.runs is not None or m.n != first.n or m.dt != first.dt:
+                raise GeometryError(
+                    "stacked models must be single models with equal "
+                    "cell counts and dt")
+        out = cls.__new__(cls)
+        out.runs = len(models)
+        out.dt = first.dt
+        out.n = first.n
+        out._set_params({name: [getattr(m, name) for m in models]
+                         for name in _PARAMS})
+        return out
+
+    def _set_params(self, values: dict) -> None:
+        def frozen(a) -> np.ndarray:
+            a = np.array(a, dtype=float)
             a.flags.writeable = False
             return a
 
-        self.length = arr(lambda c: c.length)
-        self.v_free = arr(lambda c: c.v_free)
-        self.rho_crit = arr(lambda c: c.rho_crit)
-        self.rho_jam = arr(lambda c: c.rho_jam)
-        self.w_back = arr(lambda c: c.w_back)
-        self.capacity = arr(lambda c: c.capacity)
-        self.beta = arr(lambda c: c.beta)
-        self.beta_bar = arr(lambda c: c.beta_bar)
-        self.ramp_flow_max = arr(lambda c: c.ramp_flow_max)
-        self.queue_max = arr(lambda c: c.queue_max)
-        self.capacity_drop = arr(lambda c: c.capacity_drop)
-        # beta_run[j] = product of beta_bar over cells 1..j, beta_run[0] = 1
-        run = np.concatenate(([1.0], np.cumprod(self.beta_bar)))
-        run.flags.writeable = False
-        self.beta_run = run
+        for name, v in values.items():
+            setattr(self, name, frozen(v))
+        # beta_run[..., j] = product of beta_bar over cells 1..j, [..., 0] = 1
+        self.beta_run = frozen(np.concatenate(
+            (np.ones(self.beta_bar.shape[:-1] + (1,)),
+             np.cumprod(self.beta_bar, axis=-1)), axis=-1))
+        # constant pieces of the fundamental diagram
+        self._demand_slope = frozen(self.beta_bar * self.v_free)
+        self._demand_dropped = frozen(
+            (1.0 - self.capacity_drop) * self._demand_slope * self.rho_crit)
+        self._supply_max = frozen(self.w_back * (self.rho_jam - self.rho_crit))
 
     @property
     def has_capacity_drop(self) -> bool:
@@ -166,20 +193,21 @@ class FreewayModel:
         return FreewayModel(cells, self.dt)
 
     def demand(self, rho: np.ndarray) -> np.ndarray:
-        """Vectorized demand curve over all cells."""
+        """Vectorized demand curve over all cells; broadcasts over a
+        leading run axis of ``rho`` or of the model."""
         rho = np.asarray(rho, dtype=float)
-        bv = self.beta_bar * self.v_free
-        free = bv * np.minimum(rho, self.rho_crit)
-        dropped = (1.0 - self.capacity_drop) * bv * self.rho_crit
-        return np.where(rho > self.rho_crit, dropped, free)
+        free = self._demand_slope * np.minimum(rho, self.rho_crit)
+        return np.where(rho > self.rho_crit, self._demand_dropped, free)
 
     def supply(self, rho: np.ndarray) -> np.ndarray:
-        """Vectorized supply curve over all cells."""
+        """Vectorized supply curve over all cells; broadcasts like
+        :meth:`demand`."""
         rho = np.asarray(rho, dtype=float)
-        return np.minimum(
-            self.w_back * (self.rho_jam - self.rho_crit),
-            self.w_back * (self.rho_jam - rho),
-        )
+        return np.minimum(self._supply_max, self.w_back * (self.rho_jam - rho))
+
+
+_PARAMS = ("length", "v_free", "rho_crit", "rho_jam", "w_back", "capacity",
+           "beta", "beta_bar", "ramp_flow_max", "queue_max", "capacity_drop")
 
 
 def validate_model(model: FreewayModel) -> list[Violation]:

@@ -8,7 +8,6 @@ to stress the controllers.
 
 from __future__ import annotations
 
-import concurrent.futures as _futures
 import csv
 import statistics
 from dataclasses import dataclass, field, replace
@@ -331,8 +330,9 @@ def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
         q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
         if rho.shape != (model.n,) or q.shape != (model.n,):
             fail(f"initial: rho and q must have length {model.n}")
-        if np.any(rho < 0) or np.any(rho > model.rho_jam) \
-                or np.any(q < 0) or np.any(q > model.queue_max):
+        inside = np.all((rho >= 0) & (rho <= model.rho_jam)) \
+            and np.all((q >= 0) & (q <= model.queue_max))
+        if not inside:   # NaN fails too
             fail("initial: state outside the model boxes")
         initial = SimState(rho, q)
     return Scenario(label, model, demand, initial)
@@ -438,7 +438,8 @@ def with_capacity_drop(model: FreewayModel, alpha: float) -> FreewayModel:
 
 
 def _twt(model: FreewayModel, demand, controller, initial, disturbance,
-         relaxed: bool = False) -> float:
+         relaxed: bool = False):
+    """Waiting time of one run (a float) or of a batch (one per run)."""
     traj = simulate(model, demand, controller=controller,
                     disturbance=disturbance, initial_state=initial,
                     relaxed=relaxed)
@@ -452,8 +453,7 @@ def uncertainty_campaign(scenario: Scenario,
                          runs: int = 20,
                          seed: int = 0,
                          drop_alpha: float = 0.10,
-                         include_lp: bool = False,
-                         threads: int = 1) -> list[CampaignRow]:
+                         include_lp: bool = False) -> list[CampaignRow]:
     """Mean waiting-time improvement over the unmetered baseline for the
     greedy and integral controllers across belief-model mismatch, flow
     noise, and a monotonic vs capacity-drop plant.
@@ -461,70 +461,53 @@ def uncertainty_campaign(scenario: Scenario,
     Beliefs are always sampled from the monotonic nominal model. Run r of
     any grid point uses disturbance seed ``seed + r`` and belief seed
     ``seed + 1000 + r``, so rows are reproducible and paired across
-    controllers.
+    controllers. Per variant and sigma the runs go through three batched
+    simulations: the unmetered baseline, the greedy law over every
+    (mismatch point, run) belief, and the integral law. Noiseless runs of
+    one controller with one belief are identical, so the baseline and the
+    integral law then simulate once.
     """
     nominal = scenario.model
     plants = {"monotonic": nominal,
               "capacity_drop": with_capacity_drop(nominal, drop_alpha)}
     rows: list[CampaignRow] = []
-    pool = _futures.ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        def run_many(fn, count):
-            if pool is None:
-                return [fn(r) for r in range(count)]
-            return list(pool.map(fn, range(count)))
+    run_seeds = [seed + r for r in range(runs)]
+    beliefs = [sample_controller_model(nominal, dv, drho, seed=seed + 1000 + r)
+               for dv, drho in mismatch_grid for r in range(runs)]
+    for variant in variants:
+        if variant not in plants:
+            raise ValueError(f"unknown variant {variant!r}")
+        plant = plants[variant]
+        for sigma in sigmas:
+            def twt(kind: str, belief, seeds) -> np.ndarray:
+                noise = DisturbanceSpec(sigma_phi=sigma, seed=seeds) \
+                    if sigma != 0.0 else None
+                return np.atleast_1d(_twt(
+                    plant, scenario.demand, make_controller(kind, belief),
+                    scenario.initial, noise))
 
-        for variant in variants:
-            if variant not in plants:
-                raise ValueError(f"unknown variant {variant!r}")
-            plant = plants[variant]
-            for sigma in sigmas:
-                def disturbance(r: int) -> DisturbanceSpec | None:
-                    if sigma == 0.0:
-                        return None
-                    return DisturbanceSpec(sigma_phi=sigma, seed=seed + r)
+            base_twt = twt("none", nominal, run_seeds)
 
-                n_base = runs if sigma > 0.0 else 1
-                base_twt = run_many(
-                    lambda r: _twt(plant, scenario.demand,
-                                   make_controller("none", nominal),
-                                   scenario.initial, disturbance(r)),
-                    n_base)
+            def improvements(twts: np.ndarray) -> list[float]:
+                out = []
+                for r in range(runs):
+                    ol = float(base_twt[r % base_twt.size])
+                    val = float(twts[r % twts.size])
+                    out.append(0.0 if ol <= 0.0 else 100.0 * (ol - val) / ol)
+                return out
 
-                def improvement(twt: float, r: int) -> float:
-                    ol = base_twt[r % n_base]
-                    if ol <= 0.0:
-                        return 0.0
-                    return 100.0 * (ol - twt) / ol
-
-                for dv, drho in mismatch_grid:
-                    def be_run(r: int) -> float:
-                        belief = sample_controller_model(
-                            nominal, dv, drho, seed=seed + 1000 + r)
-                        twt = _twt(plant, scenario.demand,
-                                   make_controller("best_effort", belief),
-                                   scenario.initial, disturbance(r))
-                        return improvement(twt, r)
-
-                    vals = run_many(be_run, runs)
-                    rows.append(CampaignRow(
-                        variant, sigma, dv, drho, "best_effort",
-                        statistics.fmean(vals),
-                        statistics.pstdev(vals), runs))
-
-                def alinea_run(r: int) -> float:
-                    twt = _twt(plant, scenario.demand,
-                               make_controller("alinea", nominal),
-                               scenario.initial, disturbance(r))
-                    return improvement(twt, r)
-
-                vals = run_many(alinea_run, runs)
+            greedy = twt("best_effort", beliefs,
+                         run_seeds * len(mismatch_grid)).reshape(-1, runs)
+            for (dv, drho), twts in zip(mismatch_grid, greedy):
+                vals = improvements(twts)
                 rows.append(CampaignRow(
-                    variant, sigma, 0.0, 0.0, "alinea",
+                    variant, sigma, dv, drho, "best_effort",
                     statistics.fmean(vals), statistics.pstdev(vals), runs))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+
+            vals = improvements(twt("alinea", nominal, run_seeds))
+            rows.append(CampaignRow(
+                variant, sigma, 0.0, 0.0, "alinea",
+                statistics.fmean(vals), statistics.pstdev(vals), runs))
 
     if include_lp:
         from .lp import build_lp, solve_lp

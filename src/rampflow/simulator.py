@@ -18,7 +18,7 @@ where r_k is the metering rate chosen for the onramp of cell k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +31,17 @@ class ContractViolationError(RuntimeError):
     """A caller or controller broke a simulation precondition."""
 
 
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass
 class SimState:
-    """Densities and queues at one instant; arrays are copied on entry."""
+    """Densities and queues at one instant; arrays are copied on entry.
+
+    Arrays are (n,) for one run or (R, n) for a batch of R runs.
+    """
 
     rho: np.ndarray   # cars/km, per cell
     q: np.ndarray     # cars, per onramp (0 for cells without one)
@@ -41,9 +49,7 @@ class SimState:
     def __post_init__(self):
         self.rho = np.array(self.rho, dtype=float)
         self.q = np.array(self.q, dtype=float)
-
-    def copy(self) -> "SimState":
-        return SimState(self.rho, self.q)
+        _require_finite("state", self.rho, self.q)
 
 
 def zero_state(model: FreewayModel) -> SimState:
@@ -53,13 +59,26 @@ def zero_state(model: FreewayModel) -> SimState:
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Multiplicative flow noise: each flow is scaled by N(1, sigma_phi),
-    then clipped back into [0, unperturbed flow]."""
+    then clipped back into [0, unperturbed flow].
+
+    ``seed`` is one seed, or a sequence of R seeds that makes the run a
+    batch of R; each run draws from its own generator.
+    """
 
     sigma_phi: float = 0.0
-    seed: int = 0
+    seed: int | Sequence[int] = 0
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+    @property
+    def runs(self) -> int | None:
+        return None if np.ndim(self.seed) == 0 else len(self.seed)
+
+    def rng(self, runs: int | None = None):
+        """One generator, or a list of ``runs`` generators (one per seed;
+        a single seed is shared by every run)."""
+        if runs is None:
+            return np.random.default_rng(self.seed)
+        seeds = self.seed if self.runs is not None else [self.seed] * runs
+        return [np.random.default_rng(s) for s in seeds]
 
 
 class DemandProfile:
@@ -80,6 +99,7 @@ class DemandProfile:
             raise ValueError(
                 f"horizon mismatch: w0 has {self.w0.shape[0]} steps, "
                 f"w_ramp has {self.w_ramp.shape[0]}")
+        _require_finite("demands", self.w0, self.w_ramp)
         if np.any(self.w0 < 0.0) or np.any(self.w_ramp < 0.0):
             raise ValueError("demands must be nonnegative")
 
@@ -115,25 +135,22 @@ class Trajectory:
 
     ``flows[t]`` has length n+1 with entry 0 the mainline inflow; in a
     noiseless run consecutive states reproduce the dynamics with these
-    flows and rates to floating-point accuracy.
+    flows and rates to floating-point accuracy. A batch of R runs puts a
+    leading run axis on every array: ``rho[r]`` is run r.
     """
 
-    rho: np.ndarray     # (T+1, n)
-    q: np.ndarray       # (T+1, n)
-    flows: np.ndarray   # (T, n+1)
-    rates: np.ndarray   # (T, n)
+    rho: np.ndarray     # (T+1, n), or (R, T+1, n)
+    q: np.ndarray       # (T+1, n), or (R, T+1, n)
+    flows: np.ndarray   # (T, n+1), or (R, T, n+1)
+    rates: np.ndarray   # (T, n), or (R, T, n)
     demand: DemandProfile
 
     @property
     def horizon(self) -> int:
-        return self.flows.shape[0]
+        return self.flows.shape[-2]
 
     def state(self, t: int) -> SimState:
-        return SimState(self.rho[t], self.q[t])
-
-    @property
-    def states(self) -> list[SimState]:
-        return [self.state(t) for t in range(self.rho.shape[0])]
+        return SimState(self.rho[..., t, :], self.q[..., t, :])
 
 
 def compute_flows(model: FreewayModel, state: SimState, w0: float) -> np.ndarray:
@@ -142,13 +159,15 @@ def compute_flows(model: FreewayModel, state: SimState, w0: float) -> np.ndarray
 
 
 def _flows(model: FreewayModel, rho: np.ndarray, w0: float) -> np.ndarray:
+    """Flow rows for densities (n,) or (R, n); the model may be a stack."""
     d = model.demand(rho)
-    phi = np.empty(model.n + 1)
-    phi[0] = w0
+    phi = np.empty(d.shape[:-1] + (model.n + 1,))
+    phi[..., 0] = w0
     if model.n > 1:
         s = model.supply(rho)
-        phi[1:-1] = np.minimum(np.minimum(d[:-1], model.capacity[:-1]), s[1:])
-    phi[-1] = min(d[-1], model.capacity[-1])
+        phi[..., 1:-1] = np.minimum(
+            np.minimum(d[..., :-1], model.capacity[..., :-1]), s[..., 1:])
+    phi[..., -1] = np.minimum(d[..., -1], model.capacity[..., -1])
     return phi
 
 
@@ -167,8 +186,8 @@ def feasible_rate_interval(model: FreewayModel, k: int, q_k: float,
 def _rate_bounds(model: FreewayModel, q: np.ndarray, w: np.ndarray,
                  relaxed: bool = False,
                  cell_slice: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    q_max = model.queue_max[cell_slice]
-    r_max = model.ramp_flow_max[cell_slice]
+    q_max = model.queue_max[..., cell_slice]
+    r_max = model.ramp_flow_max[..., cell_slice]
     lo = (q - q_max) / model.dt + w
     hi = q / model.dt + w
     if not relaxed:
@@ -177,45 +196,53 @@ def _rate_bounds(model: FreewayModel, q: np.ndarray, w: np.ndarray,
     return lo, hi
 
 
+def _check_box(x: np.ndarray, lo, hi, tol, what: str) -> None:
+    """Raise unless lo - tol <= x <= hi + tol everywhere; NaN fails."""
+    inside = (x >= lo - tol) & (x <= hi + tol)
+    if not inside.all():
+        bad = np.unravel_index(int(np.argmin(inside)), x.shape)
+        lo_b, hi_b = (np.broadcast_to(b, x.shape)[bad] for b in (lo, hi))
+        run = f" of run {bad[0]}" if x.ndim > 1 else ""
+        raise ContractViolationError(
+            f"{what} at cell {bad[-1] + 1}{run}: value {x[bad]:g} "
+            f"outside [{lo_b:g}, {hi_b:g}]")
+
+
 def _snap_into_box(x: np.ndarray, lo: np.ndarray | float, hi: np.ndarray,
                    what: str) -> np.ndarray:
-    tol = _BOX_TOL * np.maximum(1.0, hi)
-    if np.any(x < lo - tol) or np.any(x > hi + tol):
-        k = int(np.argmax(np.maximum(lo - x, x - hi)))
-        raise ContractViolationError(
-            f"{what} left its box at cell {k + 1}: value {x[k]:g} "
-            f"outside [{np.broadcast_to(lo, x.shape)[k]:g}, {hi[k]:g}]")
+    _check_box(x, lo, hi, _BOX_TOL * np.maximum(1.0, hi),
+               f"{what} left its box")
     return np.clip(x, lo, hi)
 
 
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
-         w_row: np.ndarray, rng: np.random.Generator | None = None,
-         sigma_phi: float = 0.0,
+         w_row: np.ndarray, rng=None, sigma_phi: float = 0.0,
          relaxed: bool = False) -> tuple[SimState, np.ndarray]:
     """Advance one step and return (next state, realized flow row).
 
-    ``w_row`` is (w0, w_1..w_n). Rates outside the feasible interval are a
-    contract violation. With ``relaxed=True`` the constant rate bounds
-    [0, ramp_flow_max] are waived and only the queue-box limits apply.
+    ``state`` and ``rates`` are (n,) for one run or (R, n) for a batch;
+    ``w_row`` is (w0, w_1..w_n), shared by every run. Rates outside the
+    feasible interval are a contract violation. With ``relaxed=True`` the
+    constant rate bounds [0, ramp_flow_max] are waived and only the
+    queue-box limits apply. Noise needs ``rng``: a generator for one run,
+    or a sequence of R generators, each drawing its run's n+1 factors.
     """
     rates = np.asarray(rates, dtype=float)
     lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
-    tol = 1e-9 * np.maximum(1.0, np.abs(hi))
-    if np.any(rates < lo - tol) or np.any(rates > hi + tol):
-        k = int(np.argmax(np.maximum(lo - rates, rates - hi)))
-        raise ContractViolationError(
-            f"rate {rates[k]:g} at cell {k + 1} outside feasible "
-            f"[{lo[k]:g}, {hi[k]:g}]")
+    _check_box(rates, lo, hi, 1e-9 * np.maximum(1.0, np.abs(hi)),
+               "rate outside feasible interval")
 
     phi = _flows(model, state.rho, w_row[0])
     if sigma_phi > 0.0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
-        noisy = phi * rng.normal(1.0, sigma_phi, size=phi.shape)
-        phi = np.clip(noisy, 0.0, phi)
+        gens = [rng] if isinstance(rng, np.random.Generator) else rng
+        noise = np.reshape([g.normal(1.0, sigma_phi, size=phi.shape[-1])
+                            for g in gens], phi.shape)
+        phi = np.clip(phi * noise, 0.0, phi)
 
     rho_next = state.rho + model.dt / model.length * (
-        phi[:-1] + rates - phi[1:] / model.beta_bar)
+        phi[..., :-1] + rates - phi[..., 1:] / model.beta_bar)
     q_next = state.q + model.dt * (w_row[1:] - rates)
 
     if sigma_phi > 0.0:
@@ -227,6 +254,13 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
     return SimState(rho_next, q_next), phi
 
 
+def _batch_size(*sizes: int | None) -> int | None:
+    given = {s for s in sizes if s is not None}
+    if len(given) > 1:
+        raise ValueError(f"batch sizes disagree: {sorted(given)}")
+    return given.pop() if given else None
+
+
 def simulate(model: FreewayModel, demand: DemandProfile,
              controller=None,
              disturbance: DisturbanceSpec | None = None,
@@ -234,58 +268,77 @@ def simulate(model: FreewayModel, demand: DemandProfile,
              relaxed: bool = False) -> Trajectory:
     """Run the closed loop over the demand horizon.
 
-    ``controller`` is anything with ``compute_rates(state, w_row)``; None
-    means every ramp releases as much as its bounds allow. Controller
-    output is clamped into the feasible interval before it is applied, so
-    a controller cannot break the queue boxes.
+    ``controller`` is anything with ``compute_rates(state, w_row, memory)``
+    returning ``(rates, memory)``: ``memory`` is None on the first step and
+    whatever the previous call returned after that. None means every ramp
+    releases as much as its bounds allow. Controller output is clamped
+    into the feasible interval before it is applied, so a controller
+    cannot break the queue boxes.
+
+    The run is a batch of R when the controller (``runs``) or the
+    disturbance seeds say so: every run starts from ``initial_state`` and
+    every array of the trajectory has a leading run axis. Otherwise it is
+    one run with the unbatched shapes.
     """
     demand.check_against(model)
-    state = initial_state.copy() if initial_state is not None else zero_state(model)
-    T = demand.horizon
-    n = model.n
-    rho_hist = np.empty((T + 1, n))
-    q_hist = np.empty((T + 1, n))
-    flows = np.empty((T, n + 1))
-    rates_hist = np.empty((T, n))
-    rho_hist[0] = state.rho
-    q_hist[0] = state.q
-
+    if model.runs is not None:
+        raise ValueError("the plant must be a single model, not a stack")
+    state = initial_state if initial_state is not None else zero_state(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
-    rng = disturbance.rng() if disturbance is not None and sigma > 0.0 else None
+    runs = _batch_size(getattr(controller, "runs", None),
+                       disturbance.runs if disturbance is not None else None)
+    shape = (model.n,) if runs is None else (runs, model.n)
+    state = SimState(np.broadcast_to(state.rho, shape),
+                     np.broadcast_to(state.q, shape))
+    rng = disturbance.rng(runs) if sigma > 0.0 else None
 
+    T, n, R = demand.horizon, model.n, runs or 1
+    rho_hist = np.empty((R, T + 1, n))
+    q_hist = np.empty((R, T + 1, n))
+    flows = np.empty((R, T, n + 1))
+    rates_hist = np.empty((R, T, n))
+    rho_hist[:, 0] = state.rho
+    q_hist[:, 0] = state.q
+
+    memory = None
     for t in range(T):
         w_row = demand.row(t)
         if controller is not None:
-            r = np.asarray(controller.compute_rates(state, w_row), dtype=float)
+            r, memory = controller.compute_rates(state, w_row, memory)
         else:
-            r = np.full(n, np.inf)
+            r = np.inf
         lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
         r = np.clip(r, lo, hi)
         state, phi = step(model, state, r, w_row, rng=rng,
                           sigma_phi=sigma, relaxed=relaxed)
-        rho_hist[t + 1] = state.rho
-        q_hist[t + 1] = state.q
-        flows[t] = phi
-        rates_hist[t] = r
+        rho_hist[:, t + 1] = state.rho
+        q_hist[:, t + 1] = state.q
+        flows[:, t] = phi
+        rates_hist[:, t] = r
+    if runs is None:
+        rho_hist, q_hist, flows, rates_hist = (
+            rho_hist[0], q_hist[0], flows[0], rates_hist[0])
     return Trajectory(rho=rho_hist, q=q_hist, flows=flows,
                       rates=rates_hist, demand=demand)
 
 
 class RateSchedule:
-    """Open-loop playback of a precomputed rate table (T, n)."""
+    """Open-loop playback of a precomputed rate table (T, n); its memory
+    is the index of the next row."""
 
     def __init__(self, rates: np.ndarray):
         self.rates = np.asarray(rates, dtype=float)
-        self._t = 0
 
-    def compute_rates(self, state: SimState, w_row: np.ndarray) -> np.ndarray:
-        r = self.rates[self._t]
-        self._t += 1
-        return r
+    def compute_rates(self, state: SimState, w_row: np.ndarray,
+                      memory: int | None = None) -> tuple[np.ndarray, int]:
+        t = 0 if memory is None else memory
+        return self.rates[t], t + 1
 
 
 @dataclass(frozen=True)
 class Metrics:
+    """Run totals; on a batch, tts, twt and tdt carry a leading run axis."""
+
     tts: float           # car-hours spent in the network
     tft: float           # car-hours if every car ran at free-flow speed
     twt: float           # tts - tft, time lost to congestion and queues
@@ -306,24 +359,31 @@ def freeflow_traverse_times(model: FreewayModel) -> np.ndarray:
     return tau
 
 
+def _per_run(x):
+    """A float for one run, an array with one entry per run for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def evaluate_metrics(model: FreewayModel, traj: Trajectory) -> Metrics:
     dt = model.dt
-    tts = dt * float(np.sum(traj.rho @ model.length) + np.sum(traj.q))
+    tts = _per_run(dt * (np.sum(traj.rho @ model.length, axis=-1)
+                         + np.sum(traj.q, axis=(-2, -1))))
     tau = freeflow_traverse_times(model)
     tft = dt * float(np.sum(traj.demand.w0) * tau[0]
                      + np.sum(traj.demand.w_ramp @ tau))
-    tdt = dt * (traj.flows[:, 1:] @ model.length)
+    tdt = dt * (traj.flows[..., 1:] @ model.length)
     return Metrics(tts=tts, tft=tft, twt=tts - tft, tdt=tdt)
 
 
 def mass_conservation_residual(model: FreewayModel, traj: Trajectory) -> float:
-    """Relative gap between cars entering and cars stored plus cars leaving."""
+    """Relative gap between cars entering and cars stored plus cars leaving;
+    the worst run's gap for a batch."""
     dt = model.dt
     entered = dt * (float(np.sum(traj.demand.w0)) + float(np.sum(traj.demand.w_ramp)))
-    stored0 = float(traj.rho[0] @ model.length + np.sum(traj.q[0]))
-    storedT = float(traj.rho[-1] @ model.length + np.sum(traj.q[-1]))
+    stored0 = traj.rho[..., 0, :] @ model.length + np.sum(traj.q[..., 0, :], axis=-1)
+    storedT = traj.rho[..., -1, :] @ model.length + np.sum(traj.q[..., -1, :], axis=-1)
     offramp = model.beta / model.beta_bar
-    left = dt * float(np.sum(traj.flows[:, -1])
-                      + np.sum(traj.flows[:, 1:] @ offramp))
-    scale = max(1.0, entered + stored0)
-    return abs(entered + stored0 - storedT - left) / scale
+    left = dt * (np.sum(traj.flows[..., -1], axis=-1)
+                 + np.sum(traj.flows[..., 1:] @ offramp, axis=-1))
+    scale = np.maximum(1.0, entered + stored0)
+    return float(np.max(np.abs(entered + stored0 - storedT - left) / scale))

@@ -167,6 +167,16 @@ def test_simulate_demand_override_and_mismatch(tmp_path):
     bad.write_text("t,w0,w1\n0,100,50\n", encoding="utf-8")
     assert main(["simulate", "--scenario", "builtin:example1",
                  "--demand", str(bad)]) == EXIT_MISMATCH
+    # non-finite demand is refused like any demand that does not fit the
+    # model, instead of running to tts=nan
+    nan = tmp_path / "nan.csv"
+    lines = good.read_text(encoding="utf-8").splitlines()
+    t, w0, *rest = lines[5].split(",")
+    nan.write_text("\n".join(lines[:5] + [",".join([t, "nan", *rest])]
+                             + lines[6:]) + "\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", "builtin:example1",
+                 "--demand", str(nan),
+                 "--out", str(tmp_path / "n.csv")]) == EXIT_MISMATCH
     # missing file is unusable input, not a shape problem
     assert main(["simulate", "--scenario", "builtin:example1",
                  "--demand", str(tmp_path / "none.csv")]) == EXIT_SCENARIO
@@ -235,6 +245,19 @@ def test_bounds_doc_and_restrictiveness_csv(tmp_path):
     assert lines[0] == "t,cell,status,reason"
     statuses = {ln.split(",")[2] for ln in lines[1:]}
     assert statuses <= {"restrictive", "nonrestrictive"}
+    # the CSV comes from the greedy bounding run; it must be byte for byte
+    # the report of a separate greedy simulation
+    from rampflow.controllers import make_controller
+    from rampflow.cumulative import restrictiveness_report
+    from rampflow.reports import restrictiveness_csv_text
+    from rampflow.scenarios import builtin_example1
+    from rampflow.simulator import simulate
+    sc = builtin_example1()
+    greedy = simulate(sc.model, sc.demand,
+                      make_controller("best_effort", sc.model),
+                      initial_state=sc.initial)
+    assert _read(restr) == restrictiveness_csv_text(
+        restrictiveness_report(sc.model, greedy)).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +333,6 @@ def test_campaign_rejects_unknown_variant(capsys):
     code = main(["campaign", "--scenario", "builtin:example1",
                  "--variants", "cursed", "--runs", "1"])
     assert code == EXIT_SCENARIO
-
-
-def test_campaign_threads_env_default(monkeypatch):
-    from rampflow.cli import build_parser
-    monkeypatch.setenv("RAMPFLOW_THREADS", "7")
-    args = build_parser().parse_args(
-        ["campaign", "--scenario", "builtin:example1"])
-    assert args.threads == 7
-    monkeypatch.setenv("RAMPFLOW_THREADS", "soup")
-    args = build_parser().parse_args(
-        ["campaign", "--scenario", "builtin:example1"])
-    assert args.threads == 1
 
 
 # ---------------------------------------------------------------------------

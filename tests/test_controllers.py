@@ -3,7 +3,6 @@ import pytest
 
 from rampflow.controllers import (
     ControllerSpec,
-    alinea_rates,
     best_effort_rates,
     internal_flows,
     make_controller,
@@ -11,7 +10,7 @@ from rampflow.controllers import (
     sample_controller_model,
 )
 from rampflow.model import CellParams, FreewayModel, validate_model
-from rampflow.simulator import DemandProfile, SimState, simulate
+from rampflow.simulator import DemandProfile, RateSchedule, SimState, simulate
 
 from conftest import random_demand, random_model
 
@@ -56,15 +55,17 @@ def test_relaxed_best_effort_can_go_negative():
 def test_alinea_update_and_antiwindup():
     m = ramp_cell_model()
     spec = make_controller("alinea", m, ki=70.0)
-    spec.r_prev = np.array([1000.0])
-    r = alinea_rates(spec, SimState([60.0], [0.0]), w_now=np.array([500.0]))
+    r, memory = spec.compute_rates(SimState([60.0], [0.0]),
+                                   np.array([0.0, 500.0]),
+                                   memory=np.array([1000.0]))
     # 1000 + 70*(50-60) = 300, inside [0, 500]
     assert r[0] == pytest.approx(300.0, rel=1e-12)
-    assert spec.r_prev[0] == pytest.approx(300.0, rel=1e-12)
-    # empty queue and no arrivals pin the rate (and the stored state) at 0
-    r = alinea_rates(spec, SimState([10.0], [0.0]), w_now=np.array([0.0]))
+    assert memory[0] == pytest.approx(300.0, rel=1e-12)
+    # empty queue and no arrivals pin the rate (and the returned memory) at 0
+    r, memory = spec.compute_rates(SimState([10.0], [0.0]),
+                                   np.array([0.0, 0.0]), memory)
     assert r[0] == 0.0
-    assert spec.r_prev[0] == 0.0
+    assert memory[0] == 0.0
 
 
 def test_best_effort_tracks_critical_density_when_unclamped():
@@ -80,7 +81,7 @@ def test_best_effort_tracks_critical_density_when_unclamped():
             [rng.uniform(0.0, 2000.0)],
             rng.uniform(0.0, m.ramp_flow_max)))
         flows = internal_flows(m, rho, w_row[0])
-        r = spec.compute_rates(state, w_row)
+        r, _ = spec.compute_rates(state, w_row)
         from rampflow.simulator import _rate_bounds, step
         lo, hi = _rate_bounds(m, q, w_row[1:])
         unclamped = lo + 1e-7 < r
@@ -142,3 +143,35 @@ def test_sample_controller_model_zero_mismatch_is_identity():
     assert a.v_free[0] == m.v_free[0]
     assert a.rho_jam[0] == m.rho_jam[0]
     assert a.capacity[0] == m.capacity[0]
+
+
+def _steady_ramp_case():
+    """One metered cell under constant load: the alinea integrator and the
+    replay cursor are both still moving at the end of the horizon."""
+    m = ramp_cell_model()
+    T = 40
+    dem = DemandProfile(w0=np.full(T, 3000.0), w_ramp=np.full((T, 1), 400.0))
+    return m, dem
+
+
+def test_rate_schedule_can_be_simulated_twice():
+    m, dem = _steady_ramp_case()
+    schedule = RateSchedule(simulate(m, dem, make_controller("best_effort", m)).rates)
+    first = simulate(m, dem, schedule)
+    second = simulate(m, dem, schedule)
+    np.testing.assert_array_equal(first.rates, schedule.rates)
+    np.testing.assert_array_equal(second.rates, first.rates)
+    np.testing.assert_array_equal(second.rho, first.rho)
+
+
+def test_alinea_controller_reused_starts_from_a_clean_integrator():
+    m, dem = _steady_ramp_case()
+    ctrl = make_controller("alinea", m)
+    # a waiting queue keeps the first rate of a run off its bounds, so a
+    # leftover integrator would show in it
+    start = SimState([49.0], [500.0])
+    first = simulate(m, dem, ctrl, initial_state=start)
+    assert first.rates[-1, 0] > 0.0     # the integrator ends away from zero
+    second = simulate(m, dem, ctrl, initial_state=start)
+    np.testing.assert_array_equal(second.rates, first.rates)
+    np.testing.assert_array_equal(second.rho, first.rho)

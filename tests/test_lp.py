@@ -177,7 +177,7 @@ def test_greedy_rates_attain_the_pointwise_flow_maximum(seed):
     rng = np.random.default_rng(seed)
     model, state, w_row = safe_one_step_instance(rng, n_max=3)
     ctrl = make_controller("best_effort", model)
-    rates = ctrl.compute_rates(state, w_row)
+    rates, _ = ctrl.compute_rates(state, w_row)
     nxt, _ = step(model, state, rates, w_row)
     mine = compute_flows(model, nxt, 0.0)
     oracle = brute_force_max_next_flows(model, state, w_row, w0_next=0.0,

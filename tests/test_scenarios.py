@@ -1,8 +1,11 @@
 """Builtin scenarios, the YAML loader, synthetic demand, and the campaign."""
 
+import statistics
+
 import numpy as np
 import pytest
 
+from rampflow.controllers import make_controller, sample_controller_model
 from rampflow.model import FreewayModel
 from rampflow.scenarios import (
     GRENOBLE_PRESET,
@@ -21,7 +24,7 @@ from rampflow.scenarios import (
     with_capacity_drop,
     write_demand_csv,
 )
-from rampflow.simulator import simulate
+from rampflow.simulator import DisturbanceSpec, evaluate_metrics, simulate
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +291,15 @@ def test_yaml_rejections(tmp_path, mangle, message):
         load_scenario(p)
 
 
+def test_yaml_non_finite_initial_state_rejected(tmp_path):
+    p = tmp_path / "nan.yaml"
+    for value in (".nan", ".inf"):
+        p.write_text(_YAML_OK.replace("q: [2.0, 0.0]", f"q: [{value}, 0.0]"),
+                     encoding="utf-8")
+        with pytest.raises(ScenarioError, match="outside the model boxes"):
+            load_scenario(p)
+
+
 def test_yaml_demand_must_pick_exactly_one_kind(tmp_path):
     text = _YAML_OK.replace("demand:\n", "demand:\n  csv: nope.csv\n")
     p = tmp_path / "two.yaml"
@@ -345,13 +357,53 @@ def test_campaign_shape_and_determinism():
     assert grid_seen == set(MISMATCH_GRID)
 
 
-def test_campaign_threads_match_serial():
+def _serial_campaign(sc, runs, seed, sigmas, variants, drop_alpha=0.10):
+    """Reference campaign in which every run is its own single-run
+    ``simulate`` call, numbered as the campaign documents."""
+    nominal = sc.model
+    rows = []
+    for variant in variants:
+        plant = nominal if variant == "monotonic" \
+            else with_capacity_drop(nominal, drop_alpha)
+        for sigma in sigmas:
+            def twt(ctrl, r):
+                noise = DisturbanceSpec(sigma, seed=seed + r) if sigma else None
+                traj = simulate(plant, sc.demand, controller=ctrl,
+                                disturbance=noise, initial_state=sc.initial)
+                assert traj.rho.shape == (sc.horizon + 1, nominal.n)
+                return evaluate_metrics(plant, traj).twt
+
+            base = [twt(make_controller("none", nominal), r)
+                    for r in range(runs)]
+
+            def row(dv, drho, kind, ctrls):
+                vals = [100.0 * (base[r] - twt(ctrls[r], r)) / base[r]
+                        for r in range(runs)]
+                return (variant, sigma, dv, drho, kind,
+                        statistics.fmean(vals), statistics.pstdev(vals), runs)
+
+            for dv, drho in MISMATCH_GRID:
+                rows.append(row(dv, drho, "best_effort", [
+                    make_controller("best_effort", sample_controller_model(
+                        nominal, dv, drho, seed=seed + 1000 + r))
+                    for r in range(runs)]))
+            rows.append(row(0.0, 0.0, "alinea",
+                            [make_controller("alinea", nominal)] * runs))
+    return rows
+
+
+def test_campaign_matches_serial_single_runs():
     sc = builtin_example1()
-    serial = uncertainty_campaign(sc, runs=2, seed=1, sigmas=(0.05,),
-                                  variants=("monotonic",), threads=1)
-    threaded = uncertainty_campaign(sc, runs=2, seed=1, sigmas=(0.05,),
-                                    variants=("monotonic",), threads=4)
-    assert serial == threaded
+    kwargs = dict(runs=3, seed=1, sigmas=(0.0, 0.05),
+                  variants=("monotonic", "capacity_drop"))
+    got = uncertainty_campaign(sc, **kwargs)
+    want = _serial_campaign(sc, **kwargs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.variant, g.sigma, g.dv, g.drho, g.controller, g.runs) \
+            == w[:5] + w[7:]
+        assert g.mean_twt_improvement == pytest.approx(w[5], rel=1e-12)
+        assert g.stdev == pytest.approx(w[6], rel=1e-9, abs=1e-12)
 
 
 def test_campaign_lp_row_positive_improvement():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rampflow.controllers import KINDS, make_controller, sample_controller_model
 from rampflow.model import CellParams, FreewayModel
+from rampflow.scenarios import builtin_example1, with_capacity_drop
 from rampflow.simulator import (
     ContractViolationError,
     DemandProfile,
@@ -226,3 +228,84 @@ def test_tts_counts_states_and_queues():
     rho_seq = traj.rho[:, 0]
     expect = 0.01 * (np.sum(rho_seq * 1.0) + np.sum(traj.q))
     assert met.tts == pytest.approx(expect, rel=1e-12)
+
+
+def test_non_finite_inputs_are_refused():
+    m = one_cell(dt=0.01, ramp_flow_max=1000.0, queue_max=50.0)
+    T = 5
+    w_ramp = np.full((T, 1), 100.0)
+    # negative control: finite inputs build and run
+    traj = simulate(m, DemandProfile(w0=np.full(T, 500.0), w_ramp=w_ramp),
+                    initial_state=SimState([30.0], [10.0]))
+    assert np.isfinite(evaluate_metrics(m, traj).tts)
+    for bad in (np.nan, np.inf, -np.inf):
+        w0 = np.full(T, 500.0)
+        w0[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DemandProfile(w0=w0, w_ramp=w_ramp)
+        with pytest.raises(ValueError, match="finite"):
+            SimState([bad], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            SimState([30.0], [bad])
+
+    state = SimState([30.0], [10.0])
+    w_row = np.array([500.0, 100.0])
+    step(m, state, np.array([100.0]), w_row)   # negative control
+    with pytest.raises(ContractViolationError, match="rate"):
+        step(m, state, np.array([np.nan]), w_row)
+    # a NaN inflow reaches the density, whose box check must catch it
+    with pytest.raises(ContractViolationError, match="density"):
+        step(m, state, np.array([100.0]), np.array([np.nan, 100.0]))
+
+
+RUN_FIELDS = ("rho", "q", "flows", "rates")
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.1], ids=["monotone", "capacity_drop"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_of_r_equals_r_batches_of_one(kind, sigma, drop):
+    sc = builtin_example1()
+    plant = with_capacity_drop(sc.model, drop)
+    beliefs = [sample_controller_model(sc.model, 0.05, 0.10, seed=s)
+               for s in range(3)]
+    seeds = [11, 12, 13]
+    relaxed = kind == "relaxed_best_effort"
+
+    def run(belief, seed):
+        noise = DisturbanceSpec(sigma, seed=seed) if sigma else None
+        return simulate(plant, sc.demand, make_controller(kind, belief),
+                        disturbance=noise, initial_state=sc.initial,
+                        relaxed=relaxed)
+
+    batch = run(beliefs, seeds)
+    T, n = sc.horizon, plant.n
+    assert batch.rho.shape == (3, T + 1, n)
+    assert batch.flows.shape == (3, T, n + 1)
+    met = evaluate_metrics(plant, batch)
+    assert met.tts.shape == met.twt.shape == (3,)
+    assert met.tdt.shape == (3, T)
+    worst = 0.0
+    for r in range(3):
+        one = run(beliefs[r], seeds[r])
+        assert one.rho.shape == (T + 1, n)
+        for name in RUN_FIELDS:
+            np.testing.assert_allclose(getattr(batch, name)[r],
+                                       getattr(one, name), rtol=1e-12, atol=0)
+        assert met.tts[r] == pytest.approx(evaluate_metrics(plant, one).tts,
+                                           rel=1e-12)
+        worst = max(worst, mass_conservation_residual(plant, one))
+    assert mass_conservation_residual(plant, batch) == pytest.approx(
+        worst, rel=1e-12, abs=1e-15)
+
+
+def test_batch_sizes_must_agree():
+    sc = builtin_example1()
+    beliefs = [sc.model, sc.model]
+    with pytest.raises(ValueError, match="batch sizes disagree"):
+        simulate(sc.model, sc.demand, make_controller("best_effort", beliefs),
+                 disturbance=DisturbanceSpec(0.05, seed=[1, 2, 3]))
+    # a single seed is shared by every run of the batch
+    traj = simulate(sc.model, sc.demand, make_controller("best_effort", beliefs),
+                    disturbance=DisturbanceSpec(0.05, seed=4))
+    np.testing.assert_array_equal(traj.rho[0], traj.rho[1])
