@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 unusable scenario or input data, 3 a run broke a
 state or rate contract, 4 the request needs a model class the method does
-not cover, 5 inputs whose horizons or shapes do not line up.
+not cover (optimize and bounds refuse capacity-drop models), 5 inputs whose
+horizons or shapes do not line up.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import sys
 
 from .controllers import DEFAULT_KI, make_controller, sample_controller_model
 from .cumulative import restrictiveness_report, tts_bounds
-from .lp import LpError, UnsupportedModelError, build_lp, certify_relaxation, \
-    export_lp_text, solve_lp
-from .model import validate_model
+from .lp import LpError, build_lp, certify_relaxation, export_lp_text, solve_lp
+from .model import UnsupportedModelError, validate_model
 from .reports import (
     bounds_doc,
     campaign_csv_text,
@@ -189,6 +189,8 @@ def _cmd_bounds(args) -> int:
         bounds = tts_bounds(scenario.model, scenario.demand, scenario.initial)
     except ContractViolationError as e:
         raise _CliFailure(EXIT_CONTRACT, f"bounding run aborted: {e}")
+    except UnsupportedModelError as e:
+        raise _CliFailure(EXIT_UNSUPPORTED, str(e))
     if args.restrictiveness:
         _emit(restrictiveness_csv_text(bounds.restrictiveness),
               args.restrictiveness)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import make_controller
-from .model import FreewayModel
+from .model import FreewayModel, UnsupportedModelError
 from .simulator import (
     DemandProfile,
     SimState,
@@ -86,11 +86,16 @@ def cumulative_from_state(model: FreewayModel, state: SimState,
                            virtual_cars=virtual_cars)
 
 
+def _decode(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
+    """Densities implied by the counters, unchecked."""
+    return (cum.phi_cum[:-1] - cum.phi_cum[1:] / model.beta_bar
+            + cum.inflow_cum) / model.length
+
+
 def reconstruct_densities(model: FreewayModel, cum: CumulativeState,
                           tol: float = 1e-6) -> np.ndarray:
     """Decode densities; raises if they land outside [0, rho_jam]."""
-    rho = (cum.phi_cum[:-1] - cum.phi_cum[1:] / model.beta_bar
-           + cum.inflow_cum) / model.length
+    rho = _decode(model, cum)
     slack = tol * np.maximum(1.0, model.rho_jam)
     if np.any(rho < -slack) or np.any(rho > model.rho_jam + slack):
         k = int(np.argmax(np.maximum(-rho, rho - model.rho_jam)))
@@ -123,9 +128,7 @@ def to_cumulative(model: FreewayModel, traj: Trajectory) -> list[CumulativeState
 
 def _decode_clipped(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
     """Densities implied by the counters, clipped into the physical box."""
-    rho = (cum.phi_cum[:-1] - cum.phi_cum[1:] / model.beta_bar
-           + cum.inflow_cum) / model.length
-    return np.clip(rho, 0.0, model.rho_jam)
+    return np.clip(_decode(model, cum), 0.0, model.rho_jam)
 
 
 def one_step_flows(model: FreewayModel, cum: CumulativeState,
@@ -242,34 +245,40 @@ def monotonicity_probe(model: FreewayModel, base: CumulativeState,
 NONRESTRICTIVE = ""
 SUPPLY_LIMITED = "supply_limited_with_space"
 DEMAND_LIMITED = "demand_limited_with_queue"
+_REASONS = np.array([NONRESTRICTIVE, SUPPLY_LIMITED, DEMAND_LIMITED],
+                    dtype=object)
 
 
-def classify_cell(model: FreewayModel, state: SimState,
-                  flows: np.ndarray, k: int) -> str:
-    """Restrictiveness of cell k (1-based) at a step with the given flows.
+def _reason_codes(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
+                  flows: np.ndarray) -> np.ndarray:
+    """Index into ``_REASONS`` for every cell of densities and queues
+    (..., n) with the flow rows (..., n+1) that leave them.
 
     A cell is restrictive when its ramp could still trade cars against
     mainline flow: either congestion chokes the upstream flow below its
     cap while the queue has space, or the cell's own demand limits its
-    outflow below the cap while a queue is waiting.
+    outflow below the cap while a queue is waiting. The first cell is
+    never supply limited: the mainline inflow is external.
     """
-    i = k - 1
-    q, q_cap = state.q[i], model.queue_max[i]
-    eps_q = 1e-9 * max(1.0, q_cap)
-    if k >= 2:
-        cap_up = model.capacity[i - 1]
-        eps = 1e-6 * cap_up
-        supply_here = float(model.supply(state.rho)[i])
-        if (q < q_cap - eps_q and abs(flows[i] - supply_here) <= eps
-                and flows[i] < cap_up - eps):
-            return SUPPLY_LIMITED
-    cap = model.capacity[i]
+    cap, q_max = model.capacity, model.queue_max
     eps = 1e-6 * cap
-    demand_here = float(model.demand(state.rho)[i])
-    if (q > eps_q and abs(flows[i + 1] - demand_here) <= eps
-            and flows[i + 1] < cap - eps):
-        return DEMAND_LIMITED
-    return NONRESTRICTIVE
+    eps_q = 1e-9 * np.maximum(1.0, q_max)
+    up, down = flows[..., :-1], flows[..., 1:]
+    supply = np.zeros(np.shape(q), dtype=bool)
+    supply[..., 1:] = ((q < q_max - eps_q)[..., 1:]
+                       & (np.abs(up - model.supply(rho))[..., 1:] <= eps[:-1])
+                       & (up[..., 1:] < (cap - eps)[:-1]))
+    demand = ((q > eps_q) & (np.abs(down - model.demand(rho)) <= eps)
+              & (down < cap - eps))
+    return np.where(supply, 1, np.where(demand, 2, 0))
+
+
+def classify_cell(model: FreewayModel, state: SimState,
+                  flows: np.ndarray, k: int) -> str:
+    """Restrictiveness of cell k (1-based) at a step with the given flows;
+    the rule of :func:`restrictiveness_report` read at one cell."""
+    codes = _reason_codes(model, state.rho, state.q, np.asarray(flows))
+    return _REASONS[codes[k - 1]]
 
 
 @dataclass
@@ -290,20 +299,19 @@ class RestrictivenessReport:
 
 def restrictiveness_report(model: FreewayModel,
                            traj: Trajectory) -> RestrictivenessReport:
-    T, n = traj.horizon, model.n
-    reasons = []
-    flags = np.zeros((T, n), dtype=bool)
-    for t in range(T):
-        state = traj.state(t)
-        row = [classify_cell(model, state, traj.flows[t], k)
-               for k in range(1, n + 1)]
-        reasons.append(row)
-        flags[t] = [r != NONRESTRICTIVE for r in row]
+    """Classify every (step, cell) pair of a single run at once."""
+    if traj.rho.ndim != 2:
+        raise ValueError("restrictiveness_report takes one run; "
+                         "pass traj.run(r) for run r of a batch")
+    T = traj.horizon
+    codes = _reason_codes(model, traj.rho[:T], traj.q[:T], traj.flows)
+    flags = codes != 0
     metered = model.queue_max > 0.0
     pairs = T * int(np.count_nonzero(metered))
     fraction = float(np.count_nonzero(flags[:, metered])) / pairs if pairs else 0.0
     interior_clean = not bool(np.any(flags[1:]))
-    return RestrictivenessReport(reasons=reasons, restrictive=flags,
+    return RestrictivenessReport(reasons=_REASONS[codes].tolist(),
+                                 restrictive=flags,
                                  restrictive_fraction=fraction,
                                  interior_clean=interior_clean)
 
@@ -333,16 +341,23 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     is nonrestrictive at every interior step it is itself optimal and the
     certificate says so. The greedy run and its restrictiveness report
     come back on the result.
-    """
-    be = simulate(model, demand, controller=make_controller("best_effort", model),
-                  initial_state=initial_state)
-    tts_be = evaluate_metrics(model, be).tts
-    report = restrictiveness_report(model, be)
 
-    relaxed = simulate(model, demand,
-                       controller=make_controller("relaxed_best_effort", model),
-                       initial_state=initial_state, relaxed=True)
-    tts_lb = evaluate_metrics(model, relaxed).tts
+    Both runs are one batch of 2 of the relaxed law. ``simulate`` clamps
+    run 0 into the capped interval, and the relaxed interval contains it,
+    so run 0 is exactly the greedy run. Capacity-drop models are refused:
+    they are not monotone, so the relaxed run proves no lower bound.
+    """
+    if model.has_capacity_drop:
+        raise UnsupportedModelError(
+            "capacity drop breaks monotonicity; the relaxed run is no "
+            "lower bound for such models")
+    both = simulate(model, demand,
+                    controller=make_controller("relaxed_best_effort", model),
+                    initial_state=initial_state, relaxed=(False, True))
+    be = both.run(0)
+    tts_be = evaluate_metrics(model, be).tts
+    tts_lb = evaluate_metrics(model, both.run(1)).tts
+    report = restrictiveness_report(model, be)
 
     certificate = "optimal" if report.interior_clean else "bounded"
     gap_abs = max(0.0, tts_be - tts_lb)

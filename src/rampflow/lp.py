@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import FreewayModel
+from .model import FreewayModel, UnsupportedModelError
 from .simulator import (
     DemandProfile,
     RateSchedule,
@@ -31,10 +31,6 @@ from .simulator import (
     step,
     zero_state,
 )
-
-
-class UnsupportedModelError(ValueError):
-    """Model outside the class for which the relaxation is exact."""
 
 
 class LpError(RuntimeError):

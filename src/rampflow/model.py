@@ -19,6 +19,11 @@ class GeometryError(ValueError):
     """Raised when cell parameters cannot define a usable fundamental diagram."""
 
 
+class UnsupportedModelError(ValueError):
+    """Model outside the class a method's guarantees cover (the LP
+    relaxation and the bound sandwich need a monotone model)."""
+
+
 @dataclass(frozen=True)
 class CellParams:
     """Static description of one mainline cell and its ramps.

@@ -23,10 +23,6 @@ def fmt(x: float) -> str:
     return f"{float(x) + 0.0:.9g}"  # + 0.0 turns -0.0 into 0.0
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
 def _clean(value):
     """Round floats through %.9g so JSON bytes match the CSV convention."""
     if isinstance(value, dict):
@@ -42,12 +38,6 @@ def _clean(value):
     return value
 
 
-def write_json(doc: dict, path) -> None:
-    with _open_out(path) as fh:
-        json.dump(_clean(doc), fh, indent=2)
-        fh.write("\n")
-
-
 def dumps_json(doc: dict) -> str:
     return json.dumps(_clean(doc), indent=2) + "\n"
 
@@ -60,30 +50,26 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
     ``phi`` is the flow leaving the cell during [t, t+1) and ``r`` the
     metering rate applied then; both are blank on the final-state rows.
+    Numbers are rendered as :func:`fmt` renders them, one step at a time.
     """
-    T = traj.horizon
-    n = traj.rho.shape[1]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "cell", "rho", "q", "phi", "r"])
-    for t in range(T + 1):
-        for k in range(n):
-            row = [t, k + 1, fmt(traj.rho[t, k]), fmt(traj.q[t, k])]
-            if t < T:
-                row += [fmt(traj.flows[t, k + 1]), fmt(traj.rates[t, k])]
-            else:
-                row += ["", ""]
-            w.writerow(row)
-    return buf.getvalue()
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with _open_out(path) as fh:
-        fh.write(trajectory_csv_text(traj))
+    T, n = traj.horizon, traj.rho.shape[1]
+    cells = range(1, n + 1)
+    # + 0.0 turns -0.0 into 0.0, as in fmt
+    rows = np.stack((traj.rho[:T], traj.q[:T], traj.flows[:, 1:],
+                     traj.rates), axis=-1) + 0.0
+    final_rows = np.stack((traj.rho[T], traj.q[T]), axis=-1) + 0.0
+    blocks = ["t,cell,rho,q,phi,r\n"]
+    for t in range(T):
+        blocks.append("".join(
+            f"{t},{k},{rho:.9g},{q:.9g},{phi:.9g},{r:.9g}\n"
+            for k, (rho, q, phi, r) in zip(cells, rows[t].tolist())))
+    blocks.append("".join(f"{T},{k},{rho:.9g},{q:.9g},,\n"
+                          for k, (rho, q) in zip(cells, final_rows.tolist())))
+    return "".join(blocks)
 
 
 def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
-    """Rebuild a trajectory written by ``write_trajectory_csv``.
+    """Rebuild a trajectory written by ``trajectory_csv_text``.
 
     The demand profile is not stored in the table, so the caller supplies
     it; its horizon must match the table.
@@ -126,11 +112,6 @@ def heatmap_csv_text(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-def write_heatmap_csv(traj: Trajectory, path) -> None:
-    with _open_out(path) as fh:
-        fh.write(heatmap_csv_text(traj))
-
-
 def rates_csv_text(rates: np.ndarray) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -141,36 +122,18 @@ def rates_csv_text(rates: np.ndarray) -> str:
     return buf.getvalue()
 
 
-def write_rates_csv(rates: np.ndarray, path) -> None:
-    with _open_out(path) as fh:
-        fh.write(rates_csv_text(rates))
-
-
-def read_rates_csv(path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    if header[0] != "t":
-        raise ValueError("not a rate table")
-    return np.asarray(rows)
-
-
 # ---------------------------------------------------------------------------
 # restrictiveness and bounds
 
 def restrictiveness_csv_text(report: RestrictivenessReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "cell", "status", "reason"])
-    for t, cell, status, reason in report.rows():
-        w.writerow([t, cell, status, reason])
-    return buf.getvalue()
-
-
-def write_restrictiveness_csv(report: RestrictivenessReport, path) -> None:
-    with _open_out(path) as fh:
-        fh.write(restrictiveness_csv_text(report))
+    """The rows of :meth:`RestrictivenessReport.rows`, one step at a time."""
+    blocks = ["t,cell,status,reason\n"]
+    for t, (flags, reasons) in enumerate(zip(report.restrictive.tolist(),
+                                             report.reasons)):
+        blocks.append("".join(
+            f"{t},{k},{'restrictive' if flag else 'nonrestrictive'},{why}\n"
+            for k, (flag, why) in enumerate(zip(flags, reasons), 1)))
+    return "".join(blocks)
 
 
 def bounds_doc(bounds: BoundsReport) -> dict:
@@ -225,18 +188,3 @@ def campaign_csv_text(rows) -> str:
                     r.controller, fmt(r.mean_twt_improvement),
                     fmt(r.stdev), r.runs])
     return buf.getvalue()
-
-
-def write_campaign_csv(rows, path) -> None:
-    with _open_out(path) as fh:
-        fh.write(campaign_csv_text(rows))
-
-
-def read_campaign_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for r in rows:
-        for key in ("sigma", "dv", "drho", "mean_twt_improvement", "stdev"):
-            r[key] = float(r[key])
-        r["runs"] = int(r["runs"])
-    return rows

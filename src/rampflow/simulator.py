@@ -152,6 +152,11 @@ class Trajectory:
     def state(self, t: int) -> SimState:
         return SimState(self.rho[..., t, :], self.q[..., t, :])
 
+    def run(self, r: int) -> "Trajectory":
+        """Run r of a batch as a single-run trajectory of views."""
+        return Trajectory(rho=self.rho[r], q=self.q[r], flows=self.flows[r],
+                          rates=self.rates[r], demand=self.demand)
+
 
 def compute_flows(model: FreewayModel, state: SimState, w0: float) -> np.ndarray:
     """Flow row (phi_0 .. phi_n) the network realizes at this state."""
@@ -184,13 +189,19 @@ def feasible_rate_interval(model: FreewayModel, k: int, q_k: float,
 
 
 def _rate_bounds(model: FreewayModel, q: np.ndarray, w: np.ndarray,
-                 relaxed: bool = False,
+                 relaxed: bool | np.ndarray = False,
                  cell_slice: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Queue-box limits, plus the constant bounds [0, ramp_flow_max] unless
+    ``relaxed``: one flag, or one per run of an (R, n) batch."""
     q_max = model.queue_max[..., cell_slice]
     r_max = model.ramp_flow_max[..., cell_slice]
     lo = (q - q_max) / model.dt + w
     hi = q / model.dt + w
-    if not relaxed:
+    if isinstance(relaxed, np.ndarray):
+        capped = ~relaxed[:, None]
+        lo = np.where(capped, np.maximum(0.0, lo), lo)
+        hi = np.where(capped, np.minimum(r_max, hi), hi)
+    elif not relaxed:
         lo = np.maximum(0.0, lo)
         hi = np.minimum(r_max, hi)
     return lo, hi
@@ -215,18 +226,33 @@ def _snap_into_box(x: np.ndarray, lo: np.ndarray | float, hi: np.ndarray,
     return np.clip(x, lo, hi)
 
 
+def _relaxed_flags(relaxed: bool | Sequence[bool]) -> bool | np.ndarray:
+    """One flag, or an (R,) bool array from a sequence of per-run flags."""
+    if isinstance(relaxed, bool):
+        return relaxed
+    flags = np.asarray(relaxed, dtype=bool)
+    return flags if flags.ndim else bool(flags)
+
+
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
          w_row: np.ndarray, rng=None, sigma_phi: float = 0.0,
-         relaxed: bool = False) -> tuple[SimState, np.ndarray]:
+         relaxed: bool | Sequence[bool] = False,
+         ) -> tuple[SimState, np.ndarray]:
     """Advance one step and return (next state, realized flow row).
 
     ``state`` and ``rates`` are (n,) for one run or (R, n) for a batch;
     ``w_row`` is (w0, w_1..w_n), shared by every run. Rates outside the
     feasible interval are a contract violation. With ``relaxed=True`` the
     constant rate bounds [0, ramp_flow_max] are waived and only the
-    queue-box limits apply. Noise needs ``rng``: a generator for one run,
-    or a sequence of R generators, each drawing its run's n+1 factors.
+    queue-box limits apply; a batch may instead pass R flags, one per run.
+    Noise needs ``rng``: a generator for one run, or a sequence of R
+    generators, each drawing its run's n+1 factors.
     """
+    relaxed = _relaxed_flags(relaxed)
+    per_run = isinstance(relaxed, np.ndarray)
+    if per_run and state.q.shape[:-1] != relaxed.shape:
+        raise ValueError(f"{relaxed.shape[0]} relaxed flags for state "
+                         f"of shape {state.q.shape}")
     rates = np.asarray(rates, dtype=float)
     lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
     _check_box(rates, lo, hi, 1e-9 * np.maximum(1.0, np.abs(hi)),
@@ -265,7 +291,7 @@ def simulate(model: FreewayModel, demand: DemandProfile,
              controller=None,
              disturbance: DisturbanceSpec | None = None,
              initial_state: SimState | None = None,
-             relaxed: bool = False) -> Trajectory:
+             relaxed: bool | Sequence[bool] = False) -> Trajectory:
     """Run the closed loop over the demand horizon.
 
     ``controller`` is anything with ``compute_rates(state, w_row, memory)``
@@ -275,18 +301,24 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     into the feasible interval before it is applied, so a controller
     cannot break the queue boxes.
 
-    The run is a batch of R when the controller (``runs``) or the
-    disturbance seeds say so: every run starts from ``initial_state`` and
-    every array of the trajectory has a leading run axis. Otherwise it is
-    one run with the unbatched shapes.
+    ``relaxed`` waives the constant rate bounds (see :func:`step`), for
+    every run or, given as R flags, per run.
+
+    The run is a batch of R when the controller (``runs``), the
+    disturbance seeds or the ``relaxed`` flags say so: every run starts
+    from ``initial_state`` and every array of the trajectory has a leading
+    run axis. Otherwise it is one run with the unbatched shapes.
     """
     demand.check_against(model)
     if model.runs is not None:
         raise ValueError("the plant must be a single model, not a stack")
     state = initial_state if initial_state is not None else zero_state(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
+    relaxed = _relaxed_flags(relaxed)
+    per_run = isinstance(relaxed, np.ndarray)
     runs = _batch_size(getattr(controller, "runs", None),
-                       disturbance.runs if disturbance is not None else None)
+                       disturbance.runs if disturbance is not None else None,
+                       len(relaxed) if per_run else None)
     shape = (model.n,) if runs is None else (runs, model.n)
     state = SimState(np.broadcast_to(state.rho, shape),
                      np.broadcast_to(state.q, shape))

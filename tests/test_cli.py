@@ -214,6 +214,18 @@ def test_optimize_capacity_drop_unsupported(drop_yaml, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bounds_capacity_drop_unsupported(drop_yaml, tmp_path, capsys):
+    assert main(["bounds", "--scenario", drop_yaml]) == EXIT_UNSUPPORTED
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+    # negative control: the same corridor without the drop is monotone
+    mono = tmp_path / "mono.yaml"
+    mono.write_text(_DROP_YAML.replace("capacity_drop: 0.1",
+                                       "capacity_drop: 0"), encoding="utf-8")
+    assert main(["bounds", "--scenario", str(mono)]) == EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) >= {"tts_lb", "tts_be"}
+
+
 def test_optimize_deterministic_bytes(tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -2,6 +2,7 @@
 restrictiveness classification, and the certified bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,14 +28,25 @@ from rampflow.cumulative import (
     tts_bounds,
     tts_from_cumulative,
 )
-from rampflow.model import CellParams, FreewayModel, validate_model
+from rampflow.model import (
+    CellParams,
+    FreewayModel,
+    UnsupportedModelError,
+    validate_model,
+)
 from rampflow.simulator import (
+    DisturbanceSpec,
     SimState,
     compute_flows,
     evaluate_metrics,
     simulate,
 )
-from rampflow.scenarios import builtin_example1, builtin_example2
+from rampflow.scenarios import (
+    builtin_example1,
+    builtin_example2,
+    builtin_grenoble,
+    with_capacity_drop,
+)
 
 from conftest import random_demand, random_model, random_state
 
@@ -351,8 +363,126 @@ def test_report_summarizes_flags_consistently():
                            for r in flagged)
 
 
+def _scalar_reason(model, rho, q, flows, k):
+    """The restrictiveness rule written out for one cell k (1-based)."""
+    i = k - 1
+    eps_q = 1e-9 * max(1.0, model.queue_max[i])
+    if k >= 2:
+        cap_up = model.capacity[i - 1]
+        eps = 1e-6 * cap_up
+        if (q[i] < model.queue_max[i] - eps_q
+                and abs(flows[i] - float(model.supply(rho)[i])) <= eps
+                and flows[i] < cap_up - eps):
+            return SUPPLY_LIMITED
+    cap = model.capacity[i]
+    eps = 1e-6 * cap
+    if (q[i] > eps_q and abs(flows[i + 1] - float(model.demand(rho)[i])) <= eps
+            and flows[i + 1] < cap - eps):
+        return DEMAND_LIMITED
+    return NONRESTRICTIVE
+
+
+def _restrictiveness_cases():
+    rng = np.random.default_rng(31)
+    for i in range(6):
+        model = random_model(rng)
+        yield f"random{i}", model, random_demand(rng, model, 40, load=0.9), None
+    sc = builtin_example1()
+    yield "example1", sc.model, sc.demand, sc.initial
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.1], ids=["monotone", "capacity_drop"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("kind", ["best_effort", "alinea", "none"])
+def test_report_equals_a_loop_over_classify_cell(kind, sigma, drop):
+    seen = set()
+    for label, model, demand, initial in _restrictiveness_cases():
+        plant = with_capacity_drop(model, drop)
+        law = None if kind == "none" else make_controller(kind, model)
+        noise = DisturbanceSpec(sigma, seed=5) if sigma else None
+        traj = simulate(plant, demand, law, disturbance=noise,
+                        initial_state=initial)
+        report = restrictiveness_report(plant, traj)
+        T, n = traj.horizon, plant.n
+        loop = [[classify_cell(plant, traj.state(t), traj.flows[t], k)
+                 for k in range(1, n + 1)] for t in range(T)]
+        oracle = [[_scalar_reason(plant, traj.rho[t], traj.q[t],
+                                  traj.flows[t], k)
+                   for k in range(1, n + 1)] for t in range(T)]
+        assert report.reasons == loop == oracle, label
+        flags = np.array([[r != NONRESTRICTIVE for r in row] for row in loop])
+        np.testing.assert_array_equal(report.restrictive, flags)
+        metered = plant.queue_max > 0.0
+        pairs = T * int(metered.sum())
+        want = float(flags[:, metered].sum()) / pairs if pairs else 0.0
+        assert report.restrictive_fraction == want, label
+        assert report.interior_clean == (not flags[1:].any()), label
+        seen.update(r for row in loop for r in row)
+    assert seen == {NONRESTRICTIVE, SUPPLY_LIMITED, DEMAND_LIMITED}
+
+
+def test_report_reason_follows_a_nudged_flow():
+    """Negative control: moving one flow off the curve it sat on changes
+    that pair's reason, and the per-cell rule agrees."""
+    sc = builtin_example1()
+    traj = simulate(sc.model, sc.demand,
+                    make_controller("best_effort", sc.model),
+                    initial_state=sc.initial)
+    report = restrictiveness_report(sc.model, traj)
+    for reason, column in ((SUPPLY_LIMITED, 0), (DEMAND_LIMITED, 1)):
+        t, i = next((t, i) for t, row in enumerate(report.reasons)
+                    for i, r in enumerate(row) if r == reason)
+        flows = traj.flows.copy()
+        flows[t, i + column] -= 1e-3 * sc.model.capacity[i]
+        nudged = restrictiveness_report(sc.model, replace(traj, flows=flows))
+        assert nudged.reasons[t][i] != reason
+        assert nudged.reasons[t][i] == _scalar_reason(
+            sc.model, traj.rho[t], traj.q[t], flows[t], i + 1)
+
+
+def test_report_refuses_a_batch():
+    sc = builtin_example1()
+    batch = simulate(sc.model, sc.demand,
+                     make_controller("best_effort", [sc.model, sc.model]),
+                     initial_state=sc.initial)
+    with pytest.raises(ValueError, match="one run"):
+        restrictiveness_report(sc.model, batch)
+    assert restrictiveness_report(sc.model, batch.run(1)).reasons \
+        == restrictiveness_report(sc.model, batch.run(0)).reasons
+
+
 # ---------------------------------------------------------------------------
 # bounds
+
+@pytest.mark.parametrize("make", [builtin_example1, builtin_example2,
+                                  lambda: builtin_grenoble(0)],
+                         ids=["example1", "example2", "grenoble"])
+def test_bounds_equal_separate_greedy_and_relaxed_runs(make):
+    sc = make()
+    b = tts_bounds(sc.model, sc.demand, sc.initial)
+    be = simulate(sc.model, sc.demand,
+                  make_controller("best_effort", sc.model),
+                  initial_state=sc.initial)
+    lb = simulate(sc.model, sc.demand,
+                  make_controller("relaxed_best_effort", sc.model),
+                  initial_state=sc.initial, relaxed=True)
+    assert b.tts_be == evaluate_metrics(sc.model, be).tts
+    assert b.tts_lb == evaluate_metrics(sc.model, lb).tts
+    for name in ("rho", "q", "flows", "rates"):
+        np.testing.assert_array_equal(getattr(b.greedy, name),
+                                      getattr(be, name))
+    assert b.restrictiveness.reasons \
+        == restrictiveness_report(sc.model, be).reasons
+
+
+def test_bounds_refuse_capacity_drop_models():
+    sc = builtin_example1()
+    with pytest.raises(UnsupportedModelError, match="monotonicity"):
+        tts_bounds(with_capacity_drop(sc.model, 0.1), sc.demand, sc.initial)
+    # negative control: the same corridor without the drop is monotone
+    b = tts_bounds(with_capacity_drop(sc.model, 0.0), sc.demand, sc.initial)
+    assert b.tts_lb <= b.tts_be
+
 
 def test_bounds_sandwich_on_builtin_examples():
     for sc in (builtin_example1(), builtin_example2()):

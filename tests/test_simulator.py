@@ -3,7 +3,12 @@ import pytest
 
 from rampflow.controllers import KINDS, make_controller, sample_controller_model
 from rampflow.model import CellParams, FreewayModel
-from rampflow.scenarios import builtin_example1, with_capacity_drop
+from rampflow.scenarios import (
+    builtin_example1,
+    builtin_example2,
+    builtin_grenoble,
+    with_capacity_drop,
+)
 from rampflow.simulator import (
     ContractViolationError,
     DemandProfile,
@@ -309,3 +314,50 @@ def test_batch_sizes_must_agree():
     traj = simulate(sc.model, sc.demand, make_controller("best_effort", beliefs),
                     disturbance=DisturbanceSpec(0.05, seed=4))
     np.testing.assert_array_equal(traj.rho[0], traj.rho[1])
+
+
+@pytest.mark.parametrize("make", [builtin_example1, builtin_example2,
+                                  lambda: builtin_grenoble(0)],
+                         ids=["example1", "example2", "grenoble"])
+def test_per_run_relaxed_flags_equal_separate_runs(make):
+    sc = make()
+    law = make_controller("relaxed_best_effort", sc.model)
+    batch = simulate(sc.model, sc.demand, law, initial_state=sc.initial,
+                     relaxed=(False, True))
+    assert batch.rho.shape[0] == 2
+    for r, relaxed in enumerate((False, True)):
+        one = simulate(sc.model, sc.demand, law, initial_state=sc.initial,
+                       relaxed=relaxed)
+        for name in RUN_FIELDS:
+            np.testing.assert_array_equal(getattr(batch, name)[r],
+                                          getattr(one, name))
+    # clamped into the capped interval, the relaxed law is the greedy law
+    greedy = simulate(sc.model, sc.demand,
+                      make_controller("best_effort", sc.model),
+                      initial_state=sc.initial)
+    for name in RUN_FIELDS:
+        np.testing.assert_array_equal(getattr(batch.run(0), name),
+                                      getattr(greedy, name))
+
+
+def test_per_run_relaxed_flags_differ_where_the_caps_bind():
+    sc = builtin_example1()
+    batch = simulate(sc.model, sc.demand,
+                     make_controller("relaxed_best_effort", sc.model),
+                     initial_state=sc.initial, relaxed=(False, True))
+    assert batch.rates[0].max() <= sc.model.ramp_flow_max.max()
+    assert batch.rates[1].max() > sc.model.ramp_flow_max.max()
+
+
+def test_relaxed_flags_must_match_the_batch():
+    sc = builtin_example1()
+    law = make_controller("best_effort", [sc.model] * 3)
+    with pytest.raises(ValueError, match="batch sizes disagree"):
+        simulate(sc.model, sc.demand, law, relaxed=(False, True))
+    state = SimState(np.zeros((3, sc.model.n)), np.zeros((3, sc.model.n)))
+    with pytest.raises(ValueError, match="relaxed flags"):
+        step(sc.model, state, np.zeros((3, sc.model.n)), sc.demand.row(0),
+             relaxed=(False, True))
+    # negative control: one flag per run is accepted
+    traj = simulate(sc.model, sc.demand, law, relaxed=(False, True, False))
+    assert traj.rho.shape[0] == 3
