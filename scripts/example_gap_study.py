@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import argparse
 
-from rampflow.controllers import make_controller
-from rampflow.cumulative import restrictiveness_report, tts_bounds
+from rampflow.cumulative import tts_bounds
 from rampflow.lp import build_lp, certify_relaxation, solve_lp
 from rampflow.scenarios import load_scenario
 from rampflow.simulator import evaluate_metrics, simulate
@@ -35,13 +34,8 @@ def study(name: str) -> None:
     open_loop = simulate(model, demand, initial_state=initial)
     m_ol = evaluate_metrics(model, open_loop)
 
-    greedy = simulate(model, demand,
-                      controller=make_controller("best_effort", model),
-                      initial_state=initial)
-    m_be = evaluate_metrics(model, greedy)
-    restrictive = restrictiveness_report(model, greedy)
-
     bounds = tts_bounds(model, demand, initial)
+    m_be = evaluate_metrics(model, bounds.greedy)
     inst = build_lp(model, demand, initial)
     sol = solve_lp(inst)
     cert = certify_relaxation(inst, sol)
@@ -58,7 +52,7 @@ def study(name: str) -> None:
 
     gap = 100.0 * (m_be.tts - sol.objective) / sol.objective
     print(f"  certificate: {bounds.certificate}; restrictive pairs: "
-          f"{100.0 * restrictive.restrictive_fraction:.2f}% "
+          f"{100.0 * bounds.restrictive_fraction:.2f}% "
           f"of metered cell-steps")
     print(f"  greedy suboptimality: {gap:.3f}% above the optimum")
     saved = 100.0 * (m_ol.tts - sol.objective) / m_ol.tts

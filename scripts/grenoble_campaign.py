@@ -15,18 +15,15 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
+from rampflow.reports import campaign_csv_text
 from rampflow.scenarios import (
     MISMATCH_GRID,
     builtin_grenoble,
     uncertainty_campaign,
 )
-
-HEADER = ["variant", "sigma", "dv", "drho", "controller",
-          "mean_twt_improvement", "stdev", "runs"]
 
 
 def main() -> None:
@@ -51,18 +48,12 @@ def main() -> None:
                                 seed=args.seed, include_lp=args.lp)
     elapsed = time.perf_counter() - started
 
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(sink)
-        writer.writerow(HEADER)
-        for row in rows:
-            writer.writerow([row.variant, row.sigma, row.dv, row.drho,
-                             row.controller,
-                             f"{row.mean_twt_improvement:.6f}",
-                             f"{row.stdev:.6f}", row.runs])
-    finally:
-        if args.out:
-            sink.close()
+    text = campaign_csv_text(rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
     def gain(variant: str, controller: str, sigma: float,
              dv: float, drho: float) -> float | None:

@@ -40,7 +40,9 @@ class LpError(RuntimeError):
 @dataclass(frozen=True)
 class VarMap:
     """Column layout: per step t, [phi_0..phi_n, r_1..r_n, rho_1..rho_n,
-    q_1..q_n], with states indexed by the step that produces them."""
+    q_1..q_n], with states indexed by the step that produces them.
+
+    The index methods take ints or broadcasting integer arrays."""
 
     n: int
     horizon: int
@@ -69,28 +71,23 @@ class VarMap:
         """Queue of cell k (1-based) at time t (1..T)."""
         return (t - 1) * self.block + 3 * self.n + k
 
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (phi, r, rho, q) of a length-``size`` vector, shaped (T,
+        n+1), (T, n), (T, n) and (T, n); row t of rho and q is time t+1."""
+        n = self.n
+        xs = x.reshape(self.horizon, self.block)
+        return (xs[:, :n + 1], xs[:, n + 1:2 * n + 1],
+                xs[:, 2 * n + 1:3 * n + 1], xs[:, 3 * n + 1:])
 
-class _Rows:
-    """Triplet accumulator for one sparse constraint matrix."""
 
-    def __init__(self):
-        self.data: list[float] = []
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.rhs: list[float] = []
-
-    def add(self, coeffs: dict[int, float], rhs: float) -> None:
-        i = len(self.rhs)
-        for col, val in coeffs.items():
-            self.rows.append(i)
-            self.cols.append(col)
-            self.data.append(val)
-        self.rhs.append(rhs)
-
-    def matrix(self, width: int) -> sparse.csr_matrix:
-        return sparse.coo_matrix(
-            (self.data, (self.rows, self.cols)),
-            shape=(len(self.rhs), width)).tocsr()
+def _csr(triplets, shape: tuple[int, int]) -> sparse.csr_matrix:
+    """CSR matrix from (rows, cols, values) triplets that broadcast
+    together; within each row the columns come out sorted."""
+    parts = [np.broadcast_arrays(rows, cols, np.asarray(vals, dtype=float))
+             for rows, cols, vals in triplets]
+    rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts])
+                        for i in range(3))
+    return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 @dataclass
@@ -123,73 +120,73 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
     rho0, q0 = initial.rho, initial.q
 
     c = np.zeros(vm.size)
-    for t in range(1, T + 1):
-        for k in range(1, n + 1):
-            c[vm.rho(t, k)] = dt * model.length[k - 1]
-            c[vm.q(t, k)] = dt
+    _, _, c_rho, c_q = vm.split(c)
+    c_rho[:] = dt * model.length
+    c_q[:] = dt
     constant = dt * float(model.length @ rho0 + np.sum(q0))
 
-    eq, ub = _Rows(), _Rows()
-    for t in range(T):
-        w_row = demand.row(t)
-        eq.add({vm.phi(t, 0): 1.0}, float(w_row[0]))
+    # Rows are numbered step by step; within a step, cell by cell. States
+    # at t = 0 are data, so those rows carry them in the right-hand side.
+    steps = np.arange(T)
+    t = steps[:, None]
+    k = np.arange(1, n + 1)
+    phi = vm.phi(t, k)
 
-        for k in range(1, n + 1):
-            i = k - 1
-            # density balance: rho(t+1) - rho(t) = dt/l * (in + ramp - out/bb)
-            coeffs = {
-                vm.rho(t + 1, k): 1.0,
-                vm.phi(t, k - 1): -dt / model.length[i],
-                vm.r(t, k): -dt / model.length[i],
-                vm.phi(t, k): dt / (model.length[i] * model.beta_bar[i]),
-            }
-            rhs = 0.0
-            if t == 0:
-                rhs += float(rho0[i])
-            else:
-                coeffs[vm.rho(t, k)] = -1.0
-            eq.add(coeffs, rhs)
+    # per step: inflow, then per cell density balance
+    # rho(t+1) - rho(t) = dt/l * (in + ramp - out/bb) and queue balance
+    # q(t+1) - q(t) = dt * (w - r)
+    eq_rows = 2 * n + 1
+    row_in = steps * eq_rows
+    row_rho = t * eq_rows + 2 * k - 1
+    row_q = row_rho + 1
+    a_eq = _csr([
+        (row_in, vm.phi(steps, 0), 1.0),
+        (row_rho, vm.rho(t + 1, k), 1.0),
+        (row_rho, vm.phi(t, k - 1), -dt / model.length),
+        (row_rho, vm.r(t, k), -dt / model.length),
+        (row_rho, phi, dt / (model.length * model.beta_bar)),
+        (row_rho[1:], vm.rho(t[1:], k), -1.0),
+        (row_q, vm.q(t + 1, k), 1.0),
+        (row_q, vm.r(t, k), dt),
+        (row_q[1:], vm.q(t[1:], k), -1.0),
+    ], (T * eq_rows, vm.size))
+    b_eq = np.zeros((T, eq_rows))
+    b_eq[:, 0] = demand.w0
+    b_eq[0, 1::2] += rho0
+    b_eq[:, 2::2] = dt * demand.w_ramp
+    b_eq[0, 2::2] += q0
 
-            # queue balance: q(t+1) - q(t) = dt * (w - r)
-            coeffs = {vm.q(t + 1, k): 1.0, vm.r(t, k): dt}
-            rhs = dt * float(w_row[k])
-            if t == 0:
-                rhs += float(q0[i])
-            else:
-                coeffs[vm.q(t, k)] = -1.0
-            eq.add(coeffs, rhs)
+    # per step and cell, the flow phi(t, k) lies below both demand pieces,
+    # the cap, and (except at the exit) both supply pieces of the next
+    # cell: five rows per cell, the last two dropped for cell n
+    ub_rows = 5 * n - 2
+    row_dem = t * ub_rows + 5 * (k - 1)
+    dem_slope = model.beta_bar * model.v_free
+    wb = model.w_back[1:]
+    a_ub = _csr(
+        [(row_dem + j, phi, 1.0) for j in range(3)]
+        + [(row_dem[:, :-1] + j, phi[:, :-1], 1.0) for j in (3, 4)]
+        + [(row_dem[1:], vm.rho(t[1:], k), -dem_slope),
+           (row_dem[1:, :-1] + 3, vm.rho(t[1:], k[1:]), wb)],
+        (T * ub_rows, vm.size))
+    b_ub = np.zeros((T, n, 5))
+    b_ub[0, :, 0] = dem_slope * rho0
+    b_ub[:, :, 1] = dem_slope * model.rho_crit
+    b_ub[:, :, 2] = model.capacity
+    b_ub[:, :-1, 3] = wb * model.rho_jam[1:]
+    b_ub[0, :-1, 3] = wb * (model.rho_jam[1:] - rho0[1:])
+    b_ub[:, :-1, 4] = wb * (model.rho_jam[1:] - model.rho_crit[1:])
 
-            # flow below both demand pieces, the cap, and (except at the
-            # exit) both supply pieces of the next cell
-            dem_slope = model.beta_bar[i] * model.v_free[i]
-            if t == 0:
-                ub.add({vm.phi(t, k): 1.0}, dem_slope * float(rho0[i]))
-            else:
-                ub.add({vm.phi(t, k): 1.0, vm.rho(t, k): -dem_slope}, 0.0)
-            ub.add({vm.phi(t, k): 1.0}, dem_slope * model.rho_crit[i])
-            ub.add({vm.phi(t, k): 1.0}, float(model.capacity[i]))
-            if k < n:
-                wb = model.w_back[i + 1]
-                if t == 0:
-                    ub.add({vm.phi(t, k): 1.0},
-                           wb * float(model.rho_jam[i + 1] - rho0[i + 1]))
-                else:
-                    ub.add({vm.phi(t, k): 1.0, vm.rho(t, k + 1): wb},
-                           wb * float(model.rho_jam[i + 1]))
-                ub.add({vm.phi(t, k): 1.0},
-                       wb * float(model.rho_jam[i + 1] - model.rho_crit[i + 1]))
-
-    bounds: list[tuple[float, float | None]] = [(0.0, None)] * vm.size
-    for t in range(T):
-        for k in range(1, n + 1):
-            bounds[vm.r(t, k)] = (0.0, float(model.ramp_flow_max[k - 1]))
-            bounds[vm.q(t + 1, k)] = (0.0, float(model.queue_max[k - 1]))
+    free = [(0.0, None)]
+    step_bounds = (free * (n + 1)
+                   + [(0.0, hi) for hi in model.ramp_flow_max.tolist()]
+                   + free * n
+                   + [(0.0, hi) for hi in model.queue_max.tolist()])
 
     return LpInstance(model=model, demand=demand, initial=initial, varmap=vm,
-                      c=c, a_eq=eq.matrix(vm.size),
-                      b_eq=np.asarray(eq.rhs),
-                      a_ub=ub.matrix(vm.size), b_ub=np.asarray(ub.rhs),
-                      bounds=bounds, objective_constant=constant)
+                      c=c, a_eq=a_eq, b_eq=b_eq.ravel(), a_ub=a_ub,
+                      b_ub=b_ub.reshape(T, 5 * n)[:, :ub_rows].ravel(),
+                      bounds=step_bounds * T, objective_constant=constant)
 
 
 @dataclass
@@ -223,20 +220,11 @@ def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
         raise LpError(
             f"solution violates rows: eq {residual_eq:g}, ub {residual_ub:g}")
 
-    vm = inst.varmap
-    n, T = vm.n, vm.horizon
-    rho = np.empty((T + 1, n))
-    qs = np.empty((T + 1, n))
-    rho[0], qs[0] = inst.initial.rho, inst.initial.q
-    flows = np.empty((T, n + 1))
-    rates = np.empty((T, n))
-    for t in range(T):
-        flows[t] = [x[vm.phi(t, k)] for k in range(n + 1)]
-        rates[t] = [x[vm.r(t, k)] for k in range(1, n + 1)]
-        rho[t + 1] = [x[vm.rho(t + 1, k)] for k in range(1, n + 1)]
-        qs[t + 1] = [x[vm.q(t + 1, k)] for k in range(1, n + 1)]
+    flows, rates, rho, qs = inst.varmap.split(x)
     return LpSolution(objective=float(res.fun) + inst.objective_constant,
-                      rho=rho, q=qs, flows=flows, rates=rates,
+                      rho=np.vstack((inst.initial.rho, rho)),
+                      q=np.vstack((inst.initial.q, qs)),
+                      flows=flows.copy(), rates=rates.copy(),
                       residual_eq=residual_eq, residual_ub=residual_ub, x=x)
 
 
@@ -279,38 +267,49 @@ def certify_relaxation(inst: LpInstance, sol: LpSolution,
                                  max_rate_adjustment=adjust)
 
 
+def _lp_terms(vals: np.ndarray, cols: np.ndarray,
+              names: list[str]) -> list[str]:
+    """"{sign} {|v|} {name}" per coefficient, formatting each distinct value
+    once (0.0 and -0.0 both render as "+ 0")."""
+    distinct, which = np.unique(vals, return_inverse=True)
+    coef = [f"{'-' if v < 0 else '+'} {abs(v):.12g} "
+            for v in distinct.tolist()]
+    return [coef[i] + names[j] for i, j in zip(which.tolist(), cols.tolist())]
+
+
+def _lp_expr(terms: list[str]) -> str:
+    joined = " ".join(terms)
+    return joined[2:] if joined.startswith("+ ") else joined
+
+
 def export_lp_text(inst: LpInstance) -> str:
     """Render the instance in CPLEX LP text form (for external solvers)."""
     vm = inst.varmap
-    names = np.empty(vm.size, dtype=object)
+    cells = range(1, vm.n + 1)
+    names = []
     for t in range(vm.horizon):
-        for k in range(vm.n + 1):
-            names[vm.phi(t, k)] = f"phi_{t}_{k}"
-        for k in range(1, vm.n + 1):
-            names[vm.r(t, k)] = f"r_{t}_{k}"
-            names[vm.rho(t + 1, k)] = f"rho_{t + 1}_{k}"
-            names[vm.q(t + 1, k)] = f"q_{t + 1}_{k}"
+        names += [f"phi_{t}_{k}" for k in range(vm.n + 1)]
+        names += [f"r_{t}_{k}" for k in cells]
+        names += [f"rho_{t + 1}_{k}" for k in cells]
+        names += [f"q_{t + 1}_{k}" for k in cells]
 
-    def terms(row: sparse.csr_matrix) -> str:
-        parts = []
-        for col, val in zip(row.indices, row.data):
-            sign = "-" if val < 0 else "+"
-            parts.append(f"{sign} {abs(val):.12g} {names[col]}")
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else joined
+    def rows(a: sparse.csr_matrix, b: np.ndarray, tag: str, sense: str):
+        terms = _lp_terms(a.data, a.indices, names)
+        ptr = a.indptr.tolist()
+        return [f" {tag}{i}: {_lp_expr(terms[lo:hi])} {sense} {rhs:.12g}"
+                for i, (lo, hi, rhs) in enumerate(zip(ptr, ptr[1:],
+                                                       b.tolist()))]
 
-    out = ["Minimize", " obj: " + terms(sparse.csr_matrix(inst.c)),
-           "Subject To"]
-    for i in range(inst.a_eq.shape[0]):
-        out.append(f" e{i}: {terms(inst.a_eq.getrow(i))} = {inst.b_eq[i]:.12g}")
-    for i in range(inst.a_ub.shape[0]):
-        out.append(f" u{i}: {terms(inst.a_ub.getrow(i))} <= {inst.b_ub[i]:.12g}")
-    out.append("Bounds")
-    for j, (lo, hi) in enumerate(inst.bounds):
-        if hi is None:
-            out.append(f" {lo:.12g} <= {names[j]}")
-        else:
-            out.append(f" {lo:.12g} <= {names[j]} <= {hi:.12g}")
+    cols = np.flatnonzero(inst.c)
+    out = ["Minimize",
+           " obj: " + _lp_expr(_lp_terms(inst.c[cols], cols, names)),
+           "Subject To",
+           *rows(inst.a_eq, inst.b_eq, "e", "="),
+           *rows(inst.a_ub, inst.b_ub, "u", "<="),
+           "Bounds"]
+    out += [f" {lo:.12g} <= {name}" if hi is None
+            else f" {lo:.12g} <= {name} <= {hi:.12g}"
+            for name, (lo, hi) in zip(names, inst.bounds)]
     out.append("End")
     return "\n".join(out) + "\n"
 

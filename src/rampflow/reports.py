@@ -103,23 +103,21 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
 
 def heatmap_csv_text(traj: Trajectory) -> str:
     """Density field of the T pre-update states, one row per (t, cell)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "cell", "rho"])
-    for t in range(traj.horizon):
-        for k in range(traj.rho.shape[1]):
-            w.writerow([t, k + 1, fmt(traj.rho[t, k])])
-    return buf.getvalue()
+    blocks = ["t,cell,rho\n"]
+    # + 0.0 turns -0.0 into 0.0, as in fmt
+    for t, row in enumerate((traj.rho[:traj.horizon] + 0.0).tolist()):
+        blocks.append("".join(f"{t},{k},{rho:.9g}\n"
+                              for k, rho in enumerate(row, 1)))
+    return "".join(blocks)
 
 
 def rates_csv_text(rates: np.ndarray) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    n = rates.shape[1]
-    w.writerow(["t"] + [f"r{k}" for k in range(1, n + 1)])
-    for t in range(rates.shape[0]):
-        w.writerow([t] + [fmt(v) for v in rates[t]])
-    return buf.getvalue()
+    """One row per step: t and the rate of every cell."""
+    lines = [",".join(["t"] + [f"r{k}"
+                              for k in range(1, rates.shape[1] + 1)])]
+    for t, row in enumerate((rates + 0.0).tolist()):
+        lines.append(",".join([str(t)] + [f"{v:.9g}" for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The hypograph LP: shape, exactness against resimulation, exhaustive
 oracles on tiny instances, and the structure of known optima."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from rampflow.controllers import make_controller
 from rampflow.cumulative import tts_bounds
@@ -26,8 +29,15 @@ from rampflow.simulator import (
     evaluate_metrics,
     simulate,
     step,
+    zero_state,
 )
-from rampflow.scenarios import builtin_example1, builtin_example2
+from rampflow.scenarios import (
+    GRENOBLE_PRESET,
+    builtin_example1,
+    builtin_example2,
+    grenoble_model,
+    synth_demand,
+)
 
 from conftest import (
     random_demand,
@@ -86,7 +96,6 @@ def test_initial_state_cost_enters_objective():
 
 
 def test_capacity_drop_models_are_rejected():
-    from dataclasses import replace
     m = one_ramp_cell()
     bad = FreewayModel([replace(c, capacity_drop=0.1) for c in m.cells],
                        dt=m.dt)
@@ -227,3 +236,216 @@ def test_metering_cannot_help_on_the_single_cell_example():
     assert b.tts_lb == pytest.approx(sol.objective, rel=1e-6)
     assert b.tts_be > sol.objective + 0.5
     assert sol.objective == pytest.approx(4.0491, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the array-built LP against per-row loops
+
+class _DictRows:
+    """Triplet accumulator with one coefficient dict per row."""
+
+    def __init__(self):
+        self.data, self.rows, self.cols, self.rhs = [], [], [], []
+
+    def add(self, coeffs, rhs):
+        i = len(self.rhs)
+        for col, val in coeffs.items():
+            self.rows.append(i)
+            self.cols.append(col)
+            self.data.append(val)
+        self.rhs.append(rhs)
+
+    def matrix(self, width):
+        return sparse.coo_matrix(
+            (self.data, (self.rows, self.cols)),
+            shape=(len(self.rhs), width)).tocsr()
+
+
+def _loop_build(model, demand, initial):
+    """Dict-per-row assembly, the loop form of ``build_lp`` kept as the
+    reference: (c, a_eq, b_eq, a_ub, b_ub, bounds)."""
+    n, T, dt = model.n, demand.horizon, model.dt
+    vm = VarMap(n=n, horizon=T)
+    rho0, q0 = initial.rho, initial.q
+
+    c = np.zeros(vm.size)
+    for t in range(1, T + 1):
+        for k in range(1, n + 1):
+            c[vm.rho(t, k)] = dt * model.length[k - 1]
+            c[vm.q(t, k)] = dt
+
+    eq, ub = _DictRows(), _DictRows()
+    for t in range(T):
+        w_row = demand.row(t)
+        eq.add({vm.phi(t, 0): 1.0}, float(w_row[0]))
+        for k in range(1, n + 1):
+            i = k - 1
+            coeffs = {
+                vm.rho(t + 1, k): 1.0,
+                vm.phi(t, k - 1): -dt / model.length[i],
+                vm.r(t, k): -dt / model.length[i],
+                vm.phi(t, k): dt / (model.length[i] * model.beta_bar[i]),
+            }
+            rhs = 0.0
+            if t == 0:
+                rhs += float(rho0[i])
+            else:
+                coeffs[vm.rho(t, k)] = -1.0
+            eq.add(coeffs, rhs)
+
+            coeffs = {vm.q(t + 1, k): 1.0, vm.r(t, k): dt}
+            rhs = dt * float(w_row[k])
+            if t == 0:
+                rhs += float(q0[i])
+            else:
+                coeffs[vm.q(t, k)] = -1.0
+            eq.add(coeffs, rhs)
+
+            dem_slope = model.beta_bar[i] * model.v_free[i]
+            if t == 0:
+                ub.add({vm.phi(t, k): 1.0}, dem_slope * float(rho0[i]))
+            else:
+                ub.add({vm.phi(t, k): 1.0, vm.rho(t, k): -dem_slope}, 0.0)
+            ub.add({vm.phi(t, k): 1.0}, dem_slope * model.rho_crit[i])
+            ub.add({vm.phi(t, k): 1.0}, float(model.capacity[i]))
+            if k < n:
+                wb = model.w_back[i + 1]
+                if t == 0:
+                    ub.add({vm.phi(t, k): 1.0},
+                           wb * float(model.rho_jam[i + 1] - rho0[i + 1]))
+                else:
+                    ub.add({vm.phi(t, k): 1.0, vm.rho(t, k + 1): wb},
+                           wb * float(model.rho_jam[i + 1]))
+                ub.add({vm.phi(t, k): 1.0},
+                       wb * float(model.rho_jam[i + 1] - model.rho_crit[i + 1]))
+
+    bounds = [(0.0, None)] * vm.size
+    for t in range(T):
+        for k in range(1, n + 1):
+            bounds[vm.r(t, k)] = (0.0, float(model.ramp_flow_max[k - 1]))
+            bounds[vm.q(t + 1, k)] = (0.0, float(model.queue_max[k - 1]))
+    return (c, eq.matrix(vm.size), np.asarray(eq.rhs),
+            ub.matrix(vm.size), np.asarray(ub.rhs), bounds)
+
+
+def _getrow_export(inst):
+    """Renderer with one ``getrow`` per row, the loop form of
+    ``export_lp_text`` kept as the reference."""
+    vm = inst.varmap
+    names = np.empty(vm.size, dtype=object)
+    for t in range(vm.horizon):
+        for k in range(vm.n + 1):
+            names[vm.phi(t, k)] = f"phi_{t}_{k}"
+        for k in range(1, vm.n + 1):
+            names[vm.r(t, k)] = f"r_{t}_{k}"
+            names[vm.rho(t + 1, k)] = f"rho_{t + 1}_{k}"
+            names[vm.q(t + 1, k)] = f"q_{t + 1}_{k}"
+
+    def terms(row):
+        parts = []
+        for col, val in zip(row.indices, row.data):
+            sign = "-" if val < 0 else "+"
+            parts.append(f"{sign} {abs(val):.12g} {names[col]}")
+        joined = " ".join(parts)
+        return joined[2:] if joined.startswith("+ ") else joined
+
+    out = ["Minimize", " obj: " + terms(sparse.csr_matrix(inst.c)),
+           "Subject To"]
+    for i in range(inst.a_eq.shape[0]):
+        out.append(f" e{i}: {terms(inst.a_eq.getrow(i))} = {inst.b_eq[i]:.12g}")
+    for i in range(inst.a_ub.shape[0]):
+        out.append(f" u{i}: {terms(inst.a_ub.getrow(i))} <= {inst.b_ub[i]:.12g}")
+    out.append("Bounds")
+    for j, (lo, hi) in enumerate(inst.bounds):
+        if hi is None:
+            out.append(f" {lo:.12g} <= {names[j]}")
+        else:
+            out.append(f" {lo:.12g} <= {names[j]} <= {hi:.12g}")
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def _random_instance(seed):
+    """Random model and demand started from a random nonzero state, so the
+    t = 0 rows carry state data in their right-hand sides."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_max=4)
+    return model, random_demand(rng, model, 12, load=0.8), \
+        random_state(rng, model)
+
+
+def _grenoble_240():
+    """The Grenoble corridor with its demand compressed to 240 steps."""
+    spec = replace(GRENOBLE_PRESET, horizon_steps=240,
+                   windows=((0.25, 0.625),), shoulder=0.125)
+    model = grenoble_model()
+    return model, synth_demand(model, spec, 0), zero_state(model)
+
+
+def _builtin(make):
+    sc = make()
+    return sc.model, sc.demand, sc.initial
+
+
+LP_CASES = {
+    "example1": lambda: _builtin(builtin_example1),
+    "example2": lambda: _builtin(builtin_example2),
+    **{f"random{s}": (lambda s=s: _random_instance(s)) for s in (31, 34, 36)},
+    "grenoble240": _grenoble_240,
+}
+
+
+def _assert_same_csr(mine, ref):
+    assert mine.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(mine, part), getattr(ref, part)
+        assert a.dtype == b.dtype, part
+        np.testing.assert_array_equal(a, b, err_msg=part)
+
+
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_array_build_and_export_equal_the_row_loops(case):
+    model, demand, initial = LP_CASES[case]()
+    inst = build_lp(model, demand, initial)
+    c, a_eq, b_eq, a_ub, b_ub, bounds = _loop_build(model, demand, initial)
+
+    np.testing.assert_array_equal(inst.c, c)
+    _assert_same_csr(inst.a_eq, a_eq)
+    _assert_same_csr(inst.a_ub, a_ub)
+    np.testing.assert_array_equal(inst.b_eq, b_eq)
+    np.testing.assert_array_equal(inst.b_ub, b_ub)
+    assert inst.bounds == bounds
+    assert export_lp_text(inst) == _getrow_export(inst)
+
+
+def test_export_follows_a_nudged_coefficient():
+    """Negative control for the byte comparison: a 1e-9 change to one
+    coefficient shows up in both renderers' text."""
+    model, demand, initial = _random_instance(31)
+    inst = build_lp(model, demand, initial)
+    before = export_lp_text(inst)
+    i = int(np.flatnonzero(inst.a_eq.data == 1.0)[3])
+    inst.a_eq.data[i] += 1e-9
+    after = export_lp_text(inst)
+    assert after != before
+    assert after == _getrow_export(inst)
+    assert "1.000000001" in after
+
+
+@pytest.mark.parametrize("case", ["example1", "random31"])
+def test_solution_arrays_follow_the_column_layout(case):
+    model, demand, initial = LP_CASES[case]()
+    inst = build_lp(model, demand, initial)
+    sol = solve_lp(inst)
+    vm, x = inst.varmap, sol.x
+    np.testing.assert_array_equal(sol.rho[0], initial.rho)
+    np.testing.assert_array_equal(sol.q[0], initial.q)
+    for t in range(vm.horizon):
+        for k in range(vm.n + 1):
+            assert sol.flows[t, k] == x[vm.phi(t, k)]
+        for k in range(1, vm.n + 1):
+            assert sol.rates[t, k - 1] == x[vm.r(t, k)]
+            assert sol.rho[t + 1, k - 1] == x[vm.rho(t + 1, k)]
+            assert sol.q[t + 1, k - 1] == x[vm.q(t + 1, k)]
+    assert not np.shares_memory(sol.flows, x)
+    assert not np.shares_memory(sol.rates, x)

@@ -1,0 +1,49 @@
+"""Text writers against ``csv.writer`` renderings of the same rows."""
+
+import csv
+import io
+
+import numpy as np
+
+from rampflow.controllers import make_controller
+from rampflow.reports import fmt, heatmap_csv_text, rates_csv_text
+from rampflow.scenarios import builtin_example1
+from rampflow.simulator import simulate
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _odd_values(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with a negative zero and a few awkward renderings."""
+    a = np.array(a, dtype=float)
+    a.flat[:5] = [-0.0, 1.0 / 3.0, 1e-300, 123456789.123, -2.5e-7]
+    return a
+
+
+def test_heatmap_equals_a_csv_writer_rendering():
+    sc = builtin_example1()
+    traj = simulate(sc.model, sc.demand,
+                    make_controller("best_effort", sc.model),
+                    initial_state=sc.initial)
+    traj.rho = _odd_values(traj.rho)
+    ref = _csv([["t", "cell", "rho"]]
+               + [[t, k + 1, fmt(traj.rho[t, k])]
+                  for t in range(traj.horizon)
+                  for k in range(traj.rho.shape[1])])
+    text = heatmap_csv_text(traj)
+    assert text == ref
+    assert text.splitlines()[1] == "0,1,0"       # -0.0 renders as 0
+
+
+def test_rates_equal_a_csv_writer_rendering():
+    rates = _odd_values(np.random.default_rng(5).uniform(0, 900, (7, 3)))
+    ref = _csv([["t", "r1", "r2", "r3"]]
+               + [[t] + [fmt(v) for v in rates[t]]
+                  for t in range(rates.shape[0])])
+    text = rates_csv_text(rates)
+    assert text == ref
+    assert text.splitlines()[1].startswith("0,0,0.333333333,")
