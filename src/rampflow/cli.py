@@ -124,9 +124,9 @@ def _cmd_simulate(args) -> int:
     scenario = _load(args)
     controller = None if args.controller == "none" \
         else _controller(args, scenario.model)
-    disturbance = DisturbanceSpec(sigma_phi=args.sigma_phi, seed=args.seed) \
-        if args.sigma_phi > 0.0 else None
     try:
+        disturbance = None if args.sigma_phi == 0.0 \
+            else DisturbanceSpec(sigma_phi=args.sigma_phi, seed=args.seed)
         traj = simulate(scenario.model, scenario.demand, controller,
                         disturbance=disturbance,
                         initial_state=scenario.initial,
@@ -243,7 +243,22 @@ def _cmd_campaign(args) -> int:
         raise _CliFailure(EXIT_CONTRACT, f"campaign run aborted: {e}")
     except UnsupportedModelError as e:
         raise _CliFailure(EXIT_UNSUPPORTED, str(e))
+    except ValueError as e:
+        raise _CliFailure(EXIT_SCENARIO, f"bad grid: {e}")
     _emit(campaign_csv_text(rows), args.out)
+    # ordering summary: the greedy gain without and at the worst belief
+    # mismatch, and the integral law's gain, per variant and noise level
+    gain = {(r.variant, r.sigma, r.controller, r.dv, r.drho):
+            r.mean_twt_improvement for r in rows}
+    for variant in variants:
+        for sigma in sigmas:
+            greedy = (variant, sigma, "best_effort")
+            nominal = gain[greedy + MISMATCH_GRID[0]]
+            worst = gain[greedy + MISMATCH_GRID[-1]]
+            integral = gain[variant, sigma, "alinea", 0.0, 0.0]
+            print(f"# {variant} sigma={sigma}: greedy nominal "
+                  f"{nominal:.2f}% -> worst mismatch {worst:.2f}%, "
+                  f"integral {integral:.2f}%", file=sys.stderr)
     return EXIT_OK
 
 

@@ -156,36 +156,37 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
     b_eq[:, 2::2] = dt * demand.w_ramp
     b_eq[0, 2::2] += q0
 
-    # per step and cell, the flow phi(t, k) lies below both demand pieces,
-    # the cap, and (except at the exit) both supply pieces of the next
-    # cell: five rows per cell, the last two dropped for cell n
-    ub_rows = 5 * n - 2
-    row_dem = t * ub_rows + 5 * (k - 1)
+    # per step and cell, the flow phi(t, k) lies below the demand slope and
+    # (except at the exit) the next cell's supply slope: two rows per cell,
+    # the second dropped for cell n
+    ub_rows = 2 * n - 1
+    row_dem = t * ub_rows + 2 * (k - 1)
     dem_slope = model.beta_bar * model.v_free
     wb = model.w_back[1:]
-    a_ub = _csr(
-        [(row_dem + j, phi, 1.0) for j in range(3)]
-        + [(row_dem[:, :-1] + j, phi[:, :-1], 1.0) for j in (3, 4)]
-        + [(row_dem[1:], vm.rho(t[1:], k), -dem_slope),
-           (row_dem[1:, :-1] + 3, vm.rho(t[1:], k[1:]), wb)],
-        (T * ub_rows, vm.size))
-    b_ub = np.zeros((T, n, 5))
+    a_ub = _csr([(row_dem, phi, 1.0),
+                 (row_dem[:, :-1] + 1, phi[:, :-1], 1.0),
+                 (row_dem[1:], vm.rho(t[1:], k), -dem_slope),
+                 (row_dem[1:, :-1] + 1, vm.rho(t[1:], k[1:]), wb)],
+                (T * ub_rows, vm.size))
+    b_ub = np.zeros((T, n, 2))
     b_ub[0, :, 0] = dem_slope * rho0
-    b_ub[:, :, 1] = dem_slope * model.rho_crit
-    b_ub[:, :, 2] = model.capacity
-    b_ub[:, :-1, 3] = wb * model.rho_jam[1:]
-    b_ub[0, :-1, 3] = wb * (model.rho_jam[1:] - rho0[1:])
-    b_ub[:, :-1, 4] = wb * (model.rho_jam[1:] - model.rho_crit[1:])
+    b_ub[:, :-1, 1] = wb * model.rho_jam[1:]
+    b_ub[0, :-1, 1] = wb * (model.rho_jam[1:] - rho0[1:])
 
+    # the constant pieces, demand plateau, cap and the next cell's supply
+    # plateau, bound each flow column
+    phi_max = np.minimum(dem_slope * model.rho_crit, model.capacity)
+    phi_max[:-1] = np.minimum(
+        phi_max[:-1], wb * (model.rho_jam[1:] - model.rho_crit[1:]))
     free = [(0.0, None)]
-    step_bounds = (free * (n + 1)
+    step_bounds = (free + [(0.0, hi) for hi in phi_max.tolist()]
                    + [(0.0, hi) for hi in model.ramp_flow_max.tolist()]
                    + free * n
                    + [(0.0, hi) for hi in model.queue_max.tolist()])
 
     return LpInstance(model=model, demand=demand, initial=initial, varmap=vm,
                       c=c, a_eq=a_eq, b_eq=b_eq.ravel(), a_ub=a_ub,
-                      b_ub=b_ub.reshape(T, 5 * n)[:, :ub_rows].ravel(),
+                      b_ub=b_ub.reshape(T, 2 * n)[:, :ub_rows].ravel(),
                       bounds=step_bounds * T, objective_constant=constant)
 
 

@@ -50,21 +50,24 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
     ``phi`` is the flow leaving the cell during [t, t+1) and ``r`` the
     metering rate applied then; both are blank on the final-state rows.
-    Numbers are rendered as :func:`fmt` renders them, one step at a time.
+    Numbers are rendered as :func:`fmt` renders them, one step per
+    ``str.format`` call.
     """
     T, n = traj.horizon, traj.rho.shape[1]
-    cells = range(1, n + 1)
     # + 0.0 turns -0.0 into 0.0, as in fmt
     rows = np.stack((traj.rho[:T], traj.q[:T], traj.flows[:, 1:],
-                     traj.rates), axis=-1) + 0.0
-    final_rows = np.stack((traj.rho[T], traj.q[T]), axis=-1) + 0.0
+                     traj.rates), axis=-1).reshape(T, 4 * n) + 0.0
+    final = np.stack((traj.rho[T], traj.q[T]), axis=-1).ravel() + 0.0
+    # one str.format template per step: {0} is t, then the cells' values
+    cells = range(1, n + 1)
+    step = "".join("{0},%d,{%d:.9g},{%d:.9g},{%d:.9g},{%d:.9g}\n"
+                   % (k, 4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k)
+                   for k in cells)
+    last = "".join("{0},%d,{%d:.9g},{%d:.9g},,\n" % (k, 2 * k - 1, 2 * k)
+                   for k in cells)
     blocks = ["t,cell,rho,q,phi,r\n"]
-    for t in range(T):
-        blocks.append("".join(
-            f"{t},{k},{rho:.9g},{q:.9g},{phi:.9g},{r:.9g}\n"
-            for k, (rho, q, phi, r) in zip(cells, rows[t].tolist())))
-    blocks.append("".join(f"{T},{k},{rho:.9g},{q:.9g},,\n"
-                          for k, (rho, q) in zip(cells, final_rows.tolist())))
+    blocks += [step.format(t, *row) for t, row in enumerate(rows.tolist())]
+    blocks.append(last.format(T, *final.tolist()))
     return "".join(blocks)
 
 
@@ -103,11 +106,12 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
 
 def heatmap_csv_text(traj: Trajectory) -> str:
     """Density field of the T pre-update states, one row per (t, cell)."""
+    n = traj.rho.shape[1]
+    step = "".join("{0},%d,{%d:.9g}\n" % (k, k) for k in range(1, n + 1))
     blocks = ["t,cell,rho\n"]
     # + 0.0 turns -0.0 into 0.0, as in fmt
-    for t, row in enumerate((traj.rho[:traj.horizon] + 0.0).tolist()):
-        blocks.append("".join(f"{t},{k},{rho:.9g}\n"
-                              for k, rho in enumerate(row, 1)))
+    blocks += [step.format(t, *row) for t, row in
+               enumerate((traj.rho[:traj.horizon] + 0.0).tolist())]
     return "".join(blocks)
 
 

@@ -437,13 +437,12 @@ def with_capacity_drop(model: FreewayModel, alpha: float) -> FreewayModel:
         [replace(c, capacity_drop=alpha) for c in model.cells])
 
 
-def _twt(model: FreewayModel, demand, controller, initial, disturbance,
-         relaxed: bool = False):
-    """Waiting time of one run (a float) or of a batch (one per run)."""
+def _metrics(model: FreewayModel, demand, controller, initial, disturbance):
+    """Metrics of one run (floats) or of a batch (one waiting time per
+    run)."""
     traj = simulate(model, demand, controller=controller,
-                    disturbance=disturbance, initial_state=initial,
-                    relaxed=relaxed)
-    return evaluate_metrics(model, traj).twt
+                    disturbance=disturbance, initial_state=initial)
+    return evaluate_metrics(model, traj)
 
 
 def uncertainty_campaign(scenario: Scenario,
@@ -466,7 +465,14 @@ def uncertainty_campaign(scenario: Scenario,
     (mismatch point, run) belief, and the integral law. Noiseless runs of
     one controller with one belief are identical, so the baseline and the
     integral law then simulate once.
+
+    Raises ValueError when ``runs`` is below 1 or a noise level is negative
+    or not finite.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    for sigma in sigmas:   # refuse a bad level before any run
+        DisturbanceSpec(sigma_phi=sigma)
     nominal = scenario.model
     plants = {"monotonic": nominal,
               "capacity_drop": with_capacity_drop(nominal, drop_alpha)}
@@ -482,9 +488,9 @@ def uncertainty_campaign(scenario: Scenario,
             def twt(kind: str, belief, seeds) -> np.ndarray:
                 noise = DisturbanceSpec(sigma_phi=sigma, seed=seeds) \
                     if sigma != 0.0 else None
-                return np.atleast_1d(_twt(
+                return np.atleast_1d(_metrics(
                     plant, scenario.demand, make_controller(kind, belief),
-                    scenario.initial, noise))
+                    scenario.initial, noise).twt)
 
             base_twt = twt("none", nominal, run_seeds)
 
@@ -512,13 +518,12 @@ def uncertainty_campaign(scenario: Scenario,
     if include_lp:
         from .lp import build_lp, solve_lp
         sol = solve_lp(build_lp(nominal, scenario.demand, scenario.initial))
-        tft = evaluate_metrics(
-            nominal, simulate(nominal, scenario.demand,
-                              initial_state=scenario.initial)).tft
-        twt_lp = sol.objective - tft
-        ol = _twt(nominal, scenario.demand, make_controller("none", nominal),
-                  scenario.initial, None)
-        imp = 0.0 if ol <= 0.0 else 100.0 * (ol - twt_lp) / ol
+        # free-flow time depends on the demand alone, so the unmetered run
+        # gives both it and the baseline waiting time
+        ol = _metrics(nominal, scenario.demand,
+                      make_controller("none", nominal), scenario.initial, None)
+        twt_lp = sol.objective - ol.tft
+        imp = 0.0 if ol.twt <= 0.0 else 100.0 * (ol.twt - twt_lp) / ol.twt
         rows.append(CampaignRow("monotonic", 0.0, 0.0, 0.0, "lp",
                                 imp, 0.0, 1))
     return rows

@@ -68,6 +68,11 @@ class DisturbanceSpec:
     sigma_phi: float = 0.0
     seed: int | Sequence[int] = 0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma_phi) and self.sigma_phi >= 0.0):
+            raise ValueError(f"sigma_phi must be finite and >= 0, got "
+                             f"{self.sigma_phi}")
+
     @property
     def runs(self) -> int | None:
         return None if np.ndim(self.seed) == 0 else len(self.seed)

@@ -141,6 +141,17 @@ def test_simulate_relaxed_controller_runs():
                  "--controller", "relaxed-be"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("sigma, code", [
+    ("-0.3", EXIT_SCENARIO), ("nan", EXIT_SCENARIO), ("inf", EXIT_SCENARIO),
+    ("0", EXIT_OK)])   # negative control: sigma 0 is the noiseless run
+def test_simulate_refuses_noise_levels_outside_the_theory(sigma, code,
+                                                          capsys):
+    assert main(["simulate", "--scenario", "builtin:example1",
+                 f"--sigma-phi={sigma}"]) == code
+    err = capsys.readouterr().err
+    assert ("sigma_phi" in err) == (code != EXIT_OK)
+
+
 def test_simulate_contract_violation_exits_3(overload_yaml, capsys):
     code = main(["simulate", "--scenario", overload_yaml])
     assert code == EXIT_CONTRACT
@@ -339,6 +350,44 @@ def test_campaign_csv_deterministic(tmp_path):
     assert lines[0] == ("variant,sigma,dv,drho,controller,"
                         "mean_twt_improvement,stdev,runs")
     assert len(lines) == 1 + 5        # 4 mismatch points + alinea
+
+
+def test_campaign_prints_one_summary_line_per_grid_point(capsys):
+    from rampflow.reports import campaign_csv_text
+    from rampflow.scenarios import builtin_example1, uncertainty_campaign
+    argv = ["campaign", "--scenario", "builtin:example1", "--runs", "2",
+            "--sigmas", "0,0.05", "--seed", "3"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    # stdout is the CSV alone
+    assert outs[0].out == campaign_csv_text(uncertainty_campaign(
+        builtin_example1(), sigmas=(0.0, 0.05), runs=2, seed=3))
+    # greedy without and at the worst mismatch, then the integral law, in
+    # grid order
+    assert outs[0].err.splitlines() == [
+        "# monotonic sigma=0.0: greedy nominal 44.72% -> worst mismatch "
+        "44.72%, integral 43.30%",
+        "# monotonic sigma=0.05: greedy nominal 44.00% -> worst mismatch "
+        "43.95%, integral 42.59%",
+        "# capacity_drop sigma=0.0: greedy nominal 44.72% -> worst mismatch "
+        "44.72%, integral 43.30%",
+        "# capacity_drop sigma=0.05: greedy nominal 44.00% -> worst mismatch "
+        "43.95%, integral 42.59%",
+    ]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--sigmas=-0.05"], EXIT_SCENARIO), (["--sigmas", "nan"], EXIT_SCENARIO),
+    (["--sigmas", "0,-0.05"], EXIT_SCENARIO), (["--runs", "0"], EXIT_SCENARIO),
+    (["--sigmas", "0"], EXIT_OK)])   # negative control: one noiseless run
+def test_campaign_refuses_grids_outside_the_theory(argv, code, capsys):
+    assert main(["campaign", "--scenario", "builtin:example1",
+                 "--variants", "monotonic", "--runs", "1", *argv]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == (1 + 5 if code == EXIT_OK else 0)
 
 
 def test_campaign_rejects_unknown_variant(capsys):

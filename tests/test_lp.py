@@ -62,7 +62,7 @@ def test_variable_count_is_horizon_times_4n_plus_1():
     inst = build_lp(m, d)
     assert inst.varmap.size == 5            # one step, one cell
     assert inst.a_eq.shape[0] == 3          # inflow + density + queue
-    assert inst.a_ub.shape[0] == 3          # two demand pieces + cap
+    assert inst.a_ub.shape[0] == 1          # the demand slope
 
     vm = VarMap(n=3, horizon=7)
     assert vm.size == 7 * 13
@@ -112,7 +112,7 @@ def test_export_renders_cplex_lp_text():
     assert lines[0] == "Minimize"
     assert "Subject To" in lines and "Bounds" in lines and lines[-1] == "End"
     assert sum(1 for ln in lines if ln.startswith(" e")) == 3
-    assert sum(1 for ln in lines if ln.startswith(" u")) == 3
+    assert sum(1 for ln in lines if ln.startswith(" u")) == 1
     assert any("r_0_1" in ln and "<= 1000" in ln for ln in lines)
 
 
@@ -306,8 +306,6 @@ def _loop_build(model, demand, initial):
                 ub.add({vm.phi(t, k): 1.0}, dem_slope * float(rho0[i]))
             else:
                 ub.add({vm.phi(t, k): 1.0, vm.rho(t, k): -dem_slope}, 0.0)
-            ub.add({vm.phi(t, k): 1.0}, dem_slope * model.rho_crit[i])
-            ub.add({vm.phi(t, k): 1.0}, float(model.capacity[i]))
             if k < n:
                 wb = model.w_back[i + 1]
                 if t == 0:
@@ -316,12 +314,18 @@ def _loop_build(model, demand, initial):
                 else:
                     ub.add({vm.phi(t, k): 1.0, vm.rho(t, k + 1): wb},
                            wb * float(model.rho_jam[i + 1]))
-                ub.add({vm.phi(t, k): 1.0},
-                       wb * float(model.rho_jam[i + 1] - model.rho_crit[i + 1]))
 
     bounds = [(0.0, None)] * vm.size
     for t in range(T):
         for k in range(1, n + 1):
+            i = k - 1
+            # demand plateau, cap and the next cell's supply plateau
+            limits = [model.beta_bar[i] * model.v_free[i] * model.rho_crit[i],
+                      model.capacity[i]]
+            if k < n:
+                limits.append(model.w_back[i + 1] * (model.rho_jam[i + 1]
+                                                     - model.rho_crit[i + 1]))
+            bounds[vm.phi(t, k)] = (0.0, float(min(limits)))
             bounds[vm.r(t, k)] = (0.0, float(model.ramp_flow_max[k - 1]))
             bounds[vm.q(t + 1, k)] = (0.0, float(model.queue_max[k - 1]))
     return (c, eq.matrix(vm.size), np.asarray(eq.rhs),
@@ -416,6 +420,33 @@ def test_array_build_and_export_equal_the_row_loops(case):
     np.testing.assert_array_equal(inst.b_ub, b_ub)
     assert inst.bounds == bounds
     assert export_lp_text(inst) == _getrow_export(inst)
+
+
+@pytest.mark.parametrize("case", ["example1", "random31"])
+def test_flow_bounds_written_as_rows_keep_the_optimum(case):
+    """The constant flow limits put back as explicit single-variable rows
+    give the same optimum as the column bounds; dropping them (negative
+    control) lowers it on example1, where the bottleneck cap binds."""
+    model, demand, initial = LP_CASES[case]()
+    inst = build_lp(model, demand, initial)
+    vm = inst.varmap
+    cols = vm.phi(np.arange(vm.horizon)[:, None],
+                  np.arange(1, vm.n + 1)).ravel()
+    free = list(inst.bounds)
+    for j in cols.tolist():
+        free[j] = (0.0, None)
+    limits = sparse.csr_matrix(
+        (np.ones(cols.size), (np.arange(cols.size), cols)),
+        shape=(cols.size, vm.size))
+    rows = replace(inst, a_ub=sparse.vstack((inst.a_ub, limits)).tocsr(),
+                   b_ub=np.concatenate((inst.b_ub,
+                                        [inst.bounds[j][1] for j in cols])),
+                   bounds=free)
+    objective = solve_lp(inst).objective
+    assert solve_lp(rows).objective == pytest.approx(objective, rel=1e-9)
+    if case == "example1":
+        dropped = solve_lp(replace(inst, bounds=free)).objective
+        assert dropped < objective - 1e-3
 
 
 def test_export_follows_a_nudged_coefficient():

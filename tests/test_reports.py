@@ -6,7 +6,12 @@ import io
 import numpy as np
 
 from rampflow.controllers import make_controller
-from rampflow.reports import fmt, heatmap_csv_text, rates_csv_text
+from rampflow.reports import (
+    fmt,
+    heatmap_csv_text,
+    rates_csv_text,
+    trajectory_csv_text,
+)
 from rampflow.scenarios import builtin_example1
 from rampflow.simulator import simulate
 
@@ -24,11 +29,34 @@ def _odd_values(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def test_heatmap_equals_a_csv_writer_rendering():
+def _greedy_example1():
     sc = builtin_example1()
-    traj = simulate(sc.model, sc.demand,
+    return simulate(sc.model, sc.demand,
                     make_controller("best_effort", sc.model),
                     initial_state=sc.initial)
+
+
+def test_trajectory_equals_a_csv_writer_rendering():
+    traj = _greedy_example1()
+    traj.rho = _odd_values(traj.rho)
+    traj.rates = _odd_values(traj.rates)
+    traj.q[-1, -1] = -0.0
+    T, n = traj.horizon, traj.rho.shape[1]
+    ref = _csv([["t", "cell", "rho", "q", "phi", "r"]]
+               + [[t, k + 1, fmt(traj.rho[t, k]), fmt(traj.q[t, k]),
+                   fmt(traj.flows[t, k + 1]), fmt(traj.rates[t, k])]
+                  for t in range(T) for k in range(n)]
+               + [[T, k + 1, fmt(traj.rho[T, k]), fmt(traj.q[T, k]), "", ""]
+                  for k in range(n)])
+    text = trajectory_csv_text(traj)
+    assert text == ref
+    lines = text.splitlines()
+    assert lines[1].startswith("0,1,0,") and lines[1].endswith(",0")
+    assert lines[-1].endswith(",0,,")             # blank phi and r
+
+
+def test_heatmap_equals_a_csv_writer_rendering():
+    traj = _greedy_example1()
     traj.rho = _odd_values(traj.rho)
     ref = _csv([["t", "cell", "rho"]]
                + [[t, k + 1, fmt(traj.rho[t, k])]

@@ -416,6 +416,47 @@ def test_campaign_lp_row_positive_improvement():
     assert lp_rows[0].mean_twt_improvement > 5.0
 
 
+def test_campaign_lp_row_equals_separate_runs(monkeypatch):
+    """The lp row is the optimum's waiting time against the unmetered
+    run's, both read from one simulation of that run."""
+    from rampflow import scenarios
+    from rampflow.lp import build_lp, solve_lp
+    sc = builtin_example1()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("controller"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "simulate", counted)
+    rows = uncertainty_campaign(sc, runs=1, sigmas=(0.0,),
+                                variants=("monotonic",), include_lp=True)
+    # baseline, greedy and alinea for the grid, one unmetered run for lp
+    assert len(calls) == 4
+    ol = evaluate_metrics(sc.model, simulate(sc.model, sc.demand,
+                                             initial_state=sc.initial))
+    twt_lp = solve_lp(build_lp(sc.model, sc.demand, sc.initial)).objective \
+        - ol.tft
+    assert rows[-1].controller == "lp"
+    assert rows[-1].mean_twt_improvement == 100.0 * (ol.twt - twt_lp) / ol.twt
+
+
+def test_campaign_refuses_bad_runs_and_noise_levels():
+    sc = builtin_example1()
+    for runs in (0, -1):
+        with pytest.raises(ValueError, match="runs"):
+            uncertainty_campaign(sc, runs=runs, sigmas=(0.0,),
+                                 variants=("monotonic",))
+    for sigma in (-0.05, float("nan")):
+        with pytest.raises(ValueError, match="sigma_phi"):
+            uncertainty_campaign(sc, runs=1, sigmas=(0.0, sigma),
+                                 variants=("monotonic",))
+    # negative control: one run at sigma 0 is a valid grid
+    rows = uncertainty_campaign(sc, runs=1, sigmas=(0.0,),
+                                variants=("monotonic",))
+    assert len(rows) == 5 and all(r.runs == 1 for r in rows)
+
+
 def test_campaign_rejects_unknown_variant():
     sc = builtin_example1()
     with pytest.raises(ValueError, match="unknown variant"):

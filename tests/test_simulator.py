@@ -263,6 +263,18 @@ def test_non_finite_inputs_are_refused():
         step(m, state, np.array([100.0]), np.array([np.nan, 100.0]))
 
 
+def test_noise_levels_outside_the_theory_are_refused():
+    m = one_cell(dt=0.01, ramp_flow_max=1000.0, queue_max=50.0)
+    dem = DemandProfile(w0=np.full(5, 500.0), w_ramp=np.full((5, 1), 100.0))
+    for bad in (-0.3, -1e-12, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma_phi"):
+            DisturbanceSpec(sigma_phi=bad, seed=1)
+    # negative controls: no noise and a small noise level still run
+    for ok in (0.0, 0.05):
+        traj = simulate(m, dem, disturbance=DisturbanceSpec(ok, seed=1))
+        assert np.isfinite(evaluate_metrics(m, traj).tts)
+
+
 RUN_FIELDS = ("rho", "q", "flows", "rates")
 
 
