@@ -4,8 +4,13 @@ Every law is decentralized: the rate for the ramp of cell k uses only
 quantities measurable at that cell (local density and queue, arrivals,
 adjacent flows). Controllers carry their own FreewayModel, which may
 differ from the plant to study model mismatch; flow predictions always
-come from the internal model, while queue and rate brackets use ramp
-hardware constants that are assumed known exactly.
+come from the internal model.
+
+A law returns its raw, unsaturated rate. :func:`simulate` clamps it into
+the plant's feasible interval (the rate cap and both queue-box limits,
+whose hardware constants are assumed known exactly), and that clamp is
+the only saturation. Whether the cap applies is a property of the run,
+``simulate(relaxed=...)``, not of the law.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import CellParams, FreewayModel, validate_model
-from .simulator import SimState, _flows, _rate_bounds
+from .simulator import SimState, _flows
 
-KINDS = ("none", "best_effort", "relaxed_best_effort", "alinea")
+KINDS = ("none", "best_effort", "alinea")
 
 #: integral gain in (cars/h) per (cars/km); a stock roadside value
 DEFAULT_KI = 70.0
@@ -30,8 +35,17 @@ class ControllerSpec:
 
     ``internal_model`` is one model, or a stack of R beliefs (see
     :meth:`FreewayModel.stack`) for a batch of R runs. The law is pure:
-    the only state it carries between steps is the ``memory`` that
-    :func:`simulate` passes in and gets back.
+    it sees the step index, the measured state, the arrivals and the
+    rates :func:`simulate` applied on the previous step, and returns the
+    raw rate, which :func:`simulate` saturates.
+
+    - ``none``: ``inf``, so every ramp releases as much as its bounds allow
+    - ``best_effort``: the rate that places each density exactly at its
+      critical value one step ahead, given the predicted flows; saturated,
+      it maximizes the next step's travelled distance
+    - ``alinea``: integral feedback on the local density error, starting
+      from the applied previous rate (zero on the first step), so the
+      integrator cannot wind up while a bound is active
     """
 
     kind: str
@@ -46,22 +60,19 @@ class ControllerSpec:
     def runs(self) -> int | None:
         return self.internal_model.runs
 
-    def compute_rates(self, state: SimState, w_row: np.ndarray,
-                      memory=None) -> tuple[np.ndarray, np.ndarray | None]:
-        """Rate vector for one step given measured state and arrivals, and
-        the memory for the next step (the integrator of the alinea law,
-        None for the memoryless laws). Pass None on a run's first step."""
-        w_now = np.asarray(w_row[1:], dtype=float)
+    def compute_rates(self, t: int, state: SimState, w_row: np.ndarray,
+                      r_prev: np.ndarray | None) -> np.ndarray | float:
+        """Raw rate vector for step ``t``; ``r_prev`` is the rate applied
+        at step t - 1 (None at t = 0)."""
+        m = self.internal_model
         if self.kind == "none":
-            _, hi = _rate_bounds(self.internal_model, state.q, w_now)
-            return hi, None
+            return np.inf
         if self.kind == "alinea":
-            r = alinea_rates(self, state, w_now, memory)
-            return r, r
-        flows_now = internal_flows(self.internal_model, state.rho, w_row[0])
-        if self.kind == "best_effort":
-            return best_effort_rates(self, state, flows_now, w_now), None
-        return relaxed_best_effort_rates(self, state, flows_now, w_now), None
+            return (0.0 if r_prev is None else r_prev) \
+                + self.ki * (m.rho_crit - state.rho)
+        flows_now = internal_flows(m, state.rho, w_row[0])
+        return (m.length / m.dt * (m.rho_crit - state.rho)
+                + flows_now[..., 1:] / m.beta_bar - flows_now[..., :-1])
 
 
 def make_controller(kind: str,
@@ -84,51 +95,6 @@ def internal_flows(model: FreewayModel, rho_measured: np.ndarray,
     """
     rho = np.clip(np.asarray(rho_measured, dtype=float), 0.0, model.rho_jam)
     return _flows(model, rho, w0)
-
-
-def _tracking_term(model: FreewayModel, state: SimState,
-                   flows_now: np.ndarray) -> np.ndarray:
-    """Rate that would place each density exactly at its critical value
-    one step ahead, given the predicted flows."""
-    return (model.length / model.dt * (model.rho_crit - state.rho)
-            + flows_now[..., 1:] / model.beta_bar - flows_now[..., :-1])
-
-
-def best_effort_rates(spec: ControllerSpec, state: SimState,
-                      flows_now: np.ndarray, w_now: np.ndarray) -> np.ndarray:
-    """Greedy one-step law: drive density to the critical value, saturated
-    by the rate cap and both queue-box limits. Maximizes next-step travelled
-    distance among feasible rate vectors."""
-    m = spec.internal_model
-    raw = _tracking_term(m, state, flows_now)
-    lo, hi = _rate_bounds(m, state.q, w_now)
-    return np.clip(raw, lo, hi)
-
-
-def relaxed_best_effort_rates(spec: ControllerSpec, state: SimState,
-                              flows_now: np.ndarray,
-                              w_now: np.ndarray) -> np.ndarray:
-    """Same tracking term but only the queue-box limits apply; rates may be
-    negative or exceed the cap. Simulating this law with relaxed rate
-    bounds yields a lower bound on the achievable total time spent."""
-    m = spec.internal_model
-    raw = _tracking_term(m, state, flows_now)
-    lo, hi = _rate_bounds(m, state.q, w_now, relaxed=True)
-    return np.clip(raw, lo, hi)
-
-
-def alinea_rates(spec: ControllerSpec, state: SimState, w_now: np.ndarray,
-                 r_prev: np.ndarray | None = None) -> np.ndarray:
-    """Integral feedback on the local density error, saturated like the
-    greedy law. ``r_prev`` is the previous step's rate (None: zero); it is
-    the saturated rate, which keeps the integrator from winding up while a
-    bound is active."""
-    m = spec.internal_model
-    if r_prev is None:
-        r_prev = 0.0
-    raw = r_prev + spec.ki * (m.rho_crit - state.rho)
-    lo, hi = _rate_bounds(m, state.q, w_now)
-    return np.clip(raw, lo, hi)
 
 
 def sample_controller_model(nominal: FreewayModel, dv: float, drho: float,

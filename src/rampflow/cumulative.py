@@ -131,12 +131,6 @@ def _decode_clipped(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
     return np.clip(_decode(model, cum), 0.0, model.rho_jam)
 
 
-def one_step_flows(model: FreewayModel, cum: CumulativeState,
-                   w0: float = 0.0) -> np.ndarray:
-    """Advanced boundary counts f(phi_cum, inflow_cum) after one step."""
-    return cum.phi_cum + model.dt * _flows(model, _decode_clipped(model, cum), w0)
-
-
 def cctm_step(model: FreewayModel, cum: CumulativeState,
               inflow_cum_next: np.ndarray, w_row: np.ndarray,
               relaxed: bool = False) -> CumulativeState:
@@ -342,9 +336,10 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     certificate says so. The greedy run and its restrictiveness report
     come back on the result.
 
-    Both runs are one batch of 2 of the relaxed law. ``simulate`` clamps
-    run 0 into the capped interval, and the relaxed interval contains it,
-    so run 0 is exactly the greedy run. Capacity-drop models are refused:
+    Both runs are one batch of 2 of the greedy law with
+    ``relaxed=(False, True)``: ``simulate`` clamps run 0 into the capped
+    interval, so run 0 is exactly the greedy run, and run 1 into the
+    queue-box limits alone. Capacity-drop models are refused:
     they are not monotone, so the relaxed run proves no lower bound.
     """
     if model.has_capacity_drop:
@@ -352,7 +347,7 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
             "capacity drop breaks monotonicity; the relaxed run is no "
             "lower bound for such models")
     both = simulate(model, demand,
-                    controller=make_controller("relaxed_best_effort", model),
+                    controller=make_controller("best_effort", model),
                     initial_state=initial_state, relaxed=(False, True))
     be = both.run(0)
     tts_be = evaluate_metrics(model, be).tts

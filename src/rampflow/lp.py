@@ -25,6 +25,7 @@ from .simulator import (
     DemandProfile,
     RateSchedule,
     SimState,
+    compute_flows,
     evaluate_metrics,
     feasible_rate_interval,
     simulate,
@@ -319,15 +320,16 @@ def export_lp_text(inst: LpInstance) -> str:
 # tiny exhaustive oracles
 
 def _rate_grid(model: FreewayModel, state: SimState, w_row: np.ndarray,
-               points: int) -> list[np.ndarray]:
-    """Cartesian grid over each ramp's current feasible rate interval."""
+               points: int) -> np.ndarray:
+    """Cartesian grid over each ramp's current feasible rate interval, one
+    (G, n) row per rate vector, the last ramp varying fastest."""
     axes = []
     for k in range(1, model.n + 1):
         lo, hi = feasible_rate_interval(model, k, float(state.q[k - 1]),
                                         float(w_row[k]))
         axes.append(np.linspace(lo, hi, points) if hi > lo else np.array([lo]))
     grids = np.meshgrid(*axes, indexing="ij")
-    return [np.array(v) for v in zip(*(g.ravel() for g in grids))]
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def brute_force_min_tts(model: FreewayModel, demand: DemandProfile,
@@ -379,15 +381,11 @@ def brute_force_max_next_flows(model: FreewayModel, state: SimState,
     A single rate choice can attain every component at once (steering all
     densities toward critical maximizes each flow), which is what makes
     per-step greedy metering globally optimal; this oracle provides the
-    adversaries for checking that claim.
+    adversaries for checking that claim. The grid is simulated as one
+    batch of G runs.
     """
-    from .simulator import compute_flows
-
-    best = None
-    for r in _rate_grid(model, state, w_row, points):
-        nxt, _ = step(model, state, r, w_row)
-        f = compute_flows(model, nxt, w0_next)
-        best = f if best is None else np.maximum(best, f)
-    if best is None:
-        raise LpError("no feasible rate choice at this state")
-    return best
+    grid = _rate_grid(model, state, w_row, points)
+    batch = SimState(np.broadcast_to(state.rho, grid.shape),
+                     np.broadcast_to(state.q, grid.shape))
+    nxt, _ = step(model, batch, grid, w_row)
+    return compute_flows(model, nxt, w0_next).max(axis=0)

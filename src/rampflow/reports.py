@@ -145,6 +145,7 @@ def bounds_doc(bounds: BoundsReport) -> dict:
         "certificate": bounds.certificate,
         "gap_abs": bounds.gap_abs,
         "gap_rel": bounds.gap_rel,
+        "restrictive_fraction": bounds.restrictive_fraction,
     }
 
 

@@ -36,6 +36,12 @@ def _require_finite(what: str, *arrays: np.ndarray) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _check_noise_level(sigma_phi: float) -> None:
+    if not (np.isfinite(sigma_phi) and sigma_phi >= 0.0):
+        raise ValueError(f"sigma_phi must be finite and >= 0, got "
+                         f"{sigma_phi}")
+
+
 @dataclass
 class SimState:
     """Densities and queues at one instant; arrays are copied on entry.
@@ -69,9 +75,7 @@ class DisturbanceSpec:
     seed: int | Sequence[int] = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_phi) and self.sigma_phi >= 0.0):
-            raise ValueError(f"sigma_phi must be finite and >= 0, got "
-                             f"{self.sigma_phi}")
+        _check_noise_level(self.sigma_phi)
 
     @property
     def runs(self) -> int | None:
@@ -251,8 +255,10 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
     constant rate bounds [0, ramp_flow_max] are waived and only the
     queue-box limits apply; a batch may instead pass R flags, one per run.
     Noise needs ``rng``: a generator for one run, or a sequence of R
-    generators, each drawing its run's n+1 factors.
+    generators, each drawing its run's n+1 factors; a negative or
+    non-finite ``sigma_phi`` is refused.
     """
+    _check_noise_level(sigma_phi)
     relaxed = _relaxed_flags(relaxed)
     per_run = isinstance(relaxed, np.ndarray)
     if per_run and state.q.shape[:-1] != relaxed.shape:
@@ -299,15 +305,17 @@ def simulate(model: FreewayModel, demand: DemandProfile,
              relaxed: bool | Sequence[bool] = False) -> Trajectory:
     """Run the closed loop over the demand horizon.
 
-    ``controller`` is anything with ``compute_rates(state, w_row, memory)``
-    returning ``(rates, memory)``: ``memory`` is None on the first step and
-    whatever the previous call returned after that. None means every ramp
-    releases as much as its bounds allow. Controller output is clamped
-    into the feasible interval before it is applied, so a controller
-    cannot break the queue boxes.
+    ``controller`` is anything with ``compute_rates(t, state, w_row,
+    r_prev)`` returning the raw rates for step t; ``r_prev`` is the rates
+    applied at step t - 1 (None at t = 0). None means every ramp releases
+    as much as its bounds allow. Each step clamps the controller's output
+    into the plant's feasible interval before applying it; this is the
+    only saturation, so a controller cannot break the queue boxes, and a
+    law needs no bounds of its own.
 
-    ``relaxed`` waives the constant rate bounds (see :func:`step`), for
-    every run or, given as R flags, per run.
+    ``relaxed`` waives the constant rate bounds [0, ramp_flow_max] in that
+    clamp and in :func:`step`, for every run or, given as R flags, per
+    run; it applies to whatever law runs.
 
     The run is a batch of R when the controller (``runs``), the
     disturbance seeds or the ``relaxed`` flags say so: every run starts
@@ -337,11 +345,11 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     rho_hist[:, 0] = state.rho
     q_hist[:, 0] = state.q
 
-    memory = None
+    r = None
     for t in range(T):
         w_row = demand.row(t)
         if controller is not None:
-            r, memory = controller.compute_rates(state, w_row, memory)
+            r = controller.compute_rates(t, state, w_row, r)
         else:
             r = np.inf
         lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
@@ -360,16 +368,15 @@ def simulate(model: FreewayModel, demand: DemandProfile,
 
 
 class RateSchedule:
-    """Open-loop playback of a precomputed rate table (T, n); its memory
-    is the index of the next row."""
+    """Open-loop playback of a precomputed rate table (T, n): step t
+    returns row t, which :func:`simulate` clamps like any law's output."""
 
     def __init__(self, rates: np.ndarray):
         self.rates = np.asarray(rates, dtype=float)
 
-    def compute_rates(self, state: SimState, w_row: np.ndarray,
-                      memory: int | None = None) -> tuple[np.ndarray, int]:
-        t = 0 if memory is None else memory
-        return self.rates[t], t + 1
+    def compute_rates(self, t: int, state: SimState, w_row: np.ndarray,
+                      r_prev: np.ndarray | None) -> np.ndarray:
+        return self.rates[t]
 
 
 @dataclass(frozen=True)

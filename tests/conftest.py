@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from rampflow.controllers import make_controller
 from rampflow.model import CellParams, FreewayModel, validate_model
-from rampflow.simulator import DemandProfile, SimState
+from rampflow.simulator import DemandProfile, SimState, simulate
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -108,3 +109,13 @@ def safe_one_step_instance(rng: np.random.Generator, n_max: int = 3):
     cap0 = model.beta_bar[0] * model.v_free[0] * model.rho_crit[0]
     w[0] = rng.uniform(0.0, min(cap0, 0.4 * head[0] / model.dt))
     return model, SimState(rho=rho, q=q), w
+
+
+def one_step_rates(model: FreewayModel, kind: str, state: SimState,
+                   w_row: np.ndarray, relaxed: bool = False,
+                   **kw) -> np.ndarray:
+    """Rates a law applies at one state: its raw rate saturated by a
+    one-step run."""
+    demand = DemandProfile(w0=w_row[:1], w_ramp=np.reshape(w_row[1:], (1, -1)))
+    return simulate(model, demand, make_controller(kind, model, **kw),
+                    initial_state=state, relaxed=relaxed).rates[0]

@@ -57,6 +57,7 @@ from rampflow.simulator import (
 )
 
 from conftest import (
+    one_step_rates,
     random_demand,
     random_model,
     random_state,
@@ -373,8 +374,7 @@ def test_greedy_rates_maximize_next_step_travelled_distance():
         model, state, w_row = safe_one_step_instance(rng)
         w0_next = float(rng.uniform(
             0.0, model.beta_bar[0] * model.v_free[0] * model.rho_crit[0]))
-        controller = make_controller("best_effort", model)
-        rates, _ = controller.compute_rates(state, w_row)
+        rates = one_step_rates(model, "best_effort", state, w_row)
         nxt, _ = step(model, state, rates, w_row)
         flows_be = compute_flows(model, nxt, w0_next)
         flows_grid = brute_force_max_next_flows(model, state, w_row,
@@ -415,8 +415,7 @@ def test_greedy_tracking_hits_critical_density_with_inactive_bounds():
         w_row = np.zeros(n + 1)
         w_row[0] = float(rng.uniform(0.0, 0.2 * model.capacity[0]))
 
-        controller = make_controller("best_effort", model)
-        rates, _ = controller.compute_rates(state, w_row)
+        rates = one_step_rates(model, "best_effort", state, w_row)
         nxt, _ = step(model, state, rates, w_row)
         worst = max(worst, float(np.max(
             np.abs(nxt.rho - model.rho_crit)
@@ -482,7 +481,7 @@ def test_noiseless_runs_conserve_mass_and_respect_boxes():
                             initial_state=sc.initial)
             runs.append((f"{sc.label}/{kind}", sc.model, traj))
         relaxed = simulate(sc.model, sc.demand,
-                           controller=make_controller("relaxed_best_effort",
+                           controller=make_controller("best_effort",
                                                       sc.model),
                            initial_state=sc.initial, relaxed=True)
         runs.append((f"{sc.label}/relaxed", sc.model, relaxed))

@@ -259,7 +259,7 @@ def test_bounds_doc_and_restrictiveness_csv(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(_read(out))
     assert set(doc) == {"tts_lb", "tts_be", "certificate", "gap_abs",
-                        "gap_rel"}
+                        "gap_rel", "restrictive_fraction"}
     assert doc["tts_lb"] <= doc["tts_be"] + 1e-9
     assert doc["certificate"] in ("optimal", "bounded")
     assert doc["gap_abs"] == pytest.approx(doc["tts_be"] - doc["tts_lb"],

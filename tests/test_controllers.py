@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from rampflow.controllers import (
+    KINDS,
     ControllerSpec,
-    best_effort_rates,
     internal_flows,
     make_controller,
-    relaxed_best_effort_rates,
     sample_controller_model,
 )
 from rampflow.model import CellParams, FreewayModel, validate_model
-from rampflow.simulator import DemandProfile, RateSchedule, SimState, simulate
+from rampflow.simulator import (
+    DemandProfile,
+    RateSchedule,
+    SimState,
+    _rate_bounds,
+    simulate,
+    step,
+)
 
-from conftest import random_demand, random_model
+from conftest import one_step_rates, random_demand, random_model
 
 
 def ramp_cell_model(dt=0.01, **kw):
@@ -24,48 +30,45 @@ def ramp_cell_model(dt=0.01, **kw):
 
 def test_best_effort_saturates_at_rate_cap():
     m = ramp_cell_model()
-    spec = make_controller("best_effort", m)
-    # tracking term: 100*(50-40) + 3000/1 - 2000 = 2000, cap clips to 1800
-    r = best_effort_rates(spec, SimState([40.0], [10.0]),
-                          flows_now=np.array([2000.0, 3000.0]),
-                          w_now=np.array([1000.0]))
+    # predicted flows (3000, 4000); tracking term: 100*(50-40) + 4000/1 - 3000
+    # = 2000, cap clips to 1800
+    r = one_step_rates(m, "best_effort", SimState([40.0], [10.0]),
+                      np.array([3000.0, 1000.0]))
     assert r[0] == pytest.approx(1800.0, rel=1e-12)
 
 
 def test_relaxed_best_effort_ignores_rate_cap():
     m = ramp_cell_model()
-    spec = make_controller("relaxed_best_effort", m)
     # same tracking term 2000; only the queue-box bound q/dt + w = 2000 binds
-    r = relaxed_best_effort_rates(spec, SimState([40.0], [10.0]),
-                                  flows_now=np.array([2000.0, 3000.0]),
-                                  w_now=np.array([1000.0]))
+    r = one_step_rates(m, "best_effort", SimState([40.0], [10.0]),
+                      np.array([3000.0, 1000.0]), relaxed=True)
     assert r[0] == pytest.approx(2000.0, rel=1e-12)
 
 
 def test_relaxed_best_effort_can_go_negative():
     m = ramp_cell_model(queue_max=100.0)
-    spec = make_controller("relaxed_best_effort", m)
-    # congested cell wants -13000; queue box allows down to (50-100)/dt = -5000
-    r = relaxed_best_effort_rates(spec, SimState([200.0], [50.0]),
-                                  flows_now=np.array([3000.0, 5000.0]),
-                                  w_now=np.array([0.0]))
+    # congested cell with predicted flows (3000, 5000) wants
+    # 100*(50-200) + 5000 - 3000 = -13000; queue box allows down to
+    # (50-100)/dt = -5000
+    r = one_step_rates(m, "best_effort", SimState([200.0], [50.0]),
+                      np.array([3000.0, 0.0]), relaxed=True)
     assert r[0] == pytest.approx(-5000.0, rel=1e-12)
 
 
 def test_alinea_update_and_antiwindup():
     m = ramp_cell_model()
-    spec = make_controller("alinea", m, ki=70.0)
-    r, memory = spec.compute_rates(SimState([60.0], [0.0]),
-                                   np.array([0.0, 500.0]),
-                                   memory=np.array([1000.0]))
-    # 1000 + 70*(50-60) = 300, inside [0, 500]
-    assert r[0] == pytest.approx(300.0, rel=1e-12)
-    assert memory[0] == pytest.approx(300.0, rel=1e-12)
-    # empty queue and no arrivals pin the rate (and the returned memory) at 0
-    r, memory = spec.compute_rates(SimState([10.0], [0.0]),
-                                   np.array([0.0, 0.0]), memory)
-    assert r[0] == 0.0
-    assert memory[0] == 0.0
+    # step 0: empty queue and no arrivals pin the rate at 0 (raw 70*40);
+    # step 1: raw 0 + 70*(50-20) = 2100, clipped to q/dt + w = 1000;
+    # step 2: the integrator resumes from the applied 1000, not from the
+    # raw 2800 + 2100: 1000 + 70*(50-60) = 300, inside [0, 500]
+    dem = DemandProfile(w0=np.array([2000.0, 5000.0, 3000.0]),
+                        w_ramp=np.array([[0.0], [1000.0], [500.0]]))
+    traj = simulate(m, dem, make_controller("alinea", m, ki=70.0),
+                    initial_state=SimState([10.0], [0.0]))
+    assert traj.rho[1:3, 0] == pytest.approx([20.0, 60.0], rel=1e-12)
+    assert traj.rates[0, 0] == 0.0
+    assert traj.rates[1, 0] == pytest.approx(1000.0, rel=1e-12)
+    assert traj.rates[2, 0] == pytest.approx(300.0, rel=1e-12)
 
 
 def test_best_effort_tracks_critical_density_when_unclamped():
@@ -80,10 +83,8 @@ def test_best_effort_tracks_critical_density_when_unclamped():
         w_row = np.concatenate((
             [rng.uniform(0.0, 2000.0)],
             rng.uniform(0.0, m.ramp_flow_max)))
-        flows = internal_flows(m, rho, w_row[0])
-        r, _ = spec.compute_rates(state, w_row)
-        from rampflow.simulator import _rate_bounds, step
         lo, hi = _rate_bounds(m, q, w_row[1:])
+        r = np.clip(spec.compute_rates(0, state, w_row, None), lo, hi)
         unclamped = lo + 1e-7 < r
         unclamped &= r < hi - 1e-7
         if not np.any(unclamped):
@@ -99,11 +100,11 @@ def test_controller_kinds_run_in_closed_loop():
     rng = np.random.default_rng(5)
     m = random_model(rng)
     dem = random_demand(rng, m, horizon=30)
-    for kind in ("none", "best_effort", "relaxed_best_effort", "alinea"):
-        ctrl = make_controller(kind, m)
-        traj = simulate(m, dem, controller=ctrl,
-                        relaxed=(kind == "relaxed_best_effort"))
-        assert traj.horizon == 30
+    for kind in KINDS:
+        for relaxed in (False, True):
+            traj = simulate(m, dem, controller=make_controller(kind, m),
+                            relaxed=relaxed)
+            assert traj.horizon == 30
 
 
 def test_unknown_kind_rejected():

@@ -20,7 +20,6 @@ from rampflow.cumulative import (
     classify_cell,
     cumulative_from_state,
     monotonicity_probe,
-    one_step_flows,
     reconstruct_densities,
     reconstruct_queues,
     restrictiveness_report,
@@ -464,7 +463,7 @@ def test_bounds_equal_separate_greedy_and_relaxed_runs(make):
                   make_controller("best_effort", sc.model),
                   initial_state=sc.initial)
     lb = simulate(sc.model, sc.demand,
-                  make_controller("relaxed_best_effort", sc.model),
+                  make_controller("best_effort", sc.model),
                   initial_state=sc.initial, relaxed=True)
     assert b.tts_be == evaluate_metrics(sc.model, be).tts
     assert b.tts_lb == evaluate_metrics(sc.model, lb).tts

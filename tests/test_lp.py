@@ -27,6 +27,7 @@ from rampflow.simulator import (
     SimState,
     compute_flows,
     evaluate_metrics,
+    feasible_rate_interval,
     simulate,
     step,
     zero_state,
@@ -40,6 +41,7 @@ from rampflow.scenarios import (
 )
 
 from conftest import (
+    one_step_rates,
     random_demand,
     random_model,
     random_state,
@@ -185,14 +187,41 @@ def test_greedy_rates_attain_the_pointwise_flow_maximum(seed):
     # abort the step before the comparison happens.
     rng = np.random.default_rng(seed)
     model, state, w_row = safe_one_step_instance(rng, n_max=3)
-    ctrl = make_controller("best_effort", model)
-    rates, _ = ctrl.compute_rates(state, w_row)
+    rates = one_step_rates(model, "best_effort", state, w_row)
     nxt, _ = step(model, state, rates, w_row)
     mine = compute_flows(model, nxt, 0.0)
     oracle = brute_force_max_next_flows(model, state, w_row, w0_next=0.0,
                                         points=13)
     cap = float(model.capacity.max())
     assert np.all(mine >= oracle - 1e-9 * cap)
+
+
+def _loop_max_next_flows(model, state, w_row, w0_next, points):
+    """The oracle as one step per grid point: the reference for the batch."""
+    axes = []
+    for k in range(1, model.n + 1):
+        lo, hi = feasible_rate_interval(model, k, float(state.q[k - 1]),
+                                        float(w_row[k]))
+        axes.append(np.linspace(lo, hi, points) if hi > lo else np.array([lo]))
+    grids = np.meshgrid(*axes, indexing="ij")
+    best = None
+    for r in zip(*(g.ravel() for g in grids)):
+        nxt, _ = step(model, state, np.array(r), w_row)
+        f = compute_flows(model, nxt, w0_next)
+        best = f if best is None else np.maximum(best, f)
+    return best
+
+
+def test_batched_oracle_equals_the_per_point_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        model, state, w_row = safe_one_step_instance(rng, n_max=3)
+        w0_next = float(rng.uniform(0.0, model.capacity[0]))
+        for points in (2, 11):
+            np.testing.assert_array_equal(
+                brute_force_max_next_flows(model, state, w_row, w0_next,
+                                           points=points),
+                _loop_max_next_flows(model, state, w_row, w0_next, points))
 
 
 # ---------------------------------------------------------------------------

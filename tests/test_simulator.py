@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rampflow.simulator import (
     DemandProfile,
     DisturbanceSpec,
     SimState,
+    _rate_bounds,
     compute_flows,
     evaluate_metrics,
     feasible_rate_interval,
@@ -24,7 +27,7 @@ from rampflow.simulator import (
     zero_state,
 )
 
-from conftest import random_demand, random_model
+from conftest import one_step_rates, random_demand, random_model
 
 
 def one_cell(dt=0.01, **kw):
@@ -266,28 +269,40 @@ def test_non_finite_inputs_are_refused():
 def test_noise_levels_outside_the_theory_are_refused():
     m = one_cell(dt=0.01, ramp_flow_max=1000.0, queue_max=50.0)
     dem = DemandProfile(w0=np.full(5, 500.0), w_ramp=np.full((5, 1), 100.0))
+    state = SimState([30.0], [10.0])
+    rates, w_row = np.array([100.0]), np.array([500.0, 100.0])
     for bad in (-0.3, -1e-12, np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma_phi"):
             DisturbanceSpec(sigma_phi=bad, seed=1)
+        with pytest.raises(ValueError, match="sigma_phi"):
+            step(m, state, rates, w_row, rng=np.random.default_rng(1),
+                 sigma_phi=bad)
     # negative controls: no noise and a small noise level still run
     for ok in (0.0, 0.05):
         traj = simulate(m, dem, disturbance=DisturbanceSpec(ok, seed=1))
         assert np.isfinite(evaluate_metrics(m, traj).tts)
+        nxt, _ = step(m, state, rates, w_row, rng=np.random.default_rng(1),
+                      sigma_phi=ok)
+        assert np.isfinite(nxt.rho).all()
 
 
 RUN_FIELDS = ("rho", "q", "flows", "rates")
 
 
+# every law, plus the greedy law in a relaxed run
+LAWS = [pytest.param(kind, False, id=kind) for kind in KINDS] \
+    + [pytest.param("best_effort", True, id="relaxed_best_effort")]
+
+
 @pytest.mark.parametrize("drop", [0.0, 0.1], ids=["monotone", "capacity_drop"])
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
-@pytest.mark.parametrize("kind", KINDS)
-def test_batch_of_r_equals_r_batches_of_one(kind, sigma, drop):
+@pytest.mark.parametrize("kind,relaxed", LAWS)
+def test_batch_of_r_equals_r_batches_of_one(kind, relaxed, sigma, drop):
     sc = builtin_example1()
     plant = with_capacity_drop(sc.model, drop)
     beliefs = [sample_controller_model(sc.model, 0.05, 0.10, seed=s)
                for s in range(3)]
     seeds = [11, 12, 13]
-    relaxed = kind == "relaxed_best_effort"
 
     def run(belief, seed):
         noise = DisturbanceSpec(sigma, seed=seed) if sigma else None
@@ -333,7 +348,7 @@ def test_batch_sizes_must_agree():
                          ids=["example1", "example2", "grenoble"])
 def test_per_run_relaxed_flags_equal_separate_runs(make):
     sc = make()
-    law = make_controller("relaxed_best_effort", sc.model)
+    law = make_controller("best_effort", sc.model)
     batch = simulate(sc.model, sc.demand, law, initial_state=sc.initial,
                      relaxed=(False, True))
     assert batch.rho.shape[0] == 2
@@ -343,19 +358,12 @@ def test_per_run_relaxed_flags_equal_separate_runs(make):
         for name in RUN_FIELDS:
             np.testing.assert_array_equal(getattr(batch, name)[r],
                                           getattr(one, name))
-    # clamped into the capped interval, the relaxed law is the greedy law
-    greedy = simulate(sc.model, sc.demand,
-                      make_controller("best_effort", sc.model),
-                      initial_state=sc.initial)
-    for name in RUN_FIELDS:
-        np.testing.assert_array_equal(getattr(batch.run(0), name),
-                                      getattr(greedy, name))
 
 
 def test_per_run_relaxed_flags_differ_where_the_caps_bind():
     sc = builtin_example1()
     batch = simulate(sc.model, sc.demand,
-                     make_controller("relaxed_best_effort", sc.model),
+                     make_controller("best_effort", sc.model),
                      initial_state=sc.initial, relaxed=(False, True))
     assert batch.rates[0].max() <= sc.model.ramp_flow_max.max()
     assert batch.rates[1].max() > sc.model.ramp_flow_max.max()
@@ -373,3 +381,48 @@ def test_relaxed_flags_must_match_the_batch():
     # negative control: one flag per run is accepted
     traj = simulate(sc.model, sc.demand, law, relaxed=(False, True, False))
     assert traj.rho.shape[0] == 3
+
+
+# ---------------------------------------------------------------------------
+# simulate's clamp is the only saturation
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_relaxed_runs_waive_the_cap_for_every_law(kind):
+    sc = builtin_example2()
+    m = sc.model
+    start = SimState(np.zeros(m.n), np.full(m.n, 50.0) * (m.queue_max > 0))
+    w_row = sc.demand.row(0)
+    raw = make_controller(kind, m, ki=1e6).compute_rates(0, start, w_row, None)
+    applied = {}
+    for flag in (False, True):
+        applied[flag] = one_step_rates(m, kind, start, w_row, relaxed=flag,
+                                       ki=1e6)
+        lo, hi = _rate_bounds(m, start.q, w_row[1:], relaxed=flag)
+        np.testing.assert_array_equal(applied[flag], np.clip(raw, lo, hi))
+    # an empty corridor makes every law ask for more than the cap, and a
+    # relaxed run lets it through up to the queue box
+    ramps = m.ramp_flow_max > 0
+    np.testing.assert_array_equal(applied[False][ramps],
+                                  m.ramp_flow_max[ramps])
+    assert np.all(applied[True][ramps] > m.ramp_flow_max[ramps])
+    if kind == "none":
+        assert applied[True][ramps].max() == pytest.approx(19_800.0)
+
+
+def test_a_belief_is_saturated_by_the_plant_bounds():
+    sc = builtin_example1()
+    belief = FreewayModel([replace(c, ramp_flow_max=c.ramp_flow_max / 2)
+                           for c in sc.model.cells], sc.model.dt)
+    greedy = simulate(sc.model, sc.demand,
+                      make_controller("best_effort", sc.model),
+                      initial_state=sc.initial)
+    halved = simulate(sc.model, sc.demand,
+                      make_controller("best_effort", belief),
+                      initial_state=sc.initial)
+    # the greedy law never reads the ramp cap, so a belief that halves it
+    # runs exactly like the nominal law
+    assert halved.rates.max() > belief.ramp_flow_max.max()
+    np.testing.assert_array_equal(halved.rates, greedy.rates)
+    assert evaluate_metrics(sc.model, halved).tts == pytest.approx(
+        13.530489, abs=5e-7)
