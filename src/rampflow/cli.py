@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 unusable scenario or input data, 3 a run broke a
 state or rate contract, 4 the request needs a model class the method does
-not cover (optimize and bounds refuse capacity-drop models), 5 inputs whose
-horizons or shapes do not line up.
+not cover (optimize and bounds refuse capacity-drop models and steps that
+break the step-size conditions), 5 inputs whose horizons or shapes do not
+line up.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def _cmd_optimize(args) -> int:
         "max_rate_adjustment": cert.max_rate_adjustment,
         "residual_eq": sol.residual_eq,
         "residual_ub": sol.residual_ub,
+        "lp_status": sol.status,
+        "lp_iterations": sol.iterations,
     }
     if args.rates:
         _emit(rates_csv_text(sol.rates), args.rates)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import make_controller
-from .model import FreewayModel, UnsupportedModelError
+from .model import FreewayModel, UnsupportedModelError, require_stable_step
 from .simulator import (
     DemandProfile,
     SimState,
@@ -339,13 +339,15 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     Both runs are one batch of 2 of the greedy law with
     ``relaxed=(False, True)``: ``simulate`` clamps run 0 into the capped
     interval, so run 0 is exactly the greedy run, and run 1 into the
-    queue-box limits alone. Capacity-drop models are refused:
-    they are not monotone, so the relaxed run proves no lower bound.
+    queue-box limits alone. Capacity-drop models and steps that break the
+    step-size conditions are refused: they are not monotone, so the
+    relaxed run proves no lower bound.
     """
     if model.has_capacity_drop:
         raise UnsupportedModelError(
             "capacity drop breaks monotonicity; the relaxed run is no "
             "lower bound for such models")
+    require_stable_step(model)
     both = simulate(model, demand,
                     controller=make_controller("best_effort", model),
                     initial_state=initial_state, relaxed=(False, True))

@@ -10,6 +10,11 @@ higher than the LP's and total time spent decreases in them.
 Variables are grouped per step: flows and rates for t, then the densities
 and queues they produce at t+1. States at t = 0 are data, not variables,
 so a horizon T over n cells yields T * (4n + 1) variables.
+
+The solve starts from the greedy law's run. The paper's point is that
+greedy metering is optimal, or nearly so, on monotone models, so its
+trajectory sits at or next to an optimal vertex: its active set, turned
+into a simplex basis, leaves HiGHS few or no pivots to make.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import FreewayModel, UnsupportedModelError
+from .controllers import make_controller
+from .model import FreewayModel, UnsupportedModelError, require_stable_step
 from .simulator import (
+    ContractViolationError,
     DemandProfile,
     RateSchedule,
     SimState,
@@ -102,7 +109,8 @@ class LpInstance:
     b_eq: np.ndarray
     a_ub: sparse.csr_matrix
     b_ub: np.ndarray
-    bounds: list[tuple[float, float | None]]
+    lb: np.ndarray            # column bounds; ub is inf for free columns
+    ub: np.ndarray
     objective_constant: float  # time already spent in the frozen t = 0 state
 
 
@@ -113,6 +121,7 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
         raise UnsupportedModelError(
             "discharge drop makes outflow non-concave in density; the "
             "hypograph relaxation is not exact for such models")
+    require_stable_step(model)
     demand.check_against(model)
     initial = zero_state(model) if initial_state is None else initial_state
 
@@ -179,16 +188,17 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
     phi_max = np.minimum(dem_slope * model.rho_crit, model.capacity)
     phi_max[:-1] = np.minimum(
         phi_max[:-1], wb * (model.rho_jam[1:] - model.rho_crit[1:]))
-    free = [(0.0, None)]
-    step_bounds = (free + [(0.0, hi) for hi in phi_max.tolist()]
-                   + [(0.0, hi) for hi in model.ramp_flow_max.tolist()]
-                   + free * n
-                   + [(0.0, hi) for hi in model.queue_max.tolist()])
+    ub = np.full(vm.size, np.inf)
+    ub_phi, ub_r, _, ub_q = vm.split(ub)
+    ub_phi[:, 1:] = phi_max
+    ub_r[:] = model.ramp_flow_max
+    ub_q[:] = model.queue_max
 
     return LpInstance(model=model, demand=demand, initial=initial, varmap=vm,
                       c=c, a_eq=a_eq, b_eq=b_eq.ravel(), a_ub=a_ub,
                       b_ub=b_ub.reshape(T, 2 * n)[:, :ub_rows].ravel(),
-                      bounds=step_bounds * T, objective_constant=constant)
+                      lb=np.zeros(vm.size), ub=ub,
+                      objective_constant=constant)
 
 
 @dataclass
@@ -200,18 +210,44 @@ class LpSolution:
     rates: np.ndarray         # (T, n)
     residual_eq: float
     residual_ub: float
+    status: str               # HiGHS model status, "Optimal" once solved
+    iterations: int           # simplex iterations
     x: np.ndarray = field(repr=False)
 
 
+_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
+               "dual_feasibility_tolerance": 1e-9}
+#: Devex dual pricing, because the default dual steepest edge pays for
+#: initial edge weights on any start that is not all slack.
+_HIGHS_OPTIONS = {**_TOLERANCES, "output_flag": False,
+                  "simplex_dual_edge_weight_strategy": 1}
+
+# HighsBasisStatus codes, and the relative gap below which a bound or a
+# hypograph row counts as tight at the greedy point
+_LOWER, _BASIC, _UPPER = 0, 1, 2
+_TIGHT = 1e-9
+
+
+def _highs_bindings():
+    """HiGHS's own python bindings as scipy ships them, or None on a scipy
+    too old to have them."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
 def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
-    res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
-                  A_eq=inst.a_eq, b_eq=inst.b_eq, bounds=inst.bounds,
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-9,
-                           "dual_feasibility_tolerance": 1e-9})
-    if not res.success:
-        raise LpError(f"solver failed: {res.message}")
-    x = res.x
+    """Solve the instance with HiGHS, warm-started from the greedy run.
+
+    A scipy without HiGHS's bindings solves it cold through ``linprog``.
+    Both reach the same optimal value; on a degenerate LP they may return
+    different optimal plans.
+    """
+    core = _highs_bindings()
+    x, fun, status, iterations = (_solve_linprog(inst) if core is None
+                                  else _solve_highs(core, inst))
     scale_eq = np.maximum(1.0, np.abs(inst.b_eq))
     residual_eq = float(np.max(np.abs(inst.a_eq @ x - inst.b_eq) / scale_eq)) \
         if inst.b_eq.size else 0.0
@@ -223,11 +259,133 @@ def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
             f"solution violates rows: eq {residual_eq:g}, ub {residual_ub:g}")
 
     flows, rates, rho, qs = inst.varmap.split(x)
-    return LpSolution(objective=float(res.fun) + inst.objective_constant,
+    return LpSolution(objective=fun + inst.objective_constant,
                       rho=np.vstack((inst.initial.rho, rho)),
                       q=np.vstack((inst.initial.q, qs)),
                       flows=flows.copy(), rates=rates.copy(),
-                      residual_eq=residual_eq, residual_ub=residual_ub, x=x)
+                      residual_eq=residual_eq, residual_ub=residual_ub,
+                      status=status, iterations=iterations, x=x)
+
+
+def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
+    res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
+                  A_eq=inst.a_eq, b_eq=inst.b_eq,
+                  bounds=np.column_stack((inst.lb, inst.ub)),
+                  method="highs", options=_TOLERANCES)
+    if not res.success:
+        raise LpError(f"solver failed: {res.message}")
+    # linprog succeeds only on HiGHS's "Optimal" model status
+    return res.x, float(res.fun), "Optimal", int(res.nit)
+
+
+def _solve_highs(core, inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
+    a = sparse.vstack((inst.a_eq, inst.a_ub), format="csc")
+    rows, cols = a.shape
+    lp = core.HighsLp()
+    lp.num_col_, lp.num_row_ = cols, rows
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = inst.c, inst.lb, inst.ub
+    lp.row_lower_ = np.concatenate((inst.b_eq,
+                                    np.full(inst.b_ub.size, -np.inf)))
+    lp.row_upper_ = np.concatenate((inst.b_eq, inst.b_ub))
+    m = lp.a_matrix_
+    m.format_ = core.MatrixFormat.kColwise
+    m.num_col_, m.num_row_ = cols, rows
+    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+
+    highs = core._Highs()
+    for name, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(name, value)
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise LpError("HiGHS refused the model")
+    statuses = _greedy_basis(inst)
+    if statuses is not None:
+        kinds = [core.HighsBasisStatus(i) for i in (_LOWER, _BASIC, _UPPER)]
+        basis = core.HighsBasis()
+        basis.col_status, basis.row_status = (
+            [kinds[i] for i in s.tolist()] for s in statuses)
+        basis.valid = True
+        if highs.setBasis(basis) == core.HighsStatus.kError:
+            raise LpError("HiGHS refused the greedy basis")
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = highs.modelStatusToString(model_status)
+    if model_status != core.HighsModelStatus.kOptimal:
+        raise LpError(f"solver failed: {status}")
+    info = highs.getInfo()
+    return (np.array(highs.getSolution().col_value),
+            info.objective_function_value, status,
+            info.simplex_iteration_count)
+
+
+def _greedy_basis(inst: LpInstance) -> tuple[np.ndarray, np.ndarray] | None:
+    """HiGHS column and row statuses of a basis at the greedy run's point;
+    None when that run leaves the state boxes or the rows are not
+    ``build_lp``'s layout, and the solve starts cold.
+
+    Each equality row owns one basic: the inflow row phi(t, 0), the
+    density row rho(t+1, k), and the queue row q(t+1, k), or r(t, k) when
+    only the rate is interior. A flow phi(t, k) and its one or two
+    hypograph rows keep as many basics as they have rows: phi is basic and
+    a tight row nonbasic or, with no row tight, phi is nonbasic at its
+    column bound. An interior rate with an interior queue is one basic too
+    many. When cell k sits at critical density and its next outflow
+    phi(t+1, k) meets both its demand row and its column cap, the pair
+    takes that flow's slot and the flow goes nonbasic at its cap.
+    Otherwise the queue goes nonbasic at its nearer bound and HiGHS
+    absorbs the shift.
+    """
+    model, vm = inst.model, inst.varmap
+    T, n = vm.horizon, vm.n
+    if inst.a_ub.shape[0] != T * (2 * n - 1):
+        return None
+    try:
+        greedy = simulate(model, inst.demand,
+                          controller=make_controller("best_effort", model),
+                          initial_state=inst.initial)
+    except ContractViolationError:
+        return None
+    x = np.empty(vm.size)
+    for part, run in zip(vm.split(x), (greedy.flows, greedy.rates,
+                                       greedy.rho[1:], greedy.q[1:])):
+        part[:] = run
+    gap = _TIGHT * np.maximum(1.0, np.abs(x))
+    at_lo, at_hi = x <= inst.lb + gap, x >= inst.ub - gap
+    col = np.where(at_hi & ~at_lo, _UPPER, _LOWER).astype(np.int8)
+    c_phi, c_r, c_rho, c_q = vm.split(col)
+    lo_phi, lo_r, _, lo_q = vm.split(at_lo)
+    hi_phi, hi_r, _, hi_q = vm.split(at_hi)
+
+    # hypograph rows as (T, n, 2): demand row, supply row (none at cell n)
+    slack = inst.b_ub - inst.a_ub @ x
+    tight = np.zeros((T, 2 * n), dtype=bool)
+    tight[:, :-1] = (slack <= _TIGHT * np.maximum(
+        1.0, abs(inst.a_ub) @ np.abs(x))).reshape(T, 2 * n - 1)
+    dem_tight, sup_tight = tight.reshape(T, n, 2).transpose(2, 0, 1)
+    row = np.full((T, n, 2), _BASIC, dtype=np.int8)
+
+    c_phi[:, 0] = _BASIC
+    c_rho[:] = _BASIC
+    phi_basic = dem_tight | sup_tight | ~(lo_phi | hi_phi)[:, 1:]
+    dem_out = phi_basic & (dem_tight | ~sup_tight)
+    sup_out = phi_basic & ~dem_out
+    c_phi[:, 1:][phi_basic] = _BASIC
+    row[..., 0][dem_out] = _UPPER
+    row[..., 1][sup_out] = _UPPER
+
+    r_free, q_free = ~(lo_r | hi_r), ~(lo_q | hi_q)
+    pair = r_free & q_free
+    take = np.zeros((T, n), dtype=bool)
+    take[:-1] = pair[:-1] & dem_tight[1:] & hi_phi[1:, 1:]
+    c_phi[1:, 1:][take[:-1]] = _UPPER
+    stuck = pair & ~take
+    nearer = np.where(2.0 * vm.split(x)[3] > model.queue_max, _UPPER, _LOWER)
+    c_q[stuck] = nearer[stuck]
+    c_r[r_free] = _BASIC
+    c_q[~r_free | (q_free & ~stuck)] = _BASIC
+
+    rows = np.concatenate((np.full(inst.b_eq.size, _LOWER, dtype=np.int8),
+                           row.reshape(T, 2 * n)[:, :-1].ravel()))
+    return col, rows
 
 
 @dataclass(frozen=True)
@@ -309,9 +467,10 @@ def export_lp_text(inst: LpInstance) -> str:
            *rows(inst.a_eq, inst.b_eq, "e", "="),
            *rows(inst.a_ub, inst.b_ub, "u", "<="),
            "Bounds"]
-    out += [f" {lo:.12g} <= {name}" if hi is None
+    out += [f" {lo:.12g} <= {name}" if hi == np.inf
             else f" {lo:.12g} <= {name} <= {hi:.12g}"
-            for name, (lo, hi) in zip(names, inst.bounds)]
+            for name, lo, hi in zip(names, inst.lb.tolist(),
+                                    inst.ub.tolist())]
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -72,41 +72,6 @@ def triangular_fd_defaults(cell: CellParams) -> CellParams:
     return replace(cell, w_back=w, capacity=cap)
 
 
-def demand_value(cell: CellParams, rho: float) -> float:
-    """Outflow the cell offers at density rho (cars/h).
-
-    Increases at slope beta_bar * v_free up to rho_crit, then is flat;
-    with a capacity drop the flat part steps down by that fraction for
-    rho strictly above rho_crit.
-    """
-    _check_density(cell, rho)
-    bv = cell.beta_bar * cell.v_free
-    if rho <= cell.rho_crit:
-        return bv * min(rho, cell.rho_crit)
-    return (1.0 - cell.capacity_drop) * bv * cell.rho_crit
-
-
-def supply_value(cell: CellParams, rho: float) -> float:
-    """Inflow the cell accepts at density rho (cars/h).
-
-    Flat at w_back * (rho_jam - rho_crit) below critical density, then
-    decreases at slope w_back, hitting zero at jam density.
-    """
-    _check_density(cell, rho)
-    w = cell.w_back
-    if w is None:
-        raise GeometryError("w_back unset; resolve defaults first")
-    return min(w * (cell.rho_jam - cell.rho_crit), w * (cell.rho_jam - rho))
-
-
-def _check_density(cell: CellParams, rho: float) -> None:
-    tol = 1e-9 * max(1.0, cell.rho_jam)
-    if rho < -tol or rho > cell.rho_jam + tol:
-        raise ValueError(
-            f"density {rho} outside [0, {cell.rho_jam}]"
-        )
-
-
 @dataclass(frozen=True)
 class Violation:
     """One failed model check; ``cell`` is 1-based, 0 means model-level."""
@@ -215,6 +180,10 @@ _PARAMS = ("length", "v_free", "rho_crit", "rho_jam", "w_back", "capacity",
            "beta", "beta_bar", "ramp_flow_max", "queue_max", "capacity_drop")
 
 
+_STEP_RULES = ("dt * demand slope <= length * beta_bar",
+               "dt * supply slope <= length")
+
+
 def validate_model(model: FreewayModel) -> list[Violation]:
     """Check geometry and the step-size conditions that make one simulation
     step well posed (density change per step bounded by the steepest
@@ -252,10 +221,22 @@ def validate_model(model: FreewayModel) -> list[Violation]:
         c_d = c.beta_bar * c.v_free
         if model.dt * c_d > c.length * c.beta_bar + 1e-12:
             out.append(Violation(
-                k, "dt * demand slope <= length * beta_bar",
+                k, _STEP_RULES[0],
                 f"dt*{c_d:g} = {model.dt * c_d:g} > {c.length * c.beta_bar:g}"))
         if c.w_back is not None and model.dt * c.w_back > c.length + 1e-12:
             out.append(Violation(
-                k, "dt * supply slope <= length",
+                k, _STEP_RULES[1],
                 f"dt*{c.w_back:g} = {model.dt * c.w_back:g} > {c.length:g}"))
     return out
+
+
+def require_stable_step(model: FreewayModel) -> None:
+    """Refuse a model whose step breaks the step-size conditions: its
+    dynamics are no longer monotone, so neither the LP relaxation nor the
+    bound sandwich covers it. The constructor accepts such models, so the
+    monotonicity probe can show them failing."""
+    bad = [str(v) for v in validate_model(model) if v.rule in _STEP_RULES]
+    if bad:
+        raise UnsupportedModelError(
+            f"dt = {model.dt:g} h is too long for monotone dynamics: "
+            + "; ".join(bad))

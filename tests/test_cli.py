@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from rampflow import cli
 from rampflow.cli import (
     EXIT_CONTRACT,
     EXIT_MISMATCH,
@@ -12,6 +14,8 @@ from rampflow.cli import (
     EXIT_UNSUPPORTED,
     main,
 )
+from rampflow.model import FreewayModel
+from rampflow.scenarios import Scenario, builtin_example2
 
 # ---------------------------------------------------------------------------
 # fixture scenario files
@@ -211,6 +215,8 @@ def test_optimize_writes_solution_and_exports(tmp_path):
     assert doc["gap"] == pytest.approx(0.0, abs=1e-6)
     assert doc["variables"] == 180 * (4 * 2 + 1)
     assert doc["objective"] == pytest.approx(doc["simulated_tts"], rel=1e-7)
+    assert doc["lp_status"] == "Optimal"
+    assert isinstance(doc["lp_iterations"], int) and doc["lp_iterations"] >= 0
     rate_lines = _read(rates).decode().splitlines()
     assert rate_lines[0] == "t,r1,r2"
     assert len(rate_lines) == 1 + 180
@@ -235,6 +241,25 @@ def test_bounds_capacity_drop_unsupported(drop_yaml, tmp_path, capsys):
                                        "capacity_drop: 0"), encoding="utf-8")
     assert main(["bounds", "--scenario", str(mono)]) == EXIT_OK
     assert set(json.loads(capsys.readouterr().out)) >= {"tts_lb", "tts_be"}
+
+
+@pytest.mark.parametrize("command", ["optimize", "bounds"])
+def test_step_size_outside_the_conditions_exits_4(command, monkeypatch,
+                                                   capsys):
+    """A model whose step is too long for monotone dynamics is refused
+    with its violations. Scenario files cannot carry one (the loader
+    refuses them, exit 2), so the model is handed to the command directly;
+    the same cells at their own step (negative control) pass."""
+    sc = builtin_example2()
+    too_long = 2.0 * float(np.max(sc.model.length / sc.model.v_free))
+    for dt, code in ((too_long, EXIT_UNSUPPORTED), (sc.model.dt, EXIT_OK)):
+        model = FreewayModel(sc.model.cells, dt=dt)
+        monkeypatch.setattr(cli, "load_scenario", lambda ref, model=model:
+                            Scenario(sc.label, model, sc.demand, sc.initial))
+        assert main([command, "--scenario", "builtin:example2"]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_UNSUPPORTED:
+            assert "dt * demand slope" in captured.err and captured.out == ""
 
 
 def test_optimize_deterministic_bytes(tmp_path):

@@ -1,6 +1,7 @@
 """The hypograph LP: shape, exactness against resimulation, exhaustive
 oracles on tiny instances, and the structure of known optima."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import rampflow.lp
 from rampflow.controllers import make_controller
 from rampflow.cumulative import tts_bounds
 from rampflow.lp import (
     LpError,
     UnsupportedModelError,
     VarMap,
+    _greedy_basis,
     brute_force_max_next_flows,
     brute_force_min_tts,
     build_lp,
@@ -104,6 +107,22 @@ def test_capacity_drop_models_are_rejected():
     d = DemandProfile(w0=np.zeros(2), w_ramp=np.zeros((2, 1)))
     with pytest.raises(UnsupportedModelError):
         build_lp(bad, d)
+
+
+def test_step_sizes_outside_the_conditions_are_rejected():
+    """The LP and the bound sandwich refuse a step too long for monotone
+    dynamics and name the broken condition; the same cells with a valid
+    step (negative control) pass."""
+    m = one_ramp_cell()
+    d = DemandProfile(w0=np.full(3, 3000.0), w_ramp=np.full((3, 1), 800.0))
+    too_long = FreewayModel(m.cells, dt=0.02)     # dt * v_free = 2 > 1 km
+    for refuse in (build_lp, tts_bounds):
+        with pytest.raises(UnsupportedModelError,
+                           match=r"cell 1: dt \* demand slope"):
+            refuse(too_long, d)
+    b = tts_bounds(m, d)
+    assert solve_lp(build_lp(m, d)).objective == pytest.approx(b.tts_be,
+                                                             rel=1e-9)
 
 
 def test_export_renders_cplex_lp_text():
@@ -389,8 +408,8 @@ def _getrow_export(inst):
     for i in range(inst.a_ub.shape[0]):
         out.append(f" u{i}: {terms(inst.a_ub.getrow(i))} <= {inst.b_ub[i]:.12g}")
     out.append("Bounds")
-    for j, (lo, hi) in enumerate(inst.bounds):
-        if hi is None:
+    for j, (lo, hi) in enumerate(zip(inst.lb.tolist(), inst.ub.tolist())):
+        if hi == np.inf:
             out.append(f" {lo:.12g} <= {names[j]}")
         else:
             out.append(f" {lo:.12g} <= {names[j]} <= {hi:.12g}")
@@ -447,7 +466,9 @@ def test_array_build_and_export_equal_the_row_loops(case):
     _assert_same_csr(inst.a_ub, a_ub)
     np.testing.assert_array_equal(inst.b_eq, b_eq)
     np.testing.assert_array_equal(inst.b_ub, b_ub)
-    assert inst.bounds == bounds
+    assert inst.lb.tolist() == [lo for lo, _ in bounds]
+    assert inst.ub.tolist() == [np.inf if hi is None else hi
+                                for _, hi in bounds]
     assert export_lp_text(inst) == _getrow_export(inst)
 
 
@@ -461,20 +482,17 @@ def test_flow_bounds_written_as_rows_keep_the_optimum(case):
     vm = inst.varmap
     cols = vm.phi(np.arange(vm.horizon)[:, None],
                   np.arange(1, vm.n + 1)).ravel()
-    free = list(inst.bounds)
-    for j in cols.tolist():
-        free[j] = (0.0, None)
+    free = inst.ub.copy()
+    free[cols] = np.inf
     limits = sparse.csr_matrix(
         (np.ones(cols.size), (np.arange(cols.size), cols)),
         shape=(cols.size, vm.size))
     rows = replace(inst, a_ub=sparse.vstack((inst.a_ub, limits)).tocsr(),
-                   b_ub=np.concatenate((inst.b_ub,
-                                        [inst.bounds[j][1] for j in cols])),
-                   bounds=free)
+                   b_ub=np.concatenate((inst.b_ub, inst.ub[cols])), ub=free)
     objective = solve_lp(inst).objective
     assert solve_lp(rows).objective == pytest.approx(objective, rel=1e-9)
     if case == "example1":
-        dropped = solve_lp(replace(inst, bounds=free)).objective
+        dropped = solve_lp(replace(inst, ub=free)).objective
         assert dropped < objective - 1e-3
 
 
@@ -509,3 +527,54 @@ def test_solution_arrays_follow_the_column_layout(case):
             assert sol.q[t + 1, k - 1] == x[vm.q(t + 1, k)]
     assert not np.shares_memory(sol.flows, x)
     assert not np.shares_memory(sol.rates, x)
+
+
+# ---------------------------------------------------------------------------
+# the warm start against the linprog fallback
+
+def _solve_without_bindings(inst, monkeypatch):
+    """``solve_lp`` as on a scipy that ships no HiGHS bindings."""
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "scipy.optimize._highspy", None)
+        return solve_lp(inst)
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
+    """The cold ``linprog`` fallback is the reference: the warm solve
+    reaches its optimum within rel 1e-9 without calling ``linprog``, from a
+    basis with one basic per row, and is certified exact."""
+    inst = build_lp(*LP_CASES[case]())
+    calls = []
+    real = rampflow.lp.linprog
+    monkeypatch.setattr(rampflow.lp, "linprog",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    warm = solve_lp(inst)
+    assert calls == []
+    cold = _solve_without_bindings(inst, monkeypatch)
+    assert calls == [1]
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.status == cold.status == "Optimal"
+    assert certify_relaxation(inst, warm).exact
+    cols, rows = _greedy_basis(inst)
+    assert np.sum(cols == 1) + np.sum(rows == 1) == rows.size
+    if case == "grenoble240":
+        # greedy is optimal here, so its basis is an optimal one
+        assert warm.iterations == 0 < cold.iterations
+
+
+def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
+    """Mainline arrivals above the cell's discharge overfill it, so the
+    greedy run aborts and there is no warm basis. The LP caps no density
+    of the first cell, so it still solves, cold, to the fallback's optimum;
+    the replay of its plan aborts like the greedy run did."""
+    m = one_ramp_cell()
+    d = DemandProfile(w0=np.full(60, 8000.0), w_ramp=np.zeros((60, 1)))
+    inst = build_lp(m, d)
+    assert _greedy_basis(inst) is None
+    sol = solve_lp(inst)
+    assert sol.objective == pytest.approx(
+        _solve_without_bindings(inst, monkeypatch).objective, rel=1e-9)
+    assert certify_relaxation(inst, sol).failure

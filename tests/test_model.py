@@ -8,12 +8,48 @@ from rampflow.model import (
     CellParams,
     FreewayModel,
     GeometryError,
-    demand_value,
-    supply_value,
     triangular_fd_defaults,
     validate_model,
 )
 from rampflow.scenarios import grenoble_cells
+
+
+# scalar curves of one cell: the reference for the vectorised
+# FreewayModel.demand and FreewayModel.supply
+
+def demand_value(cell: CellParams, rho: float) -> float:
+    """Outflow the cell offers at density rho (cars/h).
+
+    Increases at slope beta_bar * v_free up to rho_crit, then is flat;
+    with a capacity drop the flat part steps down by that fraction for
+    rho strictly above rho_crit.
+    """
+    _check_density(cell, rho)
+    bv = cell.beta_bar * cell.v_free
+    if rho <= cell.rho_crit:
+        return bv * min(rho, cell.rho_crit)
+    return (1.0 - cell.capacity_drop) * bv * cell.rho_crit
+
+
+def supply_value(cell: CellParams, rho: float) -> float:
+    """Inflow the cell accepts at density rho (cars/h).
+
+    Flat at w_back * (rho_jam - rho_crit) below critical density, then
+    decreases at slope w_back, hitting zero at jam density.
+    """
+    _check_density(cell, rho)
+    w = cell.w_back
+    if w is None:
+        raise GeometryError("w_back unset; resolve defaults first")
+    return min(w * (cell.rho_jam - cell.rho_crit), w * (cell.rho_jam - rho))
+
+
+def _check_density(cell: CellParams, rho: float) -> None:
+    tol = 1e-9 * max(1.0, cell.rho_jam)
+    if rho < -tol or rho > cell.rho_jam + tol:
+        raise ValueError(
+            f"density {rho} outside [0, {cell.rho_jam}]"
+        )
 
 
 def _cell(**kw):
