@@ -93,7 +93,7 @@ def internal_flows(model: FreewayModel, rho_measured: np.ndarray,
     example when the believed jam density is below the true one), so they
     are clipped into it first.
     """
-    rho = np.clip(np.asarray(rho_measured, dtype=float), 0.0, model.rho_jam)
+    rho = np.asarray(rho_measured, dtype=float).clip(0.0, model.rho_jam)
     return _flows(model, rho, w0)
 
 

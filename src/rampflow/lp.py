@@ -20,10 +20,9 @@ into a simplex basis, leaves HiGHS few or no pivots to make.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .controllers import make_controller
 from .model import FreewayModel, UnsupportedModelError, require_stable_step
@@ -39,6 +38,20 @@ from .simulator import (
     step,
     zero_state,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
+
+def __getattr__(name: str):
+    """``linprog``, imported on first use (PEP 562): scipy is imported
+    where the LP needs it, so ``import rampflow`` does not load it. Once
+    imported it is a module attribute that can be patched."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+    globals()["linprog"] = linprog
+    return linprog
 
 
 class LpError(RuntimeError):
@@ -95,6 +108,7 @@ def _csr(triplets, shape: tuple[int, int]) -> sparse.csr_matrix:
              for rows, cols, vals in triplets]
     rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts])
                         for i in range(3))
+    from scipy import sparse
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
@@ -268,6 +282,7 @@ def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
 
 
 def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
+    linprog = globals().get("linprog") or __getattr__("linprog")
     res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
                   A_eq=inst.a_eq, b_eq=inst.b_eq,
                   bounds=np.column_stack((inst.lb, inst.ub)),
@@ -279,6 +294,7 @@ def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
 
 
 def _solve_highs(core, inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
+    from scipy import sparse
     a = sparse.vstack((inst.a_eq, inst.a_ub), format="csc")
     rows, cols = a.shape
     lp = core.HighsLp()

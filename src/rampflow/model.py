@@ -117,8 +117,9 @@ class FreewayModel:
 
         Every parameter array gets a leading run axis, (R, n), so
         :meth:`demand` and :meth:`supply` evaluate all R curves on an
-        (R, n) density array at once. A stack only evaluates curves and
-        bounds for a batched controller; it has no ``cells`` of its own.
+        (R, n) density array at once. A stack evaluates curves and bounds
+        for a batch of beliefs, or is the plant of a batch of runs (run r
+        on model r); it has no ``cells`` of its own.
         """
         models = tuple(models)
         if not models:

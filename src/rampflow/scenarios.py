@@ -445,6 +445,17 @@ def _metrics(model: FreewayModel, demand, controller, initial, disturbance):
     return evaluate_metrics(model, traj)
 
 
+def _campaign_row(variant: str, sigma: float, dv: float, drho: float,
+                  kind: str, base: np.ndarray,
+                  twts: np.ndarray) -> CampaignRow:
+    """Mean and spread over the runs of the percent of the unmetered
+    waiting time ``base`` that a law's waiting times ``twts`` save."""
+    vals = [0.0 if ol <= 0.0 else 100.0 * (ol - val) / ol
+            for ol, val in zip(base.tolist(), twts.tolist())]
+    return CampaignRow(variant, sigma, dv, drho, kind, statistics.fmean(vals),
+                       statistics.pstdev(vals), len(vals))
+
+
 def uncertainty_campaign(scenario: Scenario,
                          mismatch_grid=MISMATCH_GRID,
                          sigmas=(0.0, 0.05),
@@ -460,14 +471,15 @@ def uncertainty_campaign(scenario: Scenario,
     Beliefs are always sampled from the monotonic nominal model. Run r of
     any grid point uses disturbance seed ``seed + r`` and belief seed
     ``seed + 1000 + r``, so rows are reproducible and paired across
-    controllers. Per variant and sigma the runs go through three batched
-    simulations: the unmetered baseline, the greedy law over every
-    (mismatch point, run) belief, and the integral law. Noiseless runs of
-    one controller with one belief are identical, so the baseline and the
-    integral law then simulate once.
+    controllers. Per noise level the runs go through three batched
+    simulations, one per law, each on a stack of the variant plants: the
+    unmetered baseline, the greedy law over every (variant, mismatch
+    point, run) belief, and the integral law. Noiseless runs of one
+    controller with one belief on one plant are identical, so the baseline
+    and the integral law then simulate one run per variant.
 
-    Raises ValueError when ``runs`` is below 1 or a noise level is negative
-    or not finite.
+    Raises ValueError when ``runs`` is below 1, a noise level is negative
+    or not finite, or a variant is unknown.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
@@ -476,44 +488,45 @@ def uncertainty_campaign(scenario: Scenario,
     nominal = scenario.model
     plants = {"monotonic": nominal,
               "capacity_drop": with_capacity_drop(nominal, drop_alpha)}
-    rows: list[CampaignRow] = []
-    run_seeds = [seed + r for r in range(runs)]
-    beliefs = [sample_controller_model(nominal, dv, drho, seed=seed + 1000 + r)
-               for dv, drho in mismatch_grid for r in range(runs)]
     for variant in variants:
         if variant not in plants:
             raise ValueError(f"unknown variant {variant!r}")
-        plant = plants[variant]
-        for sigma in sigmas:
-            def twt(kind: str, belief, seeds) -> np.ndarray:
-                noise = DisturbanceSpec(sigma_phi=sigma, seed=seeds) \
-                    if sigma != 0.0 else None
-                return np.atleast_1d(_metrics(
-                    plant, scenario.demand, make_controller(kind, belief),
-                    scenario.initial, noise).twt)
+    run_seeds = [seed + r for r in range(runs)]
+    beliefs = [sample_controller_model(nominal, dv, drho, seed=seed + 1000 + r)
+               for dv, drho in mismatch_grid for r in range(runs)]
+    found: dict[tuple[str, float], list[CampaignRow]] = {}
+    for sigma in sigmas if variants else ():   # no plant, no run
+        def twt(kind: str, belief: list[FreewayModel]) -> np.ndarray:
+            """Waiting times, one row per variant. ``belief`` is the
+            nominal model alone or one model per (mismatch point, run);
+            noise makes the nominal model's runs differ too."""
+            if sigma != 0.0 and len(belief) == 1:
+                belief = belief * runs
+            noise = DisturbanceSpec(
+                sigma_phi=sigma,
+                seed=run_seeds * (len(variants) * len(belief) // runs)) \
+                if sigma != 0.0 else None
+            plant = FreewayModel.stack([plants[v] for v in variants
+                                        for _ in belief])
+            return _metrics(
+                plant, scenario.demand,
+                make_controller(kind, belief * len(variants)),
+                scenario.initial, noise).twt.reshape(len(variants), -1)
 
-            base_twt = twt("none", nominal, run_seeds)
-
-            def improvements(twts: np.ndarray) -> list[float]:
-                out = []
-                for r in range(runs):
-                    ol = float(base_twt[r % base_twt.size])
-                    val = float(twts[r % twts.size])
-                    out.append(0.0 if ol <= 0.0 else 100.0 * (ol - val) / ol)
-                return out
-
-            greedy = twt("best_effort", beliefs,
-                         run_seeds * len(mismatch_grid)).reshape(-1, runs)
-            for (dv, drho), twts in zip(mismatch_grid, greedy):
-                vals = improvements(twts)
-                rows.append(CampaignRow(
-                    variant, sigma, dv, drho, "best_effort",
-                    statistics.fmean(vals), statistics.pstdev(vals), runs))
-
-            vals = improvements(twt("alinea", nominal, run_seeds))
-            rows.append(CampaignRow(
-                variant, sigma, 0.0, 0.0, "alinea",
-                statistics.fmean(vals), statistics.pstdev(vals), runs))
+        shape = (len(variants), runs)
+        base = np.broadcast_to(twt("none", [nominal]), shape)
+        greedy = twt("best_effort", beliefs).reshape(
+            len(variants), len(mismatch_grid), runs)
+        integral = np.broadcast_to(twt("alinea", [nominal]), shape)
+        for v, variant in enumerate(variants):
+            found[variant, sigma] = [
+                _campaign_row(variant, sigma, dv, drho, "best_effort",
+                              base[v], twts)
+                for (dv, drho), twts in zip(mismatch_grid, greedy[v])]
+            found[variant, sigma].append(_campaign_row(
+                variant, sigma, 0.0, 0.0, "alinea", base[v], integral[v]))
+    rows = [r for variant in variants for sigma in sigmas
+            for r in found[variant, sigma]]
 
     if include_lp:
         from .lp import build_lp, solve_lp

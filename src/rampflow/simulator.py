@@ -57,6 +57,13 @@ class SimState:
         self.q = np.array(self.q, dtype=float)
         _require_finite("state", self.rho, self.q)
 
+    @classmethod
+    def _of(cls, rho: np.ndarray, q: np.ndarray) -> "SimState":
+        """A state over arrays the kernel wrote, without copy or check."""
+        state = object.__new__(cls)
+        state.rho, state.q = rho, q
+        return state
+
 
 def zero_state(model: FreewayModel) -> SimState:
     return SimState(np.zeros(model.n), np.zeros(model.n))
@@ -117,20 +124,24 @@ class DemandProfile:
         return self.w0.shape[0]
 
     def check_against(self, model: FreewayModel) -> None:
+        """Refuse demands the model cannot take; a stack is checked
+        member by member."""
         if self.w_ramp.shape[1] != model.n:
             raise ValueError(
                 f"demand has {self.w_ramp.shape[1]} ramp columns for "
                 f"{model.n} cells")
         # ramps with a queue buffer arrivals above the metering cap; ramps
         # without one must pass arrivals through, so there the cap is hard
-        unbuffered = model.queue_max <= 0.0
-        over = unbuffered[None, :] & (
-            self.w_ramp > model.ramp_flow_max[None, :] + 1e-9)
+        unbuffered = model.queue_max[..., None, :] <= 0.0
+        over = unbuffered & (
+            self.w_ramp > model.ramp_flow_max[..., None, :] + 1e-9)
         if np.any(over):
-            t, k = np.argwhere(over)[0]
+            *member, t, k = np.argwhere(over)[0]
+            plant = f" of plant {member[0]}" if member else ""
             raise ValueError(
                 f"ramp demand {self.w_ramp[t, k]:g} at step {t}, cell {k + 1} "
-                f"exceeds ramp_flow_max {model.ramp_flow_max[k]:g} and the "
+                f"exceeds ramp_flow_max "
+                f"{model.ramp_flow_max[(*member, k)]:g}{plant} and the "
                 f"ramp has no queue storage")
 
     def row(self, t: int) -> np.ndarray:
@@ -232,7 +243,7 @@ def _snap_into_box(x: np.ndarray, lo: np.ndarray | float, hi: np.ndarray,
                    what: str) -> np.ndarray:
     _check_box(x, lo, hi, _BOX_TOL * np.maximum(1.0, hi),
                f"{what} left its box")
-    return np.clip(x, lo, hi)
+    return x.clip(lo, hi)
 
 
 def _relaxed_flags(relaxed: bool | Sequence[bool]) -> bool | np.ndarray:
@@ -268,27 +279,37 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
     lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
     _check_box(rates, lo, hi, 1e-9 * np.maximum(1.0, np.abs(hi)),
                "rate outside feasible interval")
-
-    phi = _flows(model, state.rho, w_row[0])
+    noise = None
     if sigma_phi > 0.0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
         gens = [rng] if isinstance(rng, np.random.Generator) else rng
-        noise = np.reshape([g.normal(1.0, sigma_phi, size=phi.shape[-1])
-                            for g in gens], phi.shape)
-        phi = np.clip(phi * noise, 0.0, phi)
-
-    rho_next = state.rho + model.dt / model.length * (
-        phi[..., :-1] + rates - phi[..., 1:] / model.beta_bar)
-    q_next = state.q + model.dt * (w_row[1:] - rates)
-
-    if sigma_phi > 0.0:
-        rho_next = np.clip(rho_next, 0.0, model.rho_jam)
-        q_next = np.clip(q_next, 0.0, model.queue_max)
-    else:
-        rho_next = _snap_into_box(rho_next, 0.0, model.rho_jam, "density")
-        q_next = _snap_into_box(q_next, 0.0, model.queue_max, "queue")
+        noise = np.reshape([g.normal(1.0, sigma_phi, size=model.n + 1)
+                            for g in gens], state.rho.shape[:-1] + (-1,))
+    rho_next, q_next, phi = _advance(model, state.rho, state.q, rates,
+                                     w_row, noise)
     return SimState(rho_next, q_next), phi
+
+
+def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
+             rates: np.ndarray, w_row: np.ndarray,
+             noise: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step itself, from rates already checked against their interval:
+    (next densities, next queues, flow row). ``noise`` holds the flow
+    factors, or is None for a noiseless step, whose states are snapped
+    into their boxes after a check that they left them only by rounding."""
+    phi = _flows(model, rho, w_row[0])
+    if noise is not None:
+        phi = (phi * noise).clip(0.0, phi)
+    rho_next = rho + model.dt / model.length * (
+        phi[..., :-1] + rates - phi[..., 1:] / model.beta_bar)
+    q_next = q + model.dt * (w_row[1:] - rates)
+    if noise is not None:
+        return (rho_next.clip(0.0, model.rho_jam),
+                q_next.clip(0.0, model.queue_max), phi)
+    return (_snap_into_box(rho_next, 0.0, model.rho_jam, "density"),
+            _snap_into_box(q_next, 0.0, model.queue_max, "queue"), phi)
 
 
 def _batch_size(*sizes: int | None) -> int | None:
@@ -311,31 +332,33 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     as much as its bounds allow. Each step clamps the controller's output
     into the plant's feasible interval before applying it; this is the
     only saturation, so a controller cannot break the queue boxes, and a
-    law needs no bounds of its own.
+    law needs no bounds of its own. A rate the clamp cannot make feasible
+    (NaN, or a full queue whose arrivals exceed the rate cap) is a
+    contract violation, as in :func:`step`.
 
     ``relaxed`` waives the constant rate bounds [0, ramp_flow_max] in that
-    clamp and in :func:`step`, for every run or, given as R flags, per
-    run; it applies to whatever law runs.
+    clamp, for every run or, given as R flags, per run; it applies to
+    whatever law runs.
 
-    The run is a batch of R when the controller (``runs``), the
+    The run is a batch of R when the plant (a :meth:`FreewayModel.stack`
+    of R models, run r on plant r), the controller (``runs``), the
     disturbance seeds or the ``relaxed`` flags say so: every run starts
     from ``initial_state`` and every array of the trajectory has a leading
     run axis. Otherwise it is one run with the unbatched shapes.
+
+    Each run's noise factors are drawn up front, one (T, n+1) draw from its
+    generator, straight into the flow history; that is the same sequence
+    :func:`step` draws one row per step. Every step advances like
+    :func:`step` and writes into the histories.
     """
     demand.check_against(model)
-    if model.runs is not None:
-        raise ValueError("the plant must be a single model, not a stack")
-    state = initial_state if initial_state is not None else zero_state(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
     relaxed = _relaxed_flags(relaxed)
     per_run = isinstance(relaxed, np.ndarray)
-    runs = _batch_size(getattr(controller, "runs", None),
+    runs = _batch_size(model.runs, getattr(controller, "runs", None),
                        disturbance.runs if disturbance is not None else None,
                        len(relaxed) if per_run else None)
-    shape = (model.n,) if runs is None else (runs, model.n)
-    state = SimState(np.broadcast_to(state.rho, shape),
-                     np.broadcast_to(state.q, shape))
-    rng = disturbance.rng(runs) if sigma > 0.0 else None
+    state = initial_state if initial_state is not None else zero_state(model)
 
     T, n, R = demand.horizon, model.n, runs or 1
     rho_hist = np.empty((R, T + 1, n))
@@ -344,25 +367,34 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     rates_hist = np.empty((R, T, n))
     rho_hist[:, 0] = state.rho
     q_hist[:, 0] = state.q
+    noisy = sigma > 0.0
+    if noisy:
+        gens = disturbance.rng(runs)
+        for run_flows, g in zip(flows, gens if runs else [gens]):
+            run_flows[...] = g.normal(1.0, sigma, size=(T, n + 1))
+    if runs is None:   # one run: drop the run axis everywhere
+        rho_hist, q_hist, flows, rates_hist = (
+            rho_hist[0], q_hist[0], flows[0], rates_hist[0])
+    w_rows = np.column_stack((demand.w0, demand.w_ramp))
 
     r = None
     for t in range(T):
-        w_row = demand.row(t)
-        if controller is not None:
-            r = controller.compute_rates(t, state, w_row, r)
-        else:
-            r = np.inf
-        lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
-        r = np.clip(r, lo, hi)
-        state, phi = step(model, state, r, w_row, rng=rng,
-                          sigma_phi=sigma, relaxed=relaxed)
-        rho_hist[:, t + 1] = state.rho
-        q_hist[:, t + 1] = state.q
-        flows[:, t] = phi
-        rates_hist[:, t] = r
-    if runs is None:
-        rho_hist, q_hist, flows, rates_hist = (
-            rho_hist[0], q_hist[0], flows[0], rates_hist[0])
+        w_row = w_rows[t]
+        rho, q = rho_hist[..., t, :], q_hist[..., t, :]
+        raw = np.inf if controller is None else controller.compute_rates(
+            t, SimState._of(rho, q), w_row, r)
+        lo, hi = _rate_bounds(model, q, w_row[1:], relaxed=relaxed)
+        r = np.asarray(raw, dtype=float).clip(lo, hi)
+        # the clamp leaves r <= hi, so only the lower side can fail: at a
+        # NaN rate or an empty interval (lo > hi), refused as in step
+        # unless the interval is empty by rounding only
+        if not (r >= lo).all():
+            _check_box(r, lo, hi, 1e-9 * np.maximum(1.0, np.abs(hi)),
+                       "rate outside feasible interval")
+        (rho_hist[..., t + 1, :], q_hist[..., t + 1, :],
+         flows[..., t, :]) = _advance(model, rho, q, r, w_row,
+                                      flows[..., t, :] if noisy else None)
+        rates_hist[..., t, :] = r
     return Trajectory(rho=rho_hist, q=q_hist, flows=flows,
                       rates=rates_hist, demand=demand)
 
@@ -381,7 +413,8 @@ class RateSchedule:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Run totals; on a batch, tts, twt and tdt carry a leading run axis."""
+    """Run totals; on a batch, tts, twt and tdt carry a leading run axis,
+    and so does tft on a stack of plants."""
 
     tts: float           # car-hours spent in the network
     tft: float           # car-hours if every car ran at free-flow speed
@@ -394,13 +427,25 @@ class Metrics:
 
 def freeflow_traverse_times(model: FreewayModel) -> np.ndarray:
     """tau[k-1]: hours a car entering at cell k needs to leave the network
-    at free-flow speed, weighted by the share that survives each offramp."""
-    tau = np.empty(model.n)
+    at free-flow speed, weighted by the share that survives each offramp;
+    (R, n) for a stack of R models."""
+    tau = np.empty(model.length.shape)
     acc = 0.0
     for j in range(model.n - 1, -1, -1):
-        acc = model.length[j] / model.v_free[j] + model.beta_bar[j] * acc
-        tau[j] = acc
+        acc = (model.length[..., j] / model.v_free[..., j]
+               + model.beta_bar[..., j] * acc)
+        tau[..., j] = acc
     return tau
+
+
+def _dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x @ v`` over the last axis. A stacked ``v`` (R, n) contracts run r
+    of ``x`` with row r, rounding as ``x[r] @ v[r]`` does."""
+    if v.ndim == 1:
+        return x @ v
+    runs, n = v.shape
+    return np.matmul(x.reshape(runs, -1, n),
+                     v[:, :, None]).reshape(x.shape[:-1])
 
 
 def _per_run(x):
@@ -409,13 +454,14 @@ def _per_run(x):
 
 
 def evaluate_metrics(model: FreewayModel, traj: Trajectory) -> Metrics:
+    """Totals of a run, of a batch, or of a batch on a stack of plants."""
     dt = model.dt
-    tts = _per_run(dt * (np.sum(traj.rho @ model.length, axis=-1)
+    tts = _per_run(dt * (np.sum(_dot(traj.rho, model.length), axis=-1)
                          + np.sum(traj.q, axis=(-2, -1))))
     tau = freeflow_traverse_times(model)
-    tft = dt * float(np.sum(traj.demand.w0) * tau[0]
-                     + np.sum(traj.demand.w_ramp @ tau))
-    tdt = dt * (traj.flows[..., 1:] @ model.length)
+    tft = _per_run(dt * (np.sum(traj.demand.w0) * tau[..., 0] + np.sum(
+        np.matmul(traj.demand.w_ramp, tau[..., None])[..., 0], axis=-1)))
+    tdt = dt * _dot(traj.flows[..., 1:], model.length)
     return Metrics(tts=tts, tft=tft, twt=tts - tft, tdt=tdt)
 
 
@@ -424,10 +470,10 @@ def mass_conservation_residual(model: FreewayModel, traj: Trajectory) -> float:
     the worst run's gap for a batch."""
     dt = model.dt
     entered = dt * (float(np.sum(traj.demand.w0)) + float(np.sum(traj.demand.w_ramp)))
-    stored0 = traj.rho[..., 0, :] @ model.length + np.sum(traj.q[..., 0, :], axis=-1)
-    storedT = traj.rho[..., -1, :] @ model.length + np.sum(traj.q[..., -1, :], axis=-1)
+    stored0 = _dot(traj.rho[..., 0, :], model.length) + np.sum(traj.q[..., 0, :], axis=-1)
+    storedT = _dot(traj.rho[..., -1, :], model.length) + np.sum(traj.q[..., -1, :], axis=-1)
     offramp = model.beta / model.beta_bar
     left = dt * (np.sum(traj.flows[..., -1], axis=-1)
-                 + np.sum(traj.flows[..., 1:] @ offramp, axis=-1))
+                 + np.sum(_dot(traj.flows[..., 1:], offramp), axis=-1))
     scale = np.maximum(1.0, entered + stored0)
     return float(np.max(np.abs(entered + stored0 - storedT - left) / scale))

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from rampflow.controllers import make_controller
 from rampflow.cumulative import (
     BoundsReport,
-    CumulativeState,
     DEMAND_LIMITED,
     InconsistentStateError,
     NONRESTRICTIVE,

@@ -1,8 +1,11 @@
 """The hypograph LP: shape, exactness against resimulation, exhaustive
 oracles on tiny instances, and the structure of known optima."""
 
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import rampflow.lp
 from rampflow.controllers import make_controller
 from rampflow.cumulative import tts_bounds
 from rampflow.lp import (
-    LpError,
     UnsupportedModelError,
     VarMap,
     _greedy_basis,
@@ -578,3 +580,18 @@ def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     assert sol.objective == pytest.approx(
         _solve_without_bindings(inst, monkeypatch).objective, rel=1e-9)
     assert certify_relaxation(inst, sol).failure
+
+
+def test_scipy_loads_only_where_the_lp_needs_it():
+    """A fresh ``import rampflow, rampflow.cli`` leaves scipy unloaded;
+    building an LP loads it (the negative control)."""
+    probe = ("import sys, rampflow, rampflow.cli\n"
+             "print('scipy' in sys.modules)\n"
+             "sc = rampflow.builtin_example1()\n"
+             "rampflow.build_lp(sc.model, sc.demand, sc.initial)\n"
+             "print('scipy' in sys.modules)\n")
+    src = Path(rampflow.lp.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split() == ["False", "True"]

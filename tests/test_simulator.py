@@ -24,7 +24,6 @@ from rampflow.simulator import (
     mass_conservation_residual,
     simulate,
     step,
-    zero_state,
 )
 
 from conftest import one_step_rates, random_demand, random_model
@@ -426,3 +425,193 @@ def test_a_belief_is_saturated_by_the_plant_bounds():
     np.testing.assert_array_equal(halved.rates, greedy.rates)
     assert evaluate_metrics(sc.model, halved).tts == pytest.approx(
         13.530489, abs=5e-7)
+
+
+# ---------------------------------------------------------------------------
+# simulate's fused loop against a loop of public steps
+
+
+def step_loop(plant, demand, law, initial, sigma, seed, relaxed):
+    """The closed loop as the reference writes it: clamp the law's raw
+    rate into the plant's interval, then one checked ``step`` with its
+    per-step noise draws."""
+    runs = law.runs
+    shape = (plant.n,) if runs is None else (runs, plant.n)
+    state = SimState(np.broadcast_to(initial.rho, shape),
+                     np.broadcast_to(initial.q, shape))
+    rng = None
+    if sigma:
+        rng = np.random.default_rng(seed) if runs is None \
+            else [np.random.default_rng(s) for s in seed]
+    hist = {name: [] for name in RUN_FIELDS}
+    hist["rho"].append(state.rho)
+    hist["q"].append(state.q)
+    r = None
+    for t in range(demand.horizon):
+        w_row = demand.row(t)
+        lo, hi = _rate_bounds(plant, state.q, w_row[1:], relaxed=relaxed)
+        r = np.clip(law.compute_rates(t, state, w_row, r), lo, hi)
+        state, phi = step(plant, state, r, w_row, rng=rng, sigma_phi=sigma,
+                          relaxed=relaxed)
+        for name, value in zip(RUN_FIELDS, (state.rho, state.q, phi, r)):
+            hist[name].append(value)
+    return {name: np.stack(v, axis=-2) for name, v in hist.items()}
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("drop", [0.0, 0.1], ids=["monotone", "capacity_drop"])
+@pytest.mark.parametrize("relaxed", [False, True], ids=["capped", "relaxed"])
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("kind", KINDS)
+def test_simulate_equals_a_loop_of_steps(kind, sigma, relaxed, drop, batch):
+    sc = builtin_example1()
+    plant = with_capacity_drop(sc.model, drop)
+    if batch:
+        belief = [sample_controller_model(sc.model, 0.05, 0.10, seed=s)
+                  for s in range(3)]
+        seed = [11, 12, 13]
+    else:
+        belief, seed = sample_controller_model(sc.model, 0.05, 0.10, 0), 11
+    law = make_controller(kind, belief)
+
+    def outcome(run):
+        """The run's arrays, or the message of the box it broke."""
+        try:
+            traj = run()
+        except ContractViolationError as e:
+            return str(e)
+        return traj if isinstance(traj, dict) else \
+            {name: getattr(traj, name) for name in RUN_FIELDS}
+
+    got = outcome(lambda: simulate(
+        plant, sc.demand, law, disturbance=DisturbanceSpec(sigma, seed=seed),
+        initial_state=sc.initial, relaxed=relaxed))
+    want = outcome(lambda: step_loop(plant, sc.demand, law, sc.initial,
+                                     sigma, seed, relaxed))
+    if isinstance(want, str):
+        # an unmetered relaxed ramp can overfill its cell; both loops stop
+        # there with the same message
+        assert got == want
+        return
+    for name in RUN_FIELDS:
+        assert got[name].shape == want[name].shape
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+class _Constant:
+    """A law that asks for the same rate at every step."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def compute_rates(self, t, state, w_row, r_prev):
+        return np.full(state.q.shape, self.value)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_simulate_refuses_rates_no_clamp_makes_feasible(sigma):
+    m = one_cell(dt=1.0 / 240.0, ramp_flow_max=1800.0, queue_max=50.0)
+    noise = DisturbanceSpec(sigma, seed=3)
+    calm = DemandProfile(w0=np.full(5, 500.0), w_ramp=np.full((5, 1), 900.0))
+    # a NaN rate survives the clamp
+    with pytest.raises(ContractViolationError, match="rate"):
+        simulate(m, calm, _Constant(np.nan), disturbance=noise)
+    # a full queue whose arrivals exceed the cap has an empty interval
+    flood = DemandProfile(w0=np.full(5, 500.0),
+                          w_ramp=np.full((5, 1), 2400.0))
+    full = SimState([10.0], [50.0])
+    with pytest.raises(ContractViolationError, match="rate"):
+        simulate(m, flood, initial_state=full, disturbance=noise)
+    # negative control: a finite rate on the full queue and arrivals under
+    # the cap is clamped up to the arrivals and runs
+    traj = simulate(m, calm, _Constant(700.0), initial_state=full,
+                    disturbance=noise)
+    assert np.all(traj.rates == 900.0)
+
+
+# ---------------------------------------------------------------------------
+# a stack of plants
+
+
+def _variant_plants():
+    sc = builtin_example1()
+    return sc, [sc.model, with_capacity_drop(sc.model, 0.1)]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_plant_stack_equals_the_per_variant_batches(kind, sigma):
+    sc, plants = _variant_plants()
+    beliefs = [sample_controller_model(sc.model, 0.05, 0.10, seed=s)
+               for s in range(3)]
+    seeds = [11, 12, 13]
+
+    def run(plant, belief, seed):
+        return simulate(plant, sc.demand, make_controller(kind, belief),
+                        disturbance=DisturbanceSpec(sigma, seed=seed),
+                        initial_state=sc.initial)
+
+    stack = FreewayModel.stack([p for p in plants for _ in seeds])
+    both = run(stack, beliefs * 2, seeds * 2)
+    for v, plant in enumerate(plants):
+        one = run(plant, beliefs, seeds)
+        for name in RUN_FIELDS:
+            np.testing.assert_array_equal(getattr(both, name)[3 * v:3 * v + 3],
+                                          getattr(one, name))
+    # with one law and no noise the plant alone sets the batch size
+    traj = simulate(FreewayModel.stack(plants), sc.demand,
+                    make_controller(kind, sc.model), initial_state=sc.initial)
+    for v, plant in enumerate(plants):
+        one = simulate(plant, sc.demand, make_controller(kind, sc.model),
+                       initial_state=sc.initial)
+        for name in RUN_FIELDS:
+            np.testing.assert_array_equal(getattr(traj, name)[v],
+                                          getattr(one, name))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_stack_metrics_equal_the_members(sigma):
+    sc, plants = _variant_plants()
+    stack = FreewayModel.stack(plants)
+    traj = simulate(stack, sc.demand, make_controller("best_effort", sc.model),
+                    disturbance=DisturbanceSpec(sigma, seed=[5, 6]),
+                    initial_state=sc.initial)
+    met = evaluate_metrics(stack, traj)
+    tau = freeflow_traverse_times(stack)
+    assert tau.shape == (2, stack.n)
+    for v, plant in enumerate(plants):
+        np.testing.assert_array_equal(tau[v], freeflow_traverse_times(plant))
+        one = evaluate_metrics(plant, traj.run(v))
+        for name in ("tts", "tft", "twt", "tdt"):
+            np.testing.assert_array_equal(getattr(met, name)[v],
+                                          getattr(one, name))
+    assert mass_conservation_residual(stack, traj) == max(
+        mass_conservation_residual(p, traj.run(v))
+        for v, p in enumerate(plants))
+
+
+def test_stack_demand_check_equals_the_members():
+    sc = builtin_example2()
+    ok = sc.model
+    queueless = ok.with_cells([replace(c, queue_max=0.0) for c in ok.cells])
+    flood = DemandProfile(w0=np.zeros(3), w_ramp=np.full((3, 1), 2000.0))
+    flood.check_against(ok)
+    with pytest.raises(ValueError, match="no queue storage"):
+        flood.check_against(queueless)
+    with pytest.raises(ValueError, match="plant 1 and the ramp has no queue"):
+        flood.check_against(FreewayModel.stack([ok, queueless]))
+    flood.check_against(FreewayModel.stack([ok, ok]))
+
+
+def test_a_plant_stack_must_match_the_batch():
+    sc, plants = _variant_plants()
+    stack = FreewayModel.stack(plants)
+    with pytest.raises(ValueError, match="batch sizes disagree"):
+        simulate(stack, sc.demand, make_controller("alinea", [sc.model] * 3))
+    with pytest.raises(ValueError, match="batch sizes disagree"):
+        simulate(stack, sc.demand,
+                 disturbance=DisturbanceSpec(0.05, seed=[1, 2, 3]))
+    # negative control: sizes that agree
+    traj = simulate(stack, sc.demand, make_controller("alinea", [sc.model] * 2),
+                    disturbance=DisturbanceSpec(0.05, seed=[1, 2]))
+    assert traj.rho.shape[0] == 2
