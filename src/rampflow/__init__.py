@@ -6,6 +6,7 @@ from .model import (
     CellParams,
     FreewayModel,
     GeometryError,
+    UnsupportedModelError,
     Violation,
     triangular_fd_defaults,
     validate_model,
@@ -50,7 +51,6 @@ from .cumulative import (
 from .lp import (
     LpInstance,
     LpSolution,
-    UnsupportedModelError,
     brute_force_min_tts,
     build_lp,
     certify_relaxation,

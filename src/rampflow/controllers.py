@@ -28,6 +28,9 @@ KINDS = ("none", "best_effort", "alinea")
 #: integral gain in (cars/h) per (cars/km); a stock roadside value
 DEFAULT_KI = 70.0
 
+#: belief models :func:`sample_controller_model` draws before giving up
+_MAX_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -98,16 +101,16 @@ def internal_flows(model: FreewayModel, rho_measured: np.ndarray,
 
 
 def sample_controller_model(nominal: FreewayModel, dv: float, drho: float,
-                            seed: int, max_tries: int = 100) -> FreewayModel:
+                            seed: int) -> FreewayModel:
     """Draw a belief model with v_free and rho_jam perturbed uniformly by
     +-dv and +-drho (relative); critical densities are kept, and the wave
     speed and outflow cap are re-derived from the perturbed values.
 
-    Resamples until the perturbed model validates; identical seeds give
-    identical models.
+    Resamples, up to ``_MAX_DRAWS`` times, until the perturbed model
+    validates; identical seeds give identical models.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         cells = []
         for c in nominal.cells:
             v_hat = c.v_free * (1.0 + rng.uniform(-dv, dv))
@@ -124,5 +127,5 @@ def sample_controller_model(nominal: FreewayModel, dv: float, drho: float,
         if not validate_model(model):
             return model
     raise ValueError(
-        f"no valid perturbed model after {max_tries} draws "
+        f"no valid perturbed model after {_MAX_DRAWS} draws "
         f"(dv={dv}, drho={drho})")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import make_controller
-from .model import FreewayModel, UnsupportedModelError, require_stable_step
+from .model import FreewayModel, require_monotone
 from .simulator import (
     DemandProfile,
     SimState,
@@ -33,6 +33,10 @@ from .simulator import (
     evaluate_metrics,
     simulate,
 )
+
+
+#: relative slack a decoded density may leave its box by
+_DECODE_TOL = 1e-6
 
 
 class InconsistentStateError(ValueError):
@@ -92,11 +96,12 @@ def _decode(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
             + cum.inflow_cum) / model.length
 
 
-def reconstruct_densities(model: FreewayModel, cum: CumulativeState,
-                          tol: float = 1e-6) -> np.ndarray:
-    """Decode densities; raises if they land outside [0, rho_jam]."""
+def reconstruct_densities(model: FreewayModel,
+                          cum: CumulativeState) -> np.ndarray:
+    """Decode densities; raises if they land outside [0, rho_jam] by more
+    than rounding."""
     rho = _decode(model, cum)
-    slack = tol * np.maximum(1.0, model.rho_jam)
+    slack = _DECODE_TOL * np.maximum(1.0, model.rho_jam)
     if np.any(rho < -slack) or np.any(rho > model.rho_jam + slack):
         k = int(np.argmax(np.maximum(-rho, rho - model.rho_jam)))
         raise InconsistentStateError(
@@ -343,11 +348,7 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     step-size conditions are refused: they are not monotone, so the
     relaxed run proves no lower bound.
     """
-    if model.has_capacity_drop:
-        raise UnsupportedModelError(
-            "capacity drop breaks monotonicity; the relaxed run is no "
-            "lower bound for such models")
-    require_stable_step(model)
+    require_monotone(model)
     both = simulate(model, demand,
                     controller=make_controller("best_effort", model),
                     initial_state=initial_state, relaxed=(False, True))

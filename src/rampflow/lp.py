@@ -25,15 +25,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .controllers import make_controller
-from .model import FreewayModel, UnsupportedModelError, require_stable_step
+from .model import FreewayModel, require_monotone
 from .simulator import (
     ContractViolationError,
     DemandProfile,
     RateSchedule,
     SimState,
+    _check_rates,
+    _rate_bounds,
+    _rate_caps,
     compute_flows,
     evaluate_metrics,
-    feasible_rate_interval,
     simulate,
     step,
     zero_state,
@@ -41,17 +43,6 @@ from .simulator import (
 
 if TYPE_CHECKING:
     from scipy import sparse
-
-
-def __getattr__(name: str):
-    """``linprog``, imported on first use (PEP 562): scipy is imported
-    where the LP needs it, so ``import rampflow`` does not load it. Once
-    imported it is a module attribute that can be patched."""
-    if name != "linprog":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.optimize import linprog
-    globals()["linprog"] = linprog
-    return linprog
 
 
 class LpError(RuntimeError):
@@ -131,11 +122,7 @@ class LpInstance:
 def build_lp(model: FreewayModel, demand: DemandProfile,
              initial_state: SimState | None = None) -> LpInstance:
     """Assemble the hypograph relaxation of the min-time metering problem."""
-    if model.has_capacity_drop:
-        raise UnsupportedModelError(
-            "discharge drop makes outflow non-concave in density; the "
-            "hypograph relaxation is not exact for such models")
-    require_stable_step(model)
+    require_monotone(model)
     demand.check_against(model)
     initial = zero_state(model) if initial_state is None else initial_state
 
@@ -241,6 +228,14 @@ _HIGHS_OPTIONS = {**_TOLERANCES, "output_flag": False,
 _LOWER, _BASIC, _UPPER = 0, 1, 2
 _TIGHT = 1e-9
 
+#: largest relative row violation a solution may carry
+_RESIDUAL_TOL = 1e-7
+#: largest relative gap between a replay and the LP objective that
+#: certifies the relaxation exact
+_CERTIFY_TOL = 1e-6
+#: search nodes :func:`brute_force_min_tts` may visit
+_NODE_LIMIT = 200_000
+
 
 def _highs_bindings():
     """HiGHS's own python bindings as scipy ships them, or None on a scipy
@@ -252,7 +247,7 @@ def _highs_bindings():
     return _core
 
 
-def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
+def solve_lp(inst: LpInstance) -> LpSolution:
     """Solve the instance with HiGHS, warm-started from the greedy run.
 
     A scipy without HiGHS's bindings solves it cold through ``linprog``.
@@ -268,7 +263,7 @@ def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
     scale_ub = np.maximum(1.0, np.abs(inst.b_ub))
     residual_ub = float(np.max((inst.a_ub @ x - inst.b_ub) / scale_ub)) \
         if inst.b_ub.size else 0.0
-    if residual_eq > residual_tol or residual_ub > residual_tol:
+    if residual_eq > _RESIDUAL_TOL or residual_ub > _RESIDUAL_TOL:
         raise LpError(
             f"solution violates rows: eq {residual_eq:g}, ub {residual_ub:g}")
 
@@ -282,7 +277,7 @@ def solve_lp(inst: LpInstance, residual_tol: float = 1e-7) -> LpSolution:
 
 
 def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
-    linprog = globals().get("linprog") or __getattr__("linprog")
+    from scipy.optimize import linprog
     res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
                   A_eq=inst.a_eq, b_eq=inst.b_eq,
                   bounds=np.column_stack((inst.lb, inst.ub)),
@@ -409,7 +404,7 @@ class RelaxationCertificate:
     exact: bool
     lp_objective: float
     simulated_tts: float
-    gap: float                # simulated minus LP, >= -tol when exact
+    gap: float                # simulated minus LP, ~0 when exact
     max_rate_adjustment: float
     failure: str = ""
 
@@ -417,8 +412,8 @@ class RelaxationCertificate:
         return self.exact
 
 
-def certify_relaxation(inst: LpInstance, sol: LpSolution,
-                       tol: float = 1e-6) -> RelaxationCertificate:
+def certify_relaxation(inst: LpInstance,
+                       sol: LpSolution) -> RelaxationCertificate:
     """Replay the LP's rates through the real dynamics.
 
     For monotone models the replayed run can only shift flows earlier, so
@@ -437,7 +432,7 @@ def certify_relaxation(inst: LpInstance, sol: LpSolution,
     adjust = float(np.max(np.abs(traj.rates - sol.rates))) if sol.rates.size \
         else 0.0
     gap = tts - sol.objective
-    exact = abs(gap) <= tol * max(1.0, sol.objective)
+    exact = abs(gap) <= _CERTIFY_TOL * max(1.0, sol.objective)
     return RelaxationCertificate(exact=exact, lp_objective=sol.objective,
                                  simulated_tts=tts, gap=gap,
                                  max_rate_adjustment=adjust)
@@ -498,19 +493,17 @@ def _rate_grid(model: FreewayModel, state: SimState, w_row: np.ndarray,
                points: int) -> np.ndarray:
     """Cartesian grid over each ramp's current feasible rate interval, one
     (G, n) row per rate vector, the last ramp varying fastest."""
-    axes = []
-    for k in range(1, model.n + 1):
-        lo, hi = feasible_rate_interval(model, k, float(state.q[k - 1]),
-                                        float(w_row[k]))
-        axes.append(np.linspace(lo, hi, points) if hi > lo else np.array([lo]))
+    lo, hi = _rate_bounds(model, state.q, w_row[1:], _rate_caps(model, False))
+    _check_rates(lo, lo, hi)
+    axes = [np.linspace(a, b, points) if b > a else np.array([a])
+            for a, b in zip(lo.tolist(), hi.tolist())]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def brute_force_min_tts(model: FreewayModel, demand: DemandProfile,
                         initial_state: SimState | None = None,
-                        points: int = 5,
-                        node_limit: int = 200_000) -> tuple[float, np.ndarray]:
+                        points: int = 5) -> tuple[float, np.ndarray]:
     """Exhaustive search over gridded rate choices; tiny instances only.
 
     The grid always contains both interval endpoints, so problems whose
@@ -519,7 +512,7 @@ def brute_force_min_tts(model: FreewayModel, demand: DemandProfile,
     T = demand.horizon
     # cells whose ramp can ever admit more than one feasible rate
     branching = int(np.sum((model.ramp_flow_max > 0) | (model.queue_max > 0)))
-    if (points ** branching) ** T > node_limit:
+    if (points ** branching) ** T > _NODE_LIMIT:
         raise ValueError("instance too large for exhaustive search")
     initial = zero_state(model) if initial_state is None else initial_state
     dt = model.dt

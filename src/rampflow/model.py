@@ -204,9 +204,9 @@ def validate_model(model: FreewayModel) -> list[Violation]:
             out.append(Violation(
                 k, "0 < rho_crit < rho_jam",
                 f"rho_crit={c.rho_crit}, rho_jam={c.rho_jam}"))
-        if c.w_back is None or c.w_back <= 0.0:
+        if c.w_back <= 0.0:
             out.append(Violation(k, "w_back > 0", f"w_back={c.w_back}"))
-        if c.capacity is None or c.capacity <= 0.0:
+        if c.capacity <= 0.0:
             out.append(Violation(k, "capacity > 0", f"capacity={c.capacity}"))
         if not (0.0 <= c.beta < 1.0):
             out.append(Violation(k, "0 <= beta < 1", f"beta={c.beta}"))
@@ -224,18 +224,23 @@ def validate_model(model: FreewayModel) -> list[Violation]:
             out.append(Violation(
                 k, _STEP_RULES[0],
                 f"dt*{c_d:g} = {model.dt * c_d:g} > {c.length * c.beta_bar:g}"))
-        if c.w_back is not None and model.dt * c.w_back > c.length + 1e-12:
+        if model.dt * c.w_back > c.length + 1e-12:
             out.append(Violation(
                 k, _STEP_RULES[1],
                 f"dt*{c.w_back:g} = {model.dt * c.w_back:g} > {c.length:g}"))
     return out
 
 
-def require_stable_step(model: FreewayModel) -> None:
-    """Refuse a model whose step breaks the step-size conditions: its
-    dynamics are no longer monotone, so neither the LP relaxation nor the
-    bound sandwich covers it. The constructor accepts such models, so the
-    monotonicity probe can show them failing."""
+def require_monotone(model: FreewayModel) -> None:
+    """Refuse a model outside the monotone class, which is all that the LP
+    relaxation and the bound sandwich cover: a capacity drop makes outflow
+    non-concave in density, and a step that breaks the step-size
+    conditions makes the dynamics non-monotone. The constructor accepts
+    such models, so the monotonicity probe can show them failing."""
+    if model.has_capacity_drop:
+        raise UnsupportedModelError(
+            "capacity drop breaks monotonicity; neither the LP relaxation "
+            "nor the bound sandwich is exact for such models")
     bad = [str(v) for v in validate_model(model) if v.rule in _STEP_RULES]
     if bad:
         raise UnsupportedModelError(

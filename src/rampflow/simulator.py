@@ -200,31 +200,38 @@ def feasible_rate_interval(model: FreewayModel, k: int, q_k: float,
                            w_k: float) -> tuple[float, float]:
     """Admissible metering rates for the ramp of cell k (1-based) given its
     queue and current arrivals: the rate cap and both queue-box limits."""
-    lo, hi = _rate_bounds(model, np.array([q_k]), np.array([w_k]),
-                          cell_slice=slice(k - 1, k))
-    if lo[0] > hi[0] + 1e-9 * max(1.0, hi[0]):
-        raise ContractViolationError(
-            f"empty rate interval at cell {k}: [{lo[0]:g}, {hi[0]:g}]")
-    return float(lo[0]), float(hi[0])
+    if not 1 <= k <= model.n:
+        raise ValueError(f"cell {k} outside 1..{model.n}")
+    q, w = np.zeros((2, model.n))
+    q[k - 1], w[k - 1] = q_k, w_k
+    lo, hi = _rate_bounds(model, q, w, _rate_caps(model, False))
+    _check_rates(lo, lo, hi)
+    return float(lo[k - 1]), float(hi[k - 1])
+
+
+def _rate_caps(model: FreewayModel, relaxed: bool | Sequence[bool],
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The constant rate bounds [0, ramp_flow_max], or (-inf, inf) where
+    ``relaxed`` waives them: one flag, or R flags, one per run of a batch."""
+    flags = np.asarray(relaxed, dtype=bool)[..., None]
+    return (np.where(flags, -np.inf, 0.0),
+            np.where(flags, np.inf, model.ramp_flow_max))
 
 
 def _rate_bounds(model: FreewayModel, q: np.ndarray, w: np.ndarray,
-                 relaxed: bool | np.ndarray = False,
-                 cell_slice: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Queue-box limits, plus the constant bounds [0, ramp_flow_max] unless
-    ``relaxed``: one flag, or one per run of an (R, n) batch."""
-    q_max = model.queue_max[..., cell_slice]
-    r_max = model.ramp_flow_max[..., cell_slice]
-    lo = (q - q_max) / model.dt + w
-    hi = q / model.dt + w
-    if isinstance(relaxed, np.ndarray):
-        capped = ~relaxed[:, None]
-        lo = np.where(capped, np.maximum(0.0, lo), lo)
-        hi = np.where(capped, np.minimum(r_max, hi), hi)
-    elif not relaxed:
-        lo = np.maximum(0.0, lo)
-        hi = np.minimum(r_max, hi)
-    return lo, hi
+                 caps: tuple[np.ndarray, np.ndarray],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible rate interval: both queue-box limits within ``caps``,
+    the constant bounds from :func:`_rate_caps`."""
+    return (np.maximum(caps[0], (q - model.queue_max) / model.dt + w),
+            np.minimum(caps[1], q / model.dt + w))
+
+
+def _check_rates(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise unless every rate lies in its interval up to rounding; an
+    empty interval is refused as ``_check_rates(lo, lo, hi)``."""
+    _check_box(r, lo, hi, _BOX_TOL * np.maximum(1.0, np.abs(hi)),
+               "rate outside feasible interval")
 
 
 def _check_box(x: np.ndarray, lo, hi, tol, what: str) -> None:
@@ -246,14 +253,6 @@ def _snap_into_box(x: np.ndarray, lo: np.ndarray | float, hi: np.ndarray,
     return x.clip(lo, hi)
 
 
-def _relaxed_flags(relaxed: bool | Sequence[bool]) -> bool | np.ndarray:
-    """One flag, or an (R,) bool array from a sequence of per-run flags."""
-    if isinstance(relaxed, bool):
-        return relaxed
-    flags = np.asarray(relaxed, dtype=bool)
-    return flags if flags.ndim else bool(flags)
-
-
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
          w_row: np.ndarray, rng=None, sigma_phi: float = 0.0,
          relaxed: bool | Sequence[bool] = False,
@@ -270,15 +269,12 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
     non-finite ``sigma_phi`` is refused.
     """
     _check_noise_level(sigma_phi)
-    relaxed = _relaxed_flags(relaxed)
-    per_run = isinstance(relaxed, np.ndarray)
-    if per_run and state.q.shape[:-1] != relaxed.shape:
-        raise ValueError(f"{relaxed.shape[0]} relaxed flags for state "
+    if np.ndim(relaxed) and np.shape(relaxed) != state.q.shape[:-1]:
+        raise ValueError(f"{len(relaxed)} relaxed flags for state "
                          f"of shape {state.q.shape}")
     rates = np.asarray(rates, dtype=float)
-    lo, hi = _rate_bounds(model, state.q, w_row[1:], relaxed=relaxed)
-    _check_box(rates, lo, hi, 1e-9 * np.maximum(1.0, np.abs(hi)),
-               "rate outside feasible interval")
+    _check_rates(rates, *_rate_bounds(model, state.q, w_row[1:],
+                                      _rate_caps(model, relaxed)))
     noise = None
     if sigma_phi > 0.0:
         if rng is None:
@@ -353,11 +349,10 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     """
     demand.check_against(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
-    relaxed = _relaxed_flags(relaxed)
-    per_run = isinstance(relaxed, np.ndarray)
     runs = _batch_size(model.runs, getattr(controller, "runs", None),
                        disturbance.runs if disturbance is not None else None,
-                       len(relaxed) if per_run else None)
+                       len(relaxed) if np.ndim(relaxed) else None)
+    caps = _rate_caps(model, relaxed)
     state = initial_state if initial_state is not None else zero_state(model)
 
     T, n, R = demand.horizon, model.n, runs or 1
@@ -383,14 +378,13 @@ def simulate(model: FreewayModel, demand: DemandProfile,
         rho, q = rho_hist[..., t, :], q_hist[..., t, :]
         raw = np.inf if controller is None else controller.compute_rates(
             t, SimState._of(rho, q), w_row, r)
-        lo, hi = _rate_bounds(model, q, w_row[1:], relaxed=relaxed)
+        lo, hi = _rate_bounds(model, q, w_row[1:], caps)
         r = np.asarray(raw, dtype=float).clip(lo, hi)
         # the clamp leaves r <= hi, so only the lower side can fail: at a
         # NaN rate or an empty interval (lo > hi), refused as in step
         # unless the interval is empty by rounding only
         if not (r >= lo).all():
-            _check_box(r, lo, hi, 1e-9 * np.maximum(1.0, np.abs(hi)),
-                       "rate outside feasible interval")
+            _check_rates(r, lo, hi)
         (rho_hist[..., t + 1, :], q_hist[..., t + 1, :],
          flows[..., t, :]) = _advance(model, rho, q, r, w_row,
                                       flows[..., t, :] if noisy else None)

@@ -14,6 +14,7 @@ from rampflow.simulator import (
     RateSchedule,
     SimState,
     _rate_bounds,
+    _rate_caps,
     simulate,
     step,
 )
@@ -83,7 +84,7 @@ def test_best_effort_tracks_critical_density_when_unclamped():
         w_row = np.concatenate((
             [rng.uniform(0.0, 2000.0)],
             rng.uniform(0.0, m.ramp_flow_max)))
-        lo, hi = _rate_bounds(m, q, w_row[1:])
+        lo, hi = _rate_bounds(m, q, w_row[1:], _rate_caps(m, False))
         r = np.clip(spec.compute_rates(0, state, w_row, None), lo, hi)
         unclamped = lo + 1e-7 < r
         unclamped &= r < hi - 1e-7

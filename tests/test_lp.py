@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
@@ -16,7 +17,6 @@ import rampflow.lp
 from rampflow.controllers import make_controller
 from rampflow.cumulative import tts_bounds
 from rampflow.lp import (
-    UnsupportedModelError,
     VarMap,
     _greedy_basis,
     brute_force_max_next_flows,
@@ -26,7 +26,7 @@ from rampflow.lp import (
     export_lp_text,
     solve_lp,
 )
-from rampflow.model import CellParams, FreewayModel
+from rampflow.model import CellParams, FreewayModel, UnsupportedModelError
 from rampflow.simulator import (
     DemandProfile,
     SimState,
@@ -550,8 +550,8 @@ def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
     basis with one basic per row, and is certified exact."""
     inst = build_lp(*LP_CASES[case]())
     calls = []
-    real = rampflow.lp.linprog
-    monkeypatch.setattr(rampflow.lp, "linprog",
+    real = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     warm = solve_lp(inst)
     assert calls == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rampflow.controllers import KINDS, make_controller, sample_controller_model
+from rampflow.lp import brute_force_max_next_flows
 from rampflow.model import CellParams, FreewayModel
 from rampflow.scenarios import (
     builtin_example1,
@@ -17,6 +18,7 @@ from rampflow.simulator import (
     DisturbanceSpec,
     SimState,
     _rate_bounds,
+    _rate_caps,
     compute_flows,
     evaluate_metrics,
     feasible_rate_interval,
@@ -70,6 +72,9 @@ def test_feasible_rate_interval():
     lo, hi = feasible_rate_interval(m, 1, q_k=0.0, w_k=500.0)
     assert lo == 0.0
     assert hi == pytest.approx(500.0, rel=1e-12)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="outside 1..1"):
+            feasible_rate_interval(m, k, q_k=0.0, w_k=500.0)
 
 
 def test_step_density_update():
@@ -397,7 +402,7 @@ def test_relaxed_runs_waive_the_cap_for_every_law(kind):
     for flag in (False, True):
         applied[flag] = one_step_rates(m, kind, start, w_row, relaxed=flag,
                                        ki=1e6)
-        lo, hi = _rate_bounds(m, start.q, w_row[1:], relaxed=flag)
+        lo, hi = _rate_bounds(m, start.q, w_row[1:], _rate_caps(m, flag))
         np.testing.assert_array_equal(applied[flag], np.clip(raw, lo, hi))
     # an empty corridor makes every law ask for more than the cap, and a
     # relaxed run lets it through up to the queue box
@@ -449,7 +454,8 @@ def step_loop(plant, demand, law, initial, sigma, seed, relaxed):
     r = None
     for t in range(demand.horizon):
         w_row = demand.row(t)
-        lo, hi = _rate_bounds(plant, state.q, w_row[1:], relaxed=relaxed)
+        lo, hi = _rate_bounds(plant, state.q, w_row[1:],
+                              _rate_caps(plant, relaxed))
         r = np.clip(law.compute_rates(t, state, w_row, r), lo, hi)
         state, phi = step(plant, state, r, w_row, rng=rng, sigma_phi=sigma,
                           relaxed=relaxed)
@@ -527,6 +533,37 @@ def test_simulate_refuses_rates_no_clamp_makes_feasible(sigma):
     traj = simulate(m, calm, _Constant(700.0), initial_state=full,
                     disturbance=noise)
     assert np.all(traj.rates == 900.0)
+
+
+@pytest.mark.parametrize("excess,refused", [(2e-9, True), (0.5e-9, False)],
+                         ids=["refused", "accepted"])
+def test_every_rate_check_refuses_an_empty_interval_at_one_edge(excess,
+                                                                refused):
+    """A full queue whose arrivals exceed the cap has the empty interval
+    [w, cap]. Every entry point that checks rates refuses it once w passes
+    the cap by more than 1e-9 relative, and accepts it (negative control)
+    while the gap is rounding."""
+    m = one_cell(dt=1.0 / 240.0, ramp_flow_max=1800.0, queue_max=50.0)
+    w = 1800.0 * (1.0 + excess)
+    full = SimState([10.0], [50.0])
+    w_row = np.array([500.0, w])
+    flood = DemandProfile(w0=np.full(3, 500.0), w_ramp=np.full((3, 1), w))
+    checks = {
+        "feasible_rate_interval":
+            lambda: feasible_rate_interval(m, 1, 50.0, w),
+        "brute_force_max_next_flows":
+            lambda: brute_force_max_next_flows(m, full, w_row),
+        "step": lambda: step(m, full, np.array([1800.0]), w_row),
+        "simulate": lambda: simulate(m, flood, initial_state=full),
+    }
+    for check in checks.values():
+        if refused:
+            with pytest.raises(ContractViolationError, match="rate"):
+                check()
+        else:
+            check()
+    if not refused:
+        assert feasible_rate_interval(m, 1, 50.0, w) == (w, 1800.0)
 
 
 # ---------------------------------------------------------------------------
