@@ -29,7 +29,10 @@ from .simulator import (
     DemandProfile,
     SimState,
     Trajectory,
+    _check_rates,
     _flows,
+    _rate_bounds,
+    _rate_caps,
     evaluate_metrics,
     simulate,
 )
@@ -45,16 +48,16 @@ class InconsistentStateError(ValueError):
 
 @dataclass
 class CumulativeState:
-    """Snapshot of all cumulative counters at one step."""
+    """Snapshot of all cumulative counters at one step. The cars past
+    the last cell are ``phi_cum[-1]``."""
 
     phi_cum: np.ndarray      # (n+1,) boundary counts, entry 0 = mainline inflow
     inflow_cum: np.ndarray   # (n,) metered cars per ramp
     demand_cum: np.ndarray   # (n,) arrived cars per ramp incl. initial queue
-    virtual_cars: float      # cars accumulated past the last cell
 
     def copy(self) -> "CumulativeState":
         return CumulativeState(self.phi_cum.copy(), self.inflow_cum.copy(),
-                               self.demand_cum.copy(), self.virtual_cars)
+                               self.demand_cum.copy())
 
 
 def _phi_from_density(model: FreewayModel, rho: np.ndarray,
@@ -80,14 +83,15 @@ def cumulative_from_state(model: FreewayModel, state: SimState,
 
     With no history given, ramp counters start at zero and arrivals are
     chosen so queues decode correctly (demand_cum = inflow_cum + q).
+    ``virtual_cars`` is the count of cars that already left the last cell,
+    which becomes ``phi_cum[-1]``.
     """
     if inflow_cum is None:
         inflow_cum = np.zeros(model.n)
     inflow_cum = np.asarray(inflow_cum, dtype=float)
     phi = _phi_from_density(model, state.rho, inflow_cum, virtual_cars)
     return CumulativeState(phi_cum=phi, inflow_cum=inflow_cum.copy(),
-                           demand_cum=inflow_cum + state.q,
-                           virtual_cars=virtual_cars)
+                           demand_cum=inflow_cum + state.q)
 
 
 def _decode(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
@@ -121,14 +125,10 @@ def to_cumulative(model: FreewayModel, traj: Trajectory) -> list[CumulativeState
     inflow = np.vstack((np.zeros(model.n), dt * np.cumsum(traj.rates, axis=0)))
     demand = traj.q[0] + np.vstack(
         (np.zeros(model.n), dt * np.cumsum(traj.demand.w_ramp[:T], axis=0)))
-    phi0 = _phi_from_density(model, traj.rho[0], inflow[0], 0.0)
-    out = [CumulativeState(phi0, inflow[0].copy(), demand[0].copy(), 0.0)]
-    for t in range(T):
-        prev = out[-1]
-        phi = prev.phi_cum + dt * traj.flows[t]
-        out.append(CumulativeState(phi, inflow[t + 1], demand[t + 1],
-                                   prev.virtual_cars + dt * traj.flows[t][-1]))
-    return out
+    phi = np.cumsum(np.vstack((
+        _phi_from_density(model, traj.rho[0], inflow[0], 0.0),
+        dt * traj.flows)), axis=0)
+    return [CumulativeState(*rows) for rows in zip(phi, inflow, demand)]
 
 
 def _decode_clipped(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
@@ -137,35 +137,25 @@ def _decode_clipped(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
 
 
 def cctm_step(model: FreewayModel, cum: CumulativeState,
-              inflow_cum_next: np.ndarray, w_row: np.ndarray,
+              rates: np.ndarray, w_row: np.ndarray,
               relaxed: bool = False) -> CumulativeState:
-    """Advance the cumulative dynamics one step.
+    """Advance the cumulative dynamics one step under the metering ``rates``.
 
-    ``inflow_cum_next`` is the ramp counter after this step's metering; it
-    must not decrease, must not grow faster than dt * ramp_flow_max
-    (waived when relaxed), and must keep the decoded queue inside its box.
+    The rates are checked as :func:`~rampflow.simulator.step` checks them,
+    against the feasible interval of the decoded queues (``relaxed``
+    waives the constant rate bounds), and the ramp counters advance by
+    ``dt * rates`` and the arrival counters by ``dt * w``.
     """
     dt = model.dt
-    inflow_cum_next = np.asarray(inflow_cum_next, dtype=float)
-    demand_next = cum.demand_cum + dt * np.asarray(w_row[1:], dtype=float)
-    tol = 1e-9 * np.maximum(1.0, demand_next)
-    if not relaxed:
-        if np.any(inflow_cum_next < cum.inflow_cum - tol):
-            raise InconsistentStateError("ramp counter decreased")
-        if np.any(inflow_cum_next
-                  > cum.inflow_cum + dt * model.ramp_flow_max + tol):
-            raise InconsistentStateError("ramp counter grew past the rate cap")
-    if np.any(inflow_cum_next > demand_next + tol) \
-            or np.any(inflow_cum_next < demand_next - model.queue_max - tol):
-        raise InconsistentStateError("ramp counter leaves the queue box")
-
+    rates = np.asarray(rates, dtype=float)
+    w = np.asarray(w_row[1:], dtype=float)
+    _check_rates(rates, *_rate_bounds(model, reconstruct_queues(model, cum), w,
+                                      _rate_caps(model, relaxed)))
     rho = reconstruct_densities(model, cum)
     phi = _flows(model, rho, float(w_row[0]))
-    return CumulativeState(
-        phi_cum=cum.phi_cum + dt * phi,
-        inflow_cum=inflow_cum_next,
-        demand_cum=demand_next,
-        virtual_cars=cum.virtual_cars + dt * phi[-1])
+    return CumulativeState(phi_cum=cum.phi_cum + dt * phi,
+                           inflow_cum=cum.inflow_cum + dt * rates,
+                           demand_cum=cum.demand_cum + dt * w)
 
 
 def tts_from_cumulative(model: FreewayModel,
@@ -286,14 +276,6 @@ class RestrictivenessReport:
     restrictive: np.ndarray           # (T, n) bool
     restrictive_fraction: float       # share of (metered cell, step) pairs
     interior_clean: bool              # no restrictive cell for 0 < t < T
-
-    def rows(self):
-        T, n = self.restrictive.shape
-        for t in range(T):
-            for k in range(n):
-                status = "restrictive" if self.restrictive[t, k] \
-                    else "nonrestrictive"
-                yield t, k + 1, status, self.reasons[t][k]
 
 
 def restrictiveness_report(model: FreewayModel,

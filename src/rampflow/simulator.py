@@ -125,16 +125,19 @@ class DemandProfile:
 
     def check_against(self, model: FreewayModel) -> None:
         """Refuse demands the model cannot take; a stack is checked
-        member by member."""
+        member by member. A queueless ramp takes exactly the arrivals
+        whose rate interval :func:`step` accepts: at most its rate cap,
+        up to the tolerance of the rate check."""
         if self.w_ramp.shape[1] != model.n:
             raise ValueError(
                 f"demand has {self.w_ramp.shape[1]} ramp columns for "
                 f"{model.n} cells")
         # ramps with a queue buffer arrivals above the metering cap; ramps
-        # without one must pass arrivals through, so there the cap is hard
-        unbuffered = model.queue_max[..., None, :] <= 0.0
-        over = unbuffered & (
-            self.w_ramp > model.ramp_flow_max[..., None, :] + 1e-9)
+        # without one must pass arrivals through, so there the cap is hard,
+        # up to the rate check's own tolerance
+        cap = model.ramp_flow_max[..., None, :]
+        over = (model.queue_max[..., None, :] <= 0.0) & (
+            self.w_ramp > cap + _BOX_TOL * np.maximum(1.0, cap))
         if np.any(over):
             *member, t, k = np.argwhere(over)[0]
             plant = f" of plant {member[0]}" if member else ""
@@ -246,13 +249,6 @@ def _check_box(x: np.ndarray, lo, hi, tol, what: str) -> None:
             f"outside [{lo_b:g}, {hi_b:g}]")
 
 
-def _snap_into_box(x: np.ndarray, lo: np.ndarray | float, hi: np.ndarray,
-                   what: str) -> np.ndarray:
-    _check_box(x, lo, hi, _BOX_TOL * np.maximum(1.0, hi),
-               f"{what} left its box")
-    return x.clip(lo, hi)
-
-
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
          w_row: np.ndarray, rng=None, sigma_phi: float = 0.0,
          relaxed: bool | Sequence[bool] = False,
@@ -293,19 +289,24 @@ def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step itself, from rates already checked against their interval:
     (next densities, next queues, flow row). ``noise`` holds the flow
-    factors, or is None for a noiseless step, whose states are snapped
-    into their boxes after a check that they left them only by rounding."""
+    factors, or is None for a noiseless step.
+
+    The rate interval implies the queue box (a rate in it leaves the queue
+    in [0, queue_max] up to dt times the rate tolerance), so the queue is
+    only clipped. Densities depend on the flows, which the interval does
+    not bound: a noiseless step checks that they left their box by
+    rounding only, which also catches a NaN inflow, before the clip."""
     phi = _flows(model, rho, w_row[0])
     if noise is not None:
         phi = (phi * noise).clip(0.0, phi)
     rho_next = rho + model.dt / model.length * (
         phi[..., :-1] + rates - phi[..., 1:] / model.beta_bar)
-    q_next = q + model.dt * (w_row[1:] - rates)
-    if noise is not None:
-        return (rho_next.clip(0.0, model.rho_jam),
-                q_next.clip(0.0, model.queue_max), phi)
-    return (_snap_into_box(rho_next, 0.0, model.rho_jam, "density"),
-            _snap_into_box(q_next, 0.0, model.queue_max, "queue"), phi)
+    q_next = (q + model.dt * (w_row[1:] - rates)).clip(0.0, model.queue_max)
+    if noise is None:
+        _check_box(rho_next, 0.0, model.rho_jam,
+                   _BOX_TOL * np.maximum(1.0, model.rho_jam),
+                   "density left its box")
+    return rho_next.clip(0.0, model.rho_jam), q_next, phi
 
 
 def _batch_size(*sizes: int | None) -> int | None:

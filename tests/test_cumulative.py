@@ -33,6 +33,7 @@ from rampflow.model import (
     validate_model,
 )
 from rampflow.simulator import (
+    ContractViolationError,
     DisturbanceSpec,
     SimState,
     compute_flows,
@@ -80,9 +81,10 @@ def test_initial_counts_match_direct_definition():
         model = random_model(rng)
         state = random_state(rng, model)
         R = rng.uniform(0.0, 50.0, model.n)
+        virtual = float(rng.uniform(0, 40))
         cum = cumulative_from_state(model, state, inflow_cum=R,
-                                    virtual_cars=float(rng.uniform(0, 40)))
-        ref = _phi_reference(model, state.rho, R, cum.virtual_cars)
+                                    virtual_cars=virtual)
+        ref = _phi_reference(model, state.rho, R, virtual)
         np.testing.assert_allclose(cum.phi_cum, ref, rtol=1e-12, atol=1e-9)
 
 
@@ -111,10 +113,8 @@ def test_boundary_counts_accumulate_simulated_flows():
         np.testing.assert_allclose(
             states[t + 1].phi_cum - states[t].phi_cum,
             model.dt * traj.flows[t], rtol=1e-12, atol=1e-12)
-    # the last boundary count doubles as the virtual downstream content
-    assert states[0].virtual_cars == 0.0
-    for cum in states:
-        assert cum.phi_cum[-1] == pytest.approx(cum.virtual_cars, abs=1e-12)
+    # the last boundary count is the cars past the last cell, none at t = 0
+    assert states[0].phi_cum[-1] == 0.0
 
 
 def test_reconstruct_rejects_unphysical_counters():
@@ -148,9 +148,7 @@ def test_cumulative_step_matches_density_step():
         traj = simulate(model, demand, controller=None)
         cum = cumulative_from_state(model, traj.state(0))
         for t in range(traj.horizon):
-            cum = cctm_step(model, cum,
-                            cum.inflow_cum + model.dt * traj.rates[t],
-                            demand.row(t))
+            cum = cctm_step(model, cum, traj.rates[t], demand.row(t))
             np.testing.assert_allclose(reconstruct_densities(model, cum),
                                        traj.rho[t + 1], rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(reconstruct_queues(model, cum),
@@ -168,16 +166,17 @@ def test_cumulative_step_rejects_bad_ramp_counters():
     state = SimState(rho=np.array([40.0]), q=np.array([10.0]))
     cum = cumulative_from_state(model, state)
     w_row = np.array([0.0, 0.0])
-    with pytest.raises(InconsistentStateError):   # counter decreased
-        cctm_step(model, cum, cum.inflow_cum - 1.0, w_row)
-    with pytest.raises(InconsistentStateError):   # above dt * rate cap
-        cctm_step(model, cum, cum.inflow_cum + 12.0, w_row)
-    with pytest.raises(InconsistentStateError):   # more than the waiting cars
-        cctm_step(model, cum, cum.inflow_cum + 11.0, w_row, relaxed=True)
-    nxt = cctm_step(model, cum, cum.inflow_cum + 5.0, w_row)
+    # dt = 0.01 h, so the 10 waiting cars allow at most 1000 cars/h
+    with pytest.raises(ContractViolationError, match="rate"):   # negative
+        cctm_step(model, cum, np.array([-100.0]), w_row)
+    with pytest.raises(ContractViolationError, match="rate"):   # above the cap
+        cctm_step(model, cum, np.array([1200.0]), w_row)
+    with pytest.raises(ContractViolationError, match="rate"):   # empties past 0
+        cctm_step(model, cum, np.array([1100.0]), w_row, relaxed=True)
+    nxt = cctm_step(model, cum, np.array([500.0]), w_row)
     assert reconstruct_queues(model, nxt)[0] == pytest.approx(5.0)
     # relaxed mode waives the rate cap but keeps the queue box
-    back = cctm_step(model, cum, cum.inflow_cum - 1.0, w_row, relaxed=True)
+    back = cctm_step(model, cum, np.array([-100.0]), w_row, relaxed=True)
     assert reconstruct_queues(model, back)[0] == pytest.approx(11.0)
 
 
@@ -280,8 +279,8 @@ def test_boundary_count_dominance_propagates_through_time(seed):
     # start already pushed near jam
     w_row = np.zeros(model.n + 1)
     for _ in range(15):
-        base = cctm_step(model, base, base.inflow_cum, w_row)
-        ahead = cctm_step(model, ahead, ahead.inflow_cum, w_row)
+        base = cctm_step(model, base, np.zeros(model.n), w_row)
+        ahead = cctm_step(model, ahead, np.zeros(model.n), w_row)
         assert np.all(ahead.phi_cum - base.phi_cum
                       >= -1e-9 * np.maximum(1.0, np.abs(base.phi_cum)))
 
@@ -354,11 +353,12 @@ def test_report_summarizes_flags_consistently():
     assert report.restrictive_fraction == pytest.approx(float(frac))
     assert report.interior_clean == (not report.restrictive[1:].any())
     assert report.restrictive_fraction > 0.0
-    rows = list(report.rows())
-    assert len(rows) == traj.horizon * sc.model.n
-    flagged = [r for r in rows if r[2] == "restrictive"]
-    assert flagged and all(r[3] in (SUPPLY_LIMITED, DEMAND_LIMITED)
-                           for r in flagged)
+    reasons = np.array(report.reasons, dtype=object)
+    assert reasons.shape == (traj.horizon, sc.model.n)
+    flagged = reasons[report.restrictive]
+    assert flagged.size and all(r in (SUPPLY_LIMITED, DEMAND_LIMITED)
+                                for r in flagged)
+    assert all(r == NONRESTRICTIVE for r in reasons[~report.restrictive])
 
 
 def _scalar_reason(model, rho, q, flows, k):

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rampflow.controllers import KINDS, make_controller, sample_controller_model
+from rampflow.cumulative import cctm_step, cumulative_from_state
 from rampflow.lp import brute_force_max_next_flows
 from rampflow.model import CellParams, FreewayModel
 from rampflow.scenarios import (
@@ -28,7 +30,7 @@ from rampflow.simulator import (
     step,
 )
 
-from conftest import one_step_rates, random_demand, random_model
+from conftest import one_step_rates, random_demand, random_model, random_state
 
 
 def one_cell(dt=0.01, **kw):
@@ -539,31 +541,68 @@ def test_simulate_refuses_rates_no_clamp_makes_feasible(sigma):
                          ids=["refused", "accepted"])
 def test_every_rate_check_refuses_an_empty_interval_at_one_edge(excess,
                                                                 refused):
-    """A full queue whose arrivals exceed the cap has the empty interval
-    [w, cap]. Every entry point that checks rates refuses it once w passes
-    the cap by more than 1e-9 relative, and accepts it (negative control)
-    while the gap is rounding."""
-    m = one_cell(dt=1.0 / 240.0, ramp_flow_max=1800.0, queue_max=50.0)
+    """A full queue, or a queueless ramp, whose arrivals w exceed the cap
+    has the empty interval [w, cap]. Every entry point that checks rates,
+    in density and in cumulative coordinates, refuses it once w passes the
+    cap by more than 1e-9 relative, and accepts it (negative control)
+    while the gap is rounding. On a queueless ramp the demand check
+    refuses such arrivals first, and ``simulate`` through it."""
     w = 1800.0 * (1.0 + excess)
-    full = SimState([10.0], [50.0])
     w_row = np.array([500.0, w])
     flood = DemandProfile(w0=np.full(3, 500.0), w_ramp=np.full((3, 1), w))
-    checks = {
-        "feasible_rate_interval":
-            lambda: feasible_rate_interval(m, 1, 50.0, w),
-        "brute_force_max_next_flows":
-            lambda: brute_force_max_next_flows(m, full, w_row),
-        "step": lambda: step(m, full, np.array([1800.0]), w_row),
-        "simulate": lambda: simulate(m, flood, initial_state=full),
-    }
-    for check in checks.values():
-        if refused:
-            with pytest.raises(ContractViolationError, match="rate"):
+    for queue_max in (50.0, 0.0):
+        m = one_cell(dt=1.0 / 240.0, ramp_flow_max=1800.0,
+                     queue_max=queue_max)
+        full = SimState([10.0], [queue_max])
+        checks = {
+            "feasible_rate_interval":
+                lambda: feasible_rate_interval(m, 1, queue_max, w),
+            "brute_force_max_next_flows":
+                lambda: brute_force_max_next_flows(m, full, w_row),
+            "step": lambda: step(m, full, np.array([1800.0]), w_row),
+            "cctm_step": lambda: cctm_step(m, cumulative_from_state(m, full),
+                                           np.array([1800.0]), w_row),
+            "simulate": lambda: simulate(m, flood, initial_state=full),
+            "check_against": lambda: flood.check_against(m),
+        }
+        for name, check in checks.items():
+            # a queue stores arrivals above the cap, so its demand passes
+            if not refused or (name == "check_against" and queue_max > 0.0):
                 check()
-        else:
-            check()
-    if not refused:
-        assert feasible_rate_interval(m, 1, 50.0, w) == (w, 1800.0)
+            elif name in ("simulate", "check_against") and queue_max == 0.0:
+                with pytest.raises(ValueError, match="no queue storage"):
+                    check()
+            else:
+                with pytest.raises(ContractViolationError, match="rate"):
+                    check()
+        if not refused:
+            assert feasible_rate_interval(m, 1, queue_max, w) == (w, 1800.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_the_rate_interval_implies_the_queue_box(seed, relaxed):
+    """Rates just inside the tolerance of either edge of the interval pass
+    the rate check; a step may then refuse only a density that leaves its
+    box, and every queue it returns lies in [0, queue_max]. Negative
+    control: a rate twice the tolerance above the top edge is refused."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng)
+    state = random_state(rng, m)
+    w_row = np.concatenate(([rng.uniform(0.0, 3000.0)],
+                            rng.uniform(0.0, 1.5, m.n) * m.ramp_flow_max))
+    lo, hi = _rate_bounds(m, state.q, w_row[1:], _rate_caps(m, relaxed))
+    assume(np.all(lo <= hi))
+    tol = 1e-9 * np.maximum(1.0, np.abs(hi))
+    for rates in (lo - 0.99 * tol, hi + 0.99 * tol):
+        try:
+            nxt, _ = step(m, state, rates, w_row, relaxed=relaxed)
+        except ContractViolationError as e:
+            assert "density" in str(e)
+            continue
+        assert np.all((nxt.q >= 0.0) & (nxt.q <= m.queue_max))
+    with pytest.raises(ContractViolationError, match="rate"):
+        step(m, state, hi + 2.0 * tol, w_row, relaxed=relaxed)
 
 
 # ---------------------------------------------------------------------------
