@@ -1,10 +1,13 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 unusable scenario or input data, 3 a run broke a
-state or rate contract, 4 the request needs a model class the method does
-not cover (optimize and bounds refuse capacity-drop models and steps that
-break the step-size conditions), 5 inputs whose horizons or shapes do not
-line up.
+state or rate contract or the LP solver failed, 4 the request needs a
+model class the method does not cover (optimize and bounds refuse
+capacity-drop models and steps that break the step-size conditions), 5 a
+``--demand`` override the model cannot take, or a saved trajectory whose
+horizon or cells differ from the scenario's. :data:`EXIT_CODES` maps the
+error types to these codes in one place; a failing command prints
+``error: <command>: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .controllers import DEFAULT_KI, make_controller, sample_controller_model
 from .cumulative import restrictiveness_report, tts_bounds
@@ -21,7 +25,6 @@ from .reports import (
     bounds_doc,
     campaign_csv_text,
     dumps_json,
-    heatmap_csv_text,
     rates_csv_text,
     read_trajectory_csv,
     restrictiveness_csv_text,
@@ -30,6 +33,7 @@ from .reports import (
 )
 from .scenarios import (
     MISMATCH_GRID,
+    Scenario,
     ScenarioError,
     load_scenario,
     read_demand_csv,
@@ -38,6 +42,7 @@ from .scenarios import (
 from .simulator import (
     ContractViolationError,
     DisturbanceSpec,
+    ShapeMismatchError,
     evaluate_metrics,
     mass_conservation_residual,
     simulate,
@@ -49,18 +54,21 @@ EXIT_CONTRACT = 3
 EXIT_UNSUPPORTED = 4
 EXIT_MISMATCH = 5
 
+# error type -> exit code; the first match wins, so the ValueError
+# subclasses come before ValueError itself
+EXIT_CODES = (
+    ((ContractViolationError, LpError), EXIT_CONTRACT),
+    (UnsupportedModelError, EXIT_UNSUPPORTED),
+    (ShapeMismatchError, EXIT_MISMATCH),
+    ((ValueError, OSError), EXIT_SCENARIO),
+)
+
 CONTROLLERS = {
     "none": "none",
     "be": "best_effort",
     "relaxed-be": "best_effort",   # simulated with relaxed=True
     "alinea": "alinea",
 }
-
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -71,24 +79,19 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load(args):
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as e:
-        raise _CliFailure(EXIT_SCENARIO, f"scenario: {e}")
+def _load(args) -> Scenario:
+    """The scenario, its demand replaced by the ``--demand`` file if given;
+    an override the model cannot take is refused before any run."""
+    scenario = load_scenario(args.scenario)
     if getattr(args, "demand", None):
         if not os.path.exists(args.demand):
-            raise _CliFailure(EXIT_SCENARIO,
-                              f"demand: file not found: {args.demand}")
+            raise FileNotFoundError(f"demand file not found: {args.demand}")
         try:
             demand = read_demand_csv(args.demand, scenario.model.n)
-        except OSError as e:
-            raise _CliFailure(EXIT_SCENARIO, f"demand: {e}")
+            demand.check_against(scenario.model)
         except ValueError as e:
-            # column or horizon disagreement with the scenario's model
-            raise _CliFailure(EXIT_MISMATCH, f"demand: {e}")
-        scenario = type(scenario)(scenario.label, scenario.model, demand,
-                                  scenario.initial)
+            raise ShapeMismatchError(f"demand: {e}") from e
+        scenario = replace(scenario, demand=demand)
     return scenario
 
 
@@ -125,22 +128,13 @@ def _cmd_simulate(args) -> int:
     scenario = _load(args)
     controller = None if args.controller == "none" \
         else _controller(args, scenario.model)
-    try:
-        disturbance = None if args.sigma_phi == 0.0 \
-            else DisturbanceSpec(sigma_phi=args.sigma_phi, seed=args.seed)
-        traj = simulate(scenario.model, scenario.demand, controller,
-                        disturbance=disturbance,
-                        initial_state=scenario.initial,
-                        relaxed=(args.controller == "relaxed-be"))
-    except ContractViolationError as e:
-        raise _CliFailure(EXIT_CONTRACT, f"run aborted: {e}")
-    except ValueError as e:
-        raise _CliFailure(EXIT_SCENARIO, f"run aborted: {e}")
-
+    disturbance = None if args.sigma_phi == 0.0 \
+        else DisturbanceSpec(sigma_phi=args.sigma_phi, seed=args.seed)
+    traj = simulate(scenario.model, scenario.demand, controller,
+                    disturbance=disturbance, initial_state=scenario.initial,
+                    relaxed=(args.controller == "relaxed-be"))
     metrics = evaluate_metrics(scenario.model, traj)
     _emit(trajectory_csv_text(traj), args.out)
-    if args.heatmap:
-        _emit(heatmap_csv_text(traj), args.heatmap)
     if args.report:
         doc = run_report_doc(
             scenario.label, args.controller, scenario.model, traj, metrics,
@@ -155,16 +149,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     scenario = _load(args)
-    try:
-        inst = build_lp(scenario.model, scenario.demand, scenario.initial)
-    except UnsupportedModelError as e:
-        raise _CliFailure(EXIT_UNSUPPORTED, str(e))
+    inst = build_lp(scenario.model, scenario.demand, scenario.initial)
     if args.export_lp:
         _emit(export_lp_text(inst), args.export_lp)
-    try:
-        sol = solve_lp(inst)
-    except LpError as e:
-        raise _CliFailure(EXIT_CONTRACT, f"lp: {e}")
+    sol = solve_lp(inst)
     cert = certify_relaxation(inst, sol)
     doc = {
         "scenario": scenario.label,
@@ -188,12 +176,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_bounds(args) -> int:
     scenario = _load(args)
-    try:
-        bounds = tts_bounds(scenario.model, scenario.demand, scenario.initial)
-    except ContractViolationError as e:
-        raise _CliFailure(EXIT_CONTRACT, f"bounding run aborted: {e}")
-    except UnsupportedModelError as e:
-        raise _CliFailure(EXIT_UNSUPPORTED, str(e))
+    bounds = tts_bounds(scenario.model, scenario.demand, scenario.initial)
     if args.restrictiveness:
         _emit(restrictiveness_csv_text(bounds.restrictiveness),
               args.restrictiveness)
@@ -203,18 +186,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_report(args) -> int:
     scenario = _load(args)
-    try:
-        traj = read_trajectory_csv(args.trajectory, scenario.demand)
-    except OSError as e:
-        raise _CliFailure(EXIT_SCENARIO, f"trajectory: {e}")
-    except ValueError as e:
-        msg = str(e)
-        code = EXIT_MISMATCH if "horizon" in msg or "spans" in msg \
-            else EXIT_SCENARIO
-        raise _CliFailure(code, f"trajectory: {msg}")
+    traj = read_trajectory_csv(args.trajectory, scenario.demand)
     if traj.rho.shape[1] != scenario.model.n:
-        raise _CliFailure(
-            EXIT_MISMATCH,
+        raise ShapeMismatchError(
             f"trajectory has {traj.rho.shape[1]} cells, model has "
             f"{scenario.model.n}")
     metrics = evaluate_metrics(scenario.model, traj)
@@ -228,23 +202,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_campaign(args) -> int:
     scenario = _load(args)
-    try:
-        sigmas = tuple(float(s) for s in args.sigmas.split(",") if s != "")
-        variants = tuple(v.strip() for v in args.variants.split(",")
-                         if v.strip())
-    except ValueError as e:
-        raise _CliFailure(EXIT_SCENARIO, f"bad grid: {e}")
-    try:
-        rows = uncertainty_campaign(
-            scenario, mismatch_grid=MISMATCH_GRID, sigmas=sigmas,
-            variants=variants, runs=args.runs, seed=args.seed,
-            drop_alpha=args.drop_alpha, include_lp=args.include_lp)
-    except ContractViolationError as e:
-        raise _CliFailure(EXIT_CONTRACT, f"campaign run aborted: {e}")
-    except UnsupportedModelError as e:
-        raise _CliFailure(EXIT_UNSUPPORTED, str(e))
-    except ValueError as e:
-        raise _CliFailure(EXIT_SCENARIO, f"bad grid: {e}")
+    sigmas = tuple(float(s) for s in args.sigmas.split(",") if s != "")
+    variants = tuple(v.strip() for v in args.variants.split(",")
+                     if v.strip())
+    rows = uncertainty_campaign(
+        scenario, mismatch_grid=MISMATCH_GRID, sigmas=sigmas,
+        variants=variants, runs=args.runs, seed=args.seed,
+        drop_alpha=args.drop_alpha, include_lp=args.include_lp)
     _emit(campaign_csv_text(rows), args.out)
     # ordering summary: the greedy gain without and at the worst belief
     # mismatch, and the integral law's gain, per variant and noise level
@@ -294,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative stdev of multiplicative flow noise")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="trajectory CSV (default stdout)")
-    p.add_argument("--heatmap", help="also write a density table")
     p.add_argument("--report", help="also write a run summary JSON")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -347,12 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. An error of a type in
+    :data:`EXIT_CODES` ends the command with that code; any other
+    exception is a bug and propagates with its traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
+    except Exception as e:
+        for types, code in EXIT_CODES:
+            if isinstance(e, types):
+                print(f"error: {args.command}: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

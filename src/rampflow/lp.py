@@ -32,6 +32,7 @@ from .simulator import (
     RateSchedule,
     SimState,
     _check_rates,
+    _check_state,
     _rate_bounds,
     _rate_caps,
     compute_flows,
@@ -121,10 +122,14 @@ class LpInstance:
 
 def build_lp(model: FreewayModel, demand: DemandProfile,
              initial_state: SimState | None = None) -> LpInstance:
-    """Assemble the hypograph relaxation of the min-time metering problem."""
+    """Assemble the hypograph relaxation of the min-time metering problem.
+
+    An initial state outside [0, rho_jam] x [0, queue_max] is refused, as
+    in :func:`simulate`."""
     require_monotone(model)
     demand.check_against(model)
     initial = zero_state(model) if initial_state is None else initial_state
+    _check_state(model, initial.rho, initial.q)
 
     n, T, dt = model.n, demand.horizon, model.dt
     vm = VarMap(n=n, horizon=T)

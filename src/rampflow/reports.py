@@ -16,7 +16,7 @@ import numpy as np
 
 from .cumulative import BoundsReport, RestrictivenessReport
 from .model import FreewayModel
-from .simulator import DemandProfile, Metrics, Trajectory
+from .simulator import DemandProfile, Metrics, ShapeMismatchError, Trajectory
 
 
 def fmt(x: float) -> str:
@@ -45,6 +45,9 @@ def dumps_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # trajectory tables
 
+TRAJECTORY_HEADER = ("t", "cell", "rho", "q", "phi", "r")
+
+
 def trajectory_csv_text(traj: Trajectory) -> str:
     """Long-form state table: one row per (step, cell).
 
@@ -65,7 +68,7 @@ def trajectory_csv_text(traj: Trajectory) -> str:
                    for k in cells)
     last = "".join("{0},%d,{%d:.9g},{%d:.9g},,\n" % (k, 2 * k - 1, 2 * k)
                    for k in cells)
-    blocks = ["t,cell,rho,q,phi,r\n"]
+    blocks = [",".join(TRAJECTORY_HEADER) + "\n"]
     blocks += [step.format(t, *row) for t, row in enumerate(rows.tolist())]
     blocks.append(last.format(T, *final.tolist()))
     return "".join(blocks)
@@ -75,10 +78,15 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
     """Rebuild a trajectory written by ``trajectory_csv_text``.
 
     The demand profile is not stored in the table, so the caller supplies
-    it; its horizon must match the table.
+    it; a table whose horizon differs raises :class:`ShapeMismatchError`.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in TRAJECTORY_HEADER
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"trajectory table lacks columns {missing}")
+        rows = list(reader)
     if not rows:
         raise ValueError("empty trajectory table")
     n = max(int(r["cell"]) for r in rows)
@@ -97,22 +105,11 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
     if np.isnan(rho).any() or np.isnan(flows[:, 1:]).any():
         raise ValueError("trajectory table has missing rows")
     if demand.horizon != T:
-        raise ValueError(
+        raise ShapeMismatchError(
             f"trajectory spans {T} steps but the demand profile has "
             f"{demand.horizon}")
     flows[:, 0] = demand.w0  # the mainline boundary always carries w0
     return Trajectory(rho=rho, q=q, flows=flows, rates=rates, demand=demand)
-
-
-def heatmap_csv_text(traj: Trajectory) -> str:
-    """Density field of the T pre-update states, one row per (t, cell)."""
-    n = traj.rho.shape[1]
-    step = "".join("{0},%d,{%d:.9g}\n" % (k, k) for k in range(1, n + 1))
-    blocks = ["t,cell,rho\n"]
-    # + 0.0 turns -0.0 into 0.0, as in fmt
-    blocks += [step.format(t, *row) for t, row in
-               enumerate((traj.rho[:traj.horizon] + 0.0).tolist())]
-    return "".join(blocks)
 
 
 def rates_csv_text(rates: np.ndarray) -> str:
@@ -128,7 +125,7 @@ def rates_csv_text(rates: np.ndarray) -> str:
 # restrictiveness and bounds
 
 def restrictiveness_csv_text(report: RestrictivenessReport) -> str:
-    """The rows of :meth:`RestrictivenessReport.rows`, one step at a time."""
+    """One row per (step, cell): its restrictive flag and the reason."""
     blocks = ["t,cell,status,reason\n"]
     for t, (flags, reasons) in enumerate(zip(report.restrictive.tolist(),
                                              report.reasons)):

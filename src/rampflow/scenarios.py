@@ -19,9 +19,11 @@ import yaml
 from .controllers import make_controller, sample_controller_model
 from .model import CellParams, FreewayModel, validate_model
 from .simulator import (
+    ContractViolationError,
     DemandProfile,
     DisturbanceSpec,
     SimState,
+    _check_state,
     evaluate_metrics,
     simulate,
     zero_state,
@@ -330,10 +332,10 @@ def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
         q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
         if rho.shape != (model.n,) or q.shape != (model.n,):
             fail(f"initial: rho and q must have length {model.n}")
-        inside = np.all((rho >= 0) & (rho <= model.rho_jam)) \
-            and np.all((q >= 0) & (q <= model.queue_max))
-        if not inside:   # NaN fails too
-            fail("initial: state outside the model boxes")
+        try:
+            _check_state(model, rho, q)   # NaN fails too
+        except ContractViolationError as e:
+            fail(f"initial: state outside the model boxes: {e}")
         initial = SimState(rho, q)
     return Scenario(label, model, demand, initial)
 

@@ -31,6 +31,12 @@ class ContractViolationError(RuntimeError):
     """A caller or controller broke a simulation precondition."""
 
 
+class ShapeMismatchError(ValueError):
+    """Inputs that are each well formed but do not fit together: a demand
+    profile the model cannot take, or a saved run whose horizon or cells
+    differ from its scenario's."""
+
+
 def _require_finite(what: str, *arrays: np.ndarray) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{what} must be finite")
@@ -238,15 +244,30 @@ def _check_rates(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def _check_box(x: np.ndarray, lo, hi, tol, what: str) -> None:
-    """Raise unless lo - tol <= x <= hi + tol everywhere; NaN fails."""
+    """Raise unless lo - tol <= x <= hi + tol everywhere; NaN fails. The
+    arrays broadcast, so one (n,) state can be checked against (R, n)
+    boxes."""
     inside = (x >= lo - tol) & (x <= hi + tol)
     if not inside.all():
-        bad = np.unravel_index(int(np.argmin(inside)), x.shape)
-        lo_b, hi_b = (np.broadcast_to(b, x.shape)[bad] for b in (lo, hi))
-        run = f" of run {bad[0]}" if x.ndim > 1 else ""
+        bad = np.unravel_index(int(np.argmin(inside)), inside.shape)
+        x_b, lo_b, hi_b = (np.broadcast_to(b, inside.shape)[bad]
+                           for b in (x, lo, hi))
+        run = f" of run {bad[0]}" if inside.ndim > 1 else ""
         raise ContractViolationError(
-            f"{what} at cell {bad[-1] + 1}{run}: value {x[bad]:g} "
+            f"{what} at cell {bad[-1] + 1}{run}: value {x_b:g} "
             f"outside [{lo_b:g}, {hi_b:g}]")
+
+
+def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
+                 ) -> None:
+    """Raise unless the state lies in [0, rho_jam] x [0, queue_max] up to
+    rounding; a stacked model checks it against every member's boxes."""
+    _check_box(rho, 0.0, model.rho_jam,
+               _BOX_TOL * np.maximum(1.0, model.rho_jam),
+               "density outside its box")
+    _check_box(q, 0.0, model.queue_max,
+               _BOX_TOL * np.maximum(1.0, model.queue_max),
+               "queue outside its box")
 
 
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
@@ -331,7 +352,8 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     only saturation, so a controller cannot break the queue boxes, and a
     law needs no bounds of its own. A rate the clamp cannot make feasible
     (NaN, or a full queue whose arrivals exceed the rate cap) is a
-    contract violation, as in :func:`step`.
+    contract violation, as in :func:`step`, and so is an initial state
+    outside [0, rho_jam] x [0, queue_max].
 
     ``relaxed`` waives the constant rate bounds [0, ramp_flow_max] in that
     clamp, for every run or, given as R flags, per run; it applies to
@@ -355,6 +377,7 @@ def simulate(model: FreewayModel, demand: DemandProfile,
                        len(relaxed) if np.ndim(relaxed) else None)
     caps = _rate_caps(model, relaxed)
     state = initial_state if initial_state is not None else zero_state(model)
+    _check_state(model, state.rho, state.q)
 
     T, n, R = demand.horizon, model.n, runs or 1
     rho_hist = np.empty((R, T + 1, n))
@@ -415,9 +438,6 @@ class Metrics:
     tft: float           # car-hours if every car ran at free-flow speed
     twt: float           # tts - tft, time lost to congestion and queues
     tdt: np.ndarray = field(repr=False, default=None)  # car-km per step
-
-    def __iter__(self):
-        return iter((self.tts, self.tft, self.twt))
 
 
 def freeflow_traverse_times(model: FreewayModel) -> np.ndarray:

@@ -103,30 +103,24 @@ def test_simulate_outputs_byte_deterministic(tmp_path):
     outs = []
     for tag in ("a", "b"):
         traj = tmp_path / f"traj_{tag}.csv"
-        heat = tmp_path / f"heat_{tag}.csv"
         rep = tmp_path / f"rep_{tag}.json"
         code = main([
             "simulate", "--scenario", "builtin:example1",
             "--controller", "be", "--sigma-phi", "0.02", "--seed", "9",
-            "--out", str(traj), "--heatmap", str(heat), "--report", str(rep),
+            "--out", str(traj), "--report", str(rep),
         ])
         assert code == EXIT_OK
-        outs.append((_read(traj), _read(heat), _read(rep)))
+        outs.append((_read(traj), _read(rep)))
     assert outs[0] == outs[1]
 
 
-def test_simulate_report_and_heatmap_contents(tmp_path):
-    heat = tmp_path / "heat.csv"
+def test_simulate_report_contents(tmp_path):
     rep = tmp_path / "rep.json"
     code = main([
         "simulate", "--scenario", "builtin:example1", "--controller", "be",
-        "--out", str(tmp_path / "t.csv"), "--heatmap", str(heat),
-        "--report", str(rep),
+        "--out", str(tmp_path / "t.csv"), "--report", str(rep),
     ])
     assert code == EXIT_OK
-    heat_lines = _read(heat).decode().splitlines()
-    assert heat_lines[0] == "t,cell,rho"
-    assert len(heat_lines) == 1 + 180 * 2          # T rows per cell
     doc = json.loads(_read(rep))
     assert doc["scenario"] == "example1"
     assert doc["controller"] == "be"
@@ -419,6 +413,91 @@ def test_campaign_rejects_unknown_variant(capsys):
     code = main(["campaign", "--scenario", "builtin:example1",
                  "--variants", "cursed", "--runs", "1"])
     assert code == EXIT_SCENARIO
+
+
+# ---------------------------------------------------------------------------
+# the error table: command x error -> exit code, each case with a control
+
+def _example1_demand(tmp_path, ramp1: float) -> str:
+    """example1's demand with ``ramp1`` cars/h arriving at cell 1, whose
+    ramp has neither queue storage nor metering capacity."""
+    from rampflow.scenarios import builtin_example1, write_demand_csv
+    from rampflow.simulator import DemandProfile
+    demand = builtin_example1().demand
+    w_ramp = demand.w_ramp.copy()
+    w_ramp[:, 0] = ramp1
+    path = tmp_path / f"demand_{ramp1:g}.csv"
+    write_demand_csv(path, DemandProfile(demand.w0, w_ramp))
+    return str(path)
+
+
+def _over_cap_demand(command):
+    def case(tmp_path, monkeypatch, broken):
+        return [command, "--scenario", "builtin:example1", "--demand",
+                _example1_demand(tmp_path, 50.0 if broken else 0.0)]
+    return case
+
+
+def _trajectory_columns(tmp_path, monkeypatch, broken):
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--scenario", "builtin:example1",
+                 "--out", str(traj)]) == EXIT_OK
+    if broken:   # the columns of a density table only
+        lines = traj.read_text(encoding="utf-8").splitlines()
+        traj.write_text("".join(",".join(ln.split(",")[:3]) + "\n"
+                                for ln in lines), encoding="utf-8")
+    return ["report", "--scenario", "builtin:example1",
+            "--trajectory", str(traj)]
+
+
+def _lp_failure(tmp_path, monkeypatch, broken):
+    import rampflow.lp
+    from rampflow.lp import LpError
+    if broken:
+        def fail(inst):
+            raise LpError("solver failed: Infeasible")
+        monkeypatch.setattr(rampflow.lp, "solve_lp", fail)
+    return ["campaign", "--scenario", "builtin:example1", "--runs", "1",
+            "--sigmas", "0", "--variants", "monotonic", "--include-lp"]
+
+
+def _overload(tmp_path, monkeypatch, broken):
+    p = tmp_path / "overload.yaml"
+    p.write_text(_OVERLOAD_YAML if broken else _OVERLOAD_YAML.replace(
+        "value: 1800", "value: 600"), encoding="utf-8")
+    return ["bounds", "--scenario", str(p)]
+
+
+@pytest.mark.parametrize("case, code", [
+    (_over_cap_demand("optimize"), EXIT_MISMATCH),
+    (_over_cap_demand("bounds"), EXIT_MISMATCH),
+    (_over_cap_demand("simulate"), EXIT_MISMATCH),
+    (_trajectory_columns, EXIT_SCENARIO),
+    (_lp_failure, EXIT_CONTRACT),
+    (_overload, EXIT_CONTRACT),
+], ids=["optimize-over-cap-demand", "bounds-over-cap-demand",
+        "simulate-over-cap-demand",
+        "report-missing-columns", "campaign-lp-failure",
+        "bounds-contract-violation"])
+def test_exit_codes_follow_the_error_table(case, code, tmp_path, monkeypatch,
+                                           capsys):
+    argv = case(tmp_path, monkeypatch, broken=True)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {argv[0]}: ")
+    assert captured.out == ""
+    # negative control: the same command on fitting inputs
+    monkeypatch.undo()
+    assert main(case(tmp_path, monkeypatch, broken=False)) == EXIT_OK
+
+
+def test_errors_outside_the_table_propagate(monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("a bug, not an input the theory refuses")
+    monkeypatch.setattr(cli, "tts_bounds", bug)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["bounds", "--scenario", "builtin:example1"])
 
 
 # ---------------------------------------------------------------------------

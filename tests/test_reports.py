@@ -4,12 +4,13 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from rampflow.controllers import make_controller
 from rampflow.reports import (
     fmt,
-    heatmap_csv_text,
     rates_csv_text,
+    read_trajectory_csv,
     trajectory_csv_text,
 )
 from rampflow.scenarios import builtin_example1
@@ -55,16 +56,18 @@ def test_trajectory_equals_a_csv_writer_rendering():
     assert lines[-1].endswith(",0,,")             # blank phi and r
 
 
-def test_heatmap_equals_a_csv_writer_rendering():
+def test_a_table_without_the_trajectory_columns_is_refused(tmp_path):
     traj = _greedy_example1()
-    traj.rho = _odd_values(traj.rho)
-    ref = _csv([["t", "cell", "rho"]]
-               + [[t, k + 1, fmt(traj.rho[t, k])]
-                  for t in range(traj.horizon)
-                  for k in range(traj.rho.shape[1])])
-    text = heatmap_csv_text(traj)
-    assert text == ref
-    assert text.splitlines()[1] == "0,1,0"       # -0.0 renders as 0
+    text = trajectory_csv_text(traj)
+    full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+    full.write_text(text, encoding="utf-8")
+    short.write_text("".join(",".join(ln.split(",")[:3]) + "\n"
+                             for ln in text.splitlines()), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=r"lacks columns \['q', 'phi', 'r'\]"):
+        read_trajectory_csv(short, traj.demand)
+    # negative control: the writer's own table reads back
+    assert trajectory_csv_text(read_trajectory_csv(full, traj.demand)) == text
 
 
 def test_rates_equal_a_csv_writer_rendering():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rampflow.controllers import KINDS, make_controller, sample_controller_model
-from rampflow.cumulative import cctm_step, cumulative_from_state
-from rampflow.lp import brute_force_max_next_flows
+from rampflow.cumulative import cctm_step, cumulative_from_state, tts_bounds
+from rampflow.lp import brute_force_max_next_flows, build_lp, solve_lp
 from rampflow.model import CellParams, FreewayModel
 from rampflow.scenarios import (
     builtin_example1,
@@ -691,3 +691,51 @@ def test_a_plant_stack_must_match_the_batch():
     traj = simulate(stack, sc.demand, make_controller("alinea", [sc.model] * 2),
                     disturbance=DisturbanceSpec(0.05, seed=[1, 2]))
     assert traj.rho.shape[0] == 2
+
+
+def _two_queued_cells():
+    cell = CellParams(length=1.0, v_free=100.0, rho_crit=50.0, rho_jam=250.0,
+                      ramp_flow_max=900.0, queue_max=40.0)
+    horizon = 20
+    return (FreewayModel([cell, cell], dt=0.01),
+            DemandProfile(np.full(horizon, 500.0),
+                          np.full((horizon, 2), 100.0)))
+
+
+# the box tolerance is 1e-9 * max(1, bound): 2.5e-7 cars/km on rho_jam 250
+# and 4e-8 cars on queue_max 40
+@pytest.mark.parametrize("rho0, q0, refused", [
+    ([250.0, 0.0], [0.0, 40.0], False),                 # on the edges
+    ([250.0 + 1e-7, 0.0], [0.0, 40.0 + 2e-8], False),   # out by rounding
+    ([250.0 + 5e-7, 0.0], [0.0, 0.0], True),
+    ([0.0, 0.0], [0.0, -4.0], True),
+    ([0.0, 0.0], [0.0, 40.0 + 1e-7], True),
+], ids=["on-the-edges", "out-by-rounding", "density-above-jam",
+        "negative-queue", "queue-above-its-box"])
+def test_initial_states_outside_the_boxes_are_refused(rho0, q0, refused):
+    model, demand = _two_queued_cells()
+    state = SimState(rho0, q0)
+    runs = (lambda: simulate(model, demand, initial_state=state),
+            lambda: tts_bounds(model, demand, state),
+            lambda: solve_lp(build_lp(model, demand, state)))
+    for run in runs:
+        if refused:
+            with pytest.raises(ContractViolationError,
+                               match="outside its box"):
+                run()
+        else:
+            run()
+
+
+def test_one_initial_state_is_checked_against_every_plant_of_a_stack():
+    model, demand = _two_queued_cells()
+    low = model.with_cells([replace(c, rho_jam=200.0) for c in model.cells])
+    stack = FreewayModel.stack([model, low])
+    with pytest.raises(ContractViolationError,
+                       match="density outside its box at cell 1 of run 1"):
+        simulate(stack, demand, initial_state=SimState([220.0, 0.0],
+                                                       [0.0, 0.0]))
+    # negative control: a state inside both plants' boxes
+    traj = simulate(stack, demand, initial_state=SimState([200.0, 0.0],
+                                                          [0.0, 40.0]))
+    assert traj.rho.shape == (2, demand.horizon + 1, model.n)
