@@ -167,6 +167,7 @@ def _cmd_optimize(args) -> int:
         "residual_ub": sol.residual_ub,
         "lp_status": sol.status,
         "lp_iterations": sol.iterations,
+        "lp_warm": sol.warm,
     }
     if args.rates:
         _emit(rates_csv_text(sol.rates), args.rates)

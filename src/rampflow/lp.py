@@ -20,6 +20,7 @@ into a simplex basis, leaves HiGHS few or no pivots to make.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -124,12 +125,13 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
              initial_state: SimState | None = None) -> LpInstance:
     """Assemble the hypograph relaxation of the min-time metering problem.
 
-    An initial state outside [0, rho_jam] x [0, queue_max] is refused, as
-    in :func:`simulate`."""
+    An initial state outside [0, rho_jam] x [0, queue_max] is refused, and
+    one outside by rounding only is moved onto the boxes, as in
+    :func:`simulate`."""
     require_monotone(model)
     demand.check_against(model)
     initial = zero_state(model) if initial_state is None else initial_state
-    _check_state(model, initial.rho, initial.q)
+    initial = SimState(*_check_state(model, initial.rho, initial.q))
 
     n, T, dt = model.n, demand.horizon, model.dt
     vm = VarMap(n=n, horizon=T)
@@ -218,6 +220,7 @@ class LpSolution:
     residual_ub: float
     status: str               # HiGHS model status, "Optimal" once solved
     iterations: int           # simplex iterations
+    warm: bool                # solved from the greedy basis
     x: np.ndarray = field(repr=False)
 
 
@@ -255,19 +258,23 @@ def _highs_bindings():
 def solve_lp(inst: LpInstance) -> LpSolution:
     """Solve the instance with HiGHS, warm-started from the greedy run.
 
-    A scipy without HiGHS's bindings solves it cold through ``linprog``.
-    Both reach the same optimal value; on a degenerate LP they may return
-    different optimal plans.
+    A warm start can end at a point HiGHS reports optimal that still
+    misses a row by more than ``_RESIDUAL_TOL``; HiGHS's own infeasibility
+    counts do not flag it, so such a point is solved again, once, cold. A
+    scipy without HiGHS's bindings solves the instance cold through
+    ``linprog``. All reach the same optimal value; on a degenerate LP they
+    may return different optimal plans.
     """
     core = _highs_bindings()
+    basis = None if core is None else _greedy_basis(inst)
     x, fun, status, iterations = (_solve_linprog(inst) if core is None
-                                  else _solve_highs(core, inst))
-    scale_eq = np.maximum(1.0, np.abs(inst.b_eq))
-    residual_eq = float(np.max(np.abs(inst.a_eq @ x - inst.b_eq) / scale_eq)) \
-        if inst.b_eq.size else 0.0
-    scale_ub = np.maximum(1.0, np.abs(inst.b_ub))
-    residual_ub = float(np.max((inst.a_ub @ x - inst.b_ub) / scale_ub)) \
-        if inst.b_ub.size else 0.0
+                                  else _solve_highs(core, inst, basis))
+    residual_eq, residual_ub = _residuals(inst, x)
+    warm = basis is not None
+    if warm and max(residual_eq, residual_ub) > _RESIDUAL_TOL:
+        x, fun, status, iterations = _solve_highs(core, inst, None)
+        residual_eq, residual_ub = _residuals(inst, x)
+        warm = False
     if residual_eq > _RESIDUAL_TOL or residual_ub > _RESIDUAL_TOL:
         raise LpError(
             f"solution violates rows: eq {residual_eq:g}, ub {residual_ub:g}")
@@ -278,7 +285,19 @@ def solve_lp(inst: LpInstance) -> LpSolution:
                       q=np.vstack((inst.initial.q, qs)),
                       flows=flows.copy(), rates=rates.copy(),
                       residual_eq=residual_eq, residual_ub=residual_ub,
-                      status=status, iterations=iterations, x=x)
+                      status=status, iterations=iterations, warm=warm, x=x)
+
+
+def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
+    """Largest relative violation of the equality and of the inequality
+    rows."""
+    scale_eq = np.maximum(1.0, np.abs(inst.b_eq))
+    residual_eq = float(np.max(np.abs(inst.a_eq @ x - inst.b_eq) / scale_eq)) \
+        if inst.b_eq.size else 0.0
+    scale_ub = np.maximum(1.0, np.abs(inst.b_ub))
+    residual_ub = float(np.max((inst.a_ub @ x - inst.b_ub) / scale_ub)) \
+        if inst.b_ub.size else 0.0
+    return residual_eq, residual_ub
 
 
 def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
@@ -293,34 +312,35 @@ def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
     return res.x, float(res.fun), "Optimal", int(res.nit)
 
 
-def _solve_highs(core, inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
+def _solve_highs(core, inst: LpInstance,
+                 basis: tuple[np.ndarray, np.ndarray] | None,
+                 ) -> tuple[np.ndarray, float, str, int]:
+    """Solve through HiGHS's bindings, from ``basis`` (column and row
+    statuses) or, given None, cold. The model goes over as arrays, through
+    the ``passModel`` overload that takes the column-wise matrix; its
+    integrality array must hold one 0 per column, as an empty one is
+    refused."""
     from scipy import sparse
     a = sparse.vstack((inst.a_eq, inst.a_ub), format="csc")
     rows, cols = a.shape
-    lp = core.HighsLp()
-    lp.num_col_, lp.num_row_ = cols, rows
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = inst.c, inst.lb, inst.ub
-    lp.row_lower_ = np.concatenate((inst.b_eq,
-                                    np.full(inst.b_ub.size, -np.inf)))
-    lp.row_upper_ = np.concatenate((inst.b_eq, inst.b_ub))
-    m = lp.a_matrix_
-    m.format_ = core.MatrixFormat.kColwise
-    m.num_col_, m.num_row_ = cols, rows
-    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
-
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
-    if highs.passModel(lp) == core.HighsStatus.kError:
+    if highs.passModel(
+            cols, rows, a.nnz, int(core.MatrixFormat.kColwise),
+            int(core.ObjSense.kMinimize), 0.0, inst.c, inst.lb, inst.ub,
+            np.concatenate((inst.b_eq, np.full(inst.b_ub.size, -np.inf))),
+            np.concatenate((inst.b_eq, inst.b_ub)),
+            a.indptr, a.indices, a.data,
+            np.zeros(cols, dtype=np.int32)) == core.HighsStatus.kError:
         raise LpError("HiGHS refused the model")
-    statuses = _greedy_basis(inst)
-    if statuses is not None:
+    if basis is not None:
         kinds = [core.HighsBasisStatus(i) for i in (_LOWER, _BASIC, _UPPER)]
-        basis = core.HighsBasis()
-        basis.col_status, basis.row_status = (
-            [kinds[i] for i in s.tolist()] for s in statuses)
-        basis.valid = True
-        if highs.setBasis(basis) == core.HighsStatus.kError:
+        start = core.HighsBasis()
+        start.col_status, start.row_status = (
+            [kinds[i] for i in s.tolist()] for s in basis)
+        start.valid = True
+        if highs.setBasis(start) == core.HighsStatus.kError:
             raise LpError("HiGHS refused the greedy basis")
     highs.run()
     model_status = highs.getModelStatus()
@@ -458,36 +478,149 @@ def _lp_expr(terms: list[str]) -> str:
     return joined[2:] if joined.startswith("+ ") else joined
 
 
-def export_lp_text(inst: LpInstance) -> str:
-    """Render the instance in CPLEX LP text form (for external solvers)."""
-    vm = inst.varmap
-    cells = range(1, vm.n + 1)
-    names = []
-    for t in range(vm.horizon):
-        names += [f"phi_{t}_{k}" for k in range(vm.n + 1)]
-        names += [f"r_{t}_{k}" for k in cells]
-        names += [f"rho_{t + 1}_{k}" for k in cells]
-        names += [f"q_{t + 1}_{k}" for k in cells]
+def _g12(values: np.ndarray) -> list[str]:
+    """``f"{v:.12g}"`` per value, formatting each distinct bit pattern once
+    (so -0.0 keeps its sign)."""
+    bits, which = np.unique(np.ascontiguousarray(values, dtype=float)
+                            .view(np.int64), return_inverse=True)
+    text = [f"{v:.12g}" for v in bits.view(float).tolist()]
+    return [text[i] for i in which.tolist()]
 
-    def rows(a: sparse.csr_matrix, b: np.ndarray, tag: str, sense: str):
-        terms = _lp_terms(a.data, a.indices, names)
-        ptr = a.indptr.tolist()
-        return [f" {tag}{i}: {_lp_expr(terms[lo:hi])} {sense} {rhs:.12g}"
-                for i, (lo, hi, rhs) in enumerate(zip(ptr, ptr[1:],
-                                                       b.tolist()))]
+
+def _block_names(n: int, step: str, state: str) -> list[str]:
+    """Names of one block's columns: the flows and rates of step ``step``,
+    the densities and queues at time ``state``."""
+    cells = range(1, n + 1)
+    return ([f"phi_{step}_{k}" for k in range(n + 1)]
+            + [f"r_{step}_{k}" for k in cells]
+            + [f"rho_{state}_{k}" for k in cells]
+            + [f"q_{state}_{k}" for k in cells])
+
+
+#: stand-ins in a template for the block numbers b, b + 1 and b + 2, and
+#: for the per-row text filled in at render time
+_SENTINELS = ("\x00", "\x01", "\x02")
+_HOLE = "\x03"
+
+
+class _StepTemplates:
+    """Renderer of LP text in chunks, one step's columns or rows each.
+
+    A chunk whose columns lie in two consecutive blocks b and b + 1 names
+    them through the numbers b, b + 1 and b + 2 only. Its text is built
+    once per pattern (its columns relative to block b, its values and its
+    shape) with sentinels for those numbers, which ``str.replace`` fills
+    in for each chunk; every step of ``build_lp`` but the first repeats
+    one pattern. Any other chunk is built with concrete names."""
+
+    def __init__(self, vm: VarMap):
+        self.vm = vm
+        s0, s1, s2 = _SENTINELS
+        self.window = _block_names(vm.n, s0, s1) + _block_names(vm.n, s1, s2)
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Every column's concrete name."""
+        return [name for t in range(self.vm.horizon)
+                for name in _block_names(self.vm.n, str(t), str(t + 1))]
+
+    def render(self, cols: np.ndarray, vals: np.ndarray, starts: np.ndarray,
+               build, shapes: list | None = None,
+               holes: list[str] = ()) -> list[str]:
+        """Text of each chunk i: the entries ``starts[i]:starts[i + 1]`` of
+        ``cols`` and ``vals``, plus ``shapes[i]``. ``build(i, cols, vals,
+        names)`` writes chunk i with the names ``names[cols]``, marking each
+        place the chunk's next string from ``holes`` goes with ``_HOLE``.
+        Templates are shared within one call only, since ``build`` differs
+        between calls."""
+        block = self.vm.block
+        nnz = np.diff(starts)
+        # reduceat over starts[-1] too, so the last chunk ends there
+        padded = np.append(cols, 0)
+        low, high = (f.reduceat(padded, starts)[:-1]
+                     for f in (np.minimum, np.maximum))
+        first = np.where(nnz > 0, low // block, 0)
+        rel = cols - np.repeat(first * block, nnz)
+        far = (nnz > 0) & (high >= (first + 2) * block)
+        s0, s1, s2 = _SENTINELS
+        templates, used, out = {}, 0, []
+        for i, (lo, hi, b, concrete) in enumerate(zip(
+                starts[:-1].tolist(), starts[1:].tolist(), first.tolist(),
+                far.tolist())):
+            if concrete:
+                pieces = build(i, cols[lo:hi], vals[lo:hi],
+                               self.names).split(_HOLE)
+            else:
+                key = (rel[lo:hi].tobytes(), vals[lo:hi].tobytes(),
+                       shapes and shapes[i])
+                pieces = templates.get(key)
+                if pieces is None:
+                    pieces = templates[key] = build(
+                        i, rel[lo:hi], vals[lo:hi], self.window).split(_HOLE)
+            text = pieces[0]
+            if len(pieces) > 1:
+                parts = [None] * (2 * len(pieces) - 1)
+                parts[::2] = pieces
+                parts[1::2] = holes[used:used + len(pieces) - 1]
+                used += len(pieces) - 1
+                text = "".join(parts)
+            if not concrete:
+                text = text.replace(s0, str(b)).replace(
+                    s1, str(b + 1)).replace(s2, str(b + 2))
+            out.append(text)
+        return out
+
+
+def export_lp_text(inst: LpInstance) -> str:
+    """Render the instance in CPLEX LP text form (for external solvers).
+
+    The objective and the bounds are rendered one block of columns at a
+    time, the rows one step at a time (``horizon`` equal chunks of each
+    matrix), each chunk from its pattern's template; only the row numbers
+    and the right-hand sides are formatted per row."""
+    vm = inst.varmap
+    tpl = _StepTemplates(vm)
+    edges = np.arange(vm.horizon + 1) * vm.block
 
     cols = np.flatnonzero(inst.c)
+    objective = tpl.render(
+        cols, inst.c[cols], np.searchsorted(cols, edges),
+        lambda i, cols, vals, names: " ".join(_lp_terms(vals, cols, names)))
+
+    def rows(a: sparse.csr_matrix, b: np.ndarray, tag: str,
+             sense: str) -> list[str]:
+        m = a.shape[0]
+        per = max(1, m // vm.horizon if m % vm.horizon == 0 else m)
+        lens = np.diff(a.indptr)
+        row_lens = [lens[r:r + per] for r in range(0, m, per)]
+
+        def build(i, cols, vals, names):
+            terms = _lp_terms(vals, cols, names)
+            ends = np.cumsum(row_lens[i]).tolist()
+            return "\n".join(
+                f" {tag}{_HOLE}: {_lp_expr(terms[p:q])} {sense} {_HOLE}"
+                for p, q in zip([0] + ends, ends))
+
+        holes = [None] * (2 * m)
+        holes[::2] = map(str, range(m))
+        holes[1::2] = _g12(b)
+        return tpl.render(a.indices, a.data, a.indptr[::per], build,
+                          [r.tobytes() for r in row_lens], holes)
+
+    def bounds(i, cols, vals, names):
+        return "\n".join(f" {lo:.12g} <= {names[j]}" if hi == np.inf
+                         else f" {lo:.12g} <= {names[j]} <= {hi:.12g}"
+                         for j, (lo, hi) in zip(cols.tolist(), vals.tolist()))
+
     out = ["Minimize",
-           " obj: " + _lp_expr(_lp_terms(inst.c[cols], cols, names)),
+           " obj: " + _lp_expr([text for text in objective if text]),
            "Subject To",
            *rows(inst.a_eq, inst.b_eq, "e", "="),
            *rows(inst.a_ub, inst.b_ub, "u", "<="),
-           "Bounds"]
-    out += [f" {lo:.12g} <= {name}" if hi == np.inf
-            else f" {lo:.12g} <= {name} <= {hi:.12g}"
-            for name, lo, hi in zip(names, inst.lb.tolist(),
-                                    inst.ub.tolist())]
-    out.append("End")
+           "Bounds",
+           *tpl.render(np.arange(vm.size), np.column_stack((inst.lb, inst.ub)),
+                       edges, bounds),
+           "End"]
     return "\n".join(out) + "\n"
 
 

@@ -333,10 +333,9 @@ def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
         if rho.shape != (model.n,) or q.shape != (model.n,):
             fail(f"initial: rho and q must have length {model.n}")
         try:
-            _check_state(model, rho, q)   # NaN fails too
+            initial = SimState(*_check_state(model, rho, q))  # NaN fails too
         except ContractViolationError as e:
             fail(f"initial: state outside the model boxes: {e}")
-        initial = SimState(rho, q)
     return Scenario(label, model, demand, initial)
 
 

@@ -254,20 +254,23 @@ def _check_box(x: np.ndarray, lo, hi, tol, what: str) -> None:
                            for b in (x, lo, hi))
         run = f" of run {bad[0]}" if inside.ndim > 1 else ""
         raise ContractViolationError(
-            f"{what} at cell {bad[-1] + 1}{run}: value {x_b:g} "
-            f"outside [{lo_b:g}, {hi_b:g}]")
+            f"{what} at cell {bad[-1] + 1}{run}: value {float(x_b)!r} "
+            f"outside [{float(lo_b)!r}, {float(hi_b)!r}]")
 
 
 def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
-                 ) -> None:
-    """Raise unless the state lies in [0, rho_jam] x [0, queue_max] up to
-    rounding; a stacked model checks it against every member's boxes."""
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The state clipped onto [0, rho_jam] x [0, queue_max]; raise unless
+    it lies there up to rounding. A stacked model checks it against every
+    member's boxes, and the clipped state has the stack's shape."""
     _check_box(rho, 0.0, model.rho_jam,
                _BOX_TOL * np.maximum(1.0, model.rho_jam),
                "density outside its box")
     _check_box(q, 0.0, model.queue_max,
                _BOX_TOL * np.maximum(1.0, model.queue_max),
                "queue outside its box")
+    return (np.clip(rho, 0.0, model.rho_jam),
+            np.clip(q, 0.0, model.queue_max))
 
 
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
@@ -353,7 +356,8 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     law needs no bounds of its own. A rate the clamp cannot make feasible
     (NaN, or a full queue whose arrivals exceed the rate cap) is a
     contract violation, as in :func:`step`, and so is an initial state
-    outside [0, rho_jam] x [0, queue_max].
+    outside [0, rho_jam] x [0, queue_max]; one outside by rounding only
+    is moved onto the boxes.
 
     ``relaxed`` waives the constant rate bounds [0, ramp_flow_max] in that
     clamp, for every run or, given as R flags, per run; it applies to
@@ -377,15 +381,15 @@ def simulate(model: FreewayModel, demand: DemandProfile,
                        len(relaxed) if np.ndim(relaxed) else None)
     caps = _rate_caps(model, relaxed)
     state = initial_state if initial_state is not None else zero_state(model)
-    _check_state(model, state.rho, state.q)
+    rho0, q0 = _check_state(model, state.rho, state.q)
 
     T, n, R = demand.horizon, model.n, runs or 1
     rho_hist = np.empty((R, T + 1, n))
     q_hist = np.empty((R, T + 1, n))
     flows = np.empty((R, T, n + 1))
     rates_hist = np.empty((R, T, n))
-    rho_hist[:, 0] = state.rho
-    q_hist[:, 0] = state.q
+    rho_hist[:, 0] = rho0
+    q_hist[:, 0] = q0
     noisy = sigma > 0.0
     if noisy:
         gens = disturbance.rng(runs)

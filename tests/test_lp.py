@@ -41,6 +41,7 @@ from rampflow.scenarios import (
     GRENOBLE_PRESET,
     builtin_example1,
     builtin_example2,
+    builtin_grenoble,
     grenoble_model,
     synth_demand,
 )
@@ -474,13 +475,10 @@ def test_array_build_and_export_equal_the_row_loops(case):
     assert export_lp_text(inst) == _getrow_export(inst)
 
 
-@pytest.mark.parametrize("case", ["example1", "random31"])
-def test_flow_bounds_written_as_rows_keep_the_optimum(case):
-    """The constant flow limits put back as explicit single-variable rows
-    give the same optimum as the column bounds; dropping them (negative
-    control) lowers it on example1, where the bottleneck cap binds."""
-    model, demand, initial = LP_CASES[case]()
-    inst = build_lp(model, demand, initial)
+def _flow_limits_as_rows(inst):
+    """The instance with the constant flow limits moved from the column
+    bounds to explicit single-variable rows appended to ``a_ub``, and the
+    bounds those rows replace: (instance, ub without the flow limits)."""
     vm = inst.varmap
     cols = vm.phi(np.arange(vm.horizon)[:, None],
                   np.arange(1, vm.n + 1)).ravel()
@@ -489,13 +487,85 @@ def test_flow_bounds_written_as_rows_keep_the_optimum(case):
     limits = sparse.csr_matrix(
         (np.ones(cols.size), (np.arange(cols.size), cols)),
         shape=(cols.size, vm.size))
-    rows = replace(inst, a_ub=sparse.vstack((inst.a_ub, limits)).tocsr(),
-                   b_ub=np.concatenate((inst.b_ub, inst.ub[cols])), ub=free)
+    return replace(inst, a_ub=sparse.vstack((inst.a_ub, limits)).tocsr(),
+                   b_ub=np.concatenate((inst.b_ub, inst.ub[cols])),
+                   ub=free), free
+
+
+@pytest.mark.parametrize("case", ["example1", "random31"])
+def test_flow_bounds_written_as_rows_keep_the_optimum(case):
+    """The constant flow limits put back as explicit single-variable rows
+    give the same optimum as the column bounds; dropping them (negative
+    control) lowers it on example1, where the bottleneck cap binds."""
+    model, demand, initial = LP_CASES[case]()
+    inst = build_lp(model, demand, initial)
+    rows, free = _flow_limits_as_rows(inst)
     objective = solve_lp(inst).objective
     assert solve_lp(rows).objective == pytest.approx(objective, rel=1e-9)
     if case == "example1":
         dropped = solve_lp(replace(inst, ub=free)).objective
         assert dropped < objective - 1e-3
+
+
+def _one_step_instance():
+    rng = np.random.default_rng(7)
+    model = random_model(rng, n_max=4)
+    return build_lp(model, random_demand(rng, model, 1, load=0.8),
+                    random_state(rng, model))
+
+
+def _without_ub_rows():
+    inst = build_lp(*LP_CASES["random31"]())
+    return replace(inst, a_ub=sparse.csr_matrix((0, inst.varmap.size)),
+                   b_ub=np.zeros(0))
+
+
+def _ub_rows_like_the_eq_rows():
+    inst = build_lp(*LP_CASES["random31"]())
+    return replace(inst, a_ub=inst.a_eq, b_ub=inst.b_eq)
+
+
+OFF_LAYOUT_CASES = {
+    **{f"{case}-flow-rows": (lambda case=case: _flow_limits_as_rows(
+        build_lp(*LP_CASES[case]()))[0])
+       for case in ("example1", "random31", "random34")},
+    "one-step": _one_step_instance,
+    "no-ub-rows": _without_ub_rows,
+    "ub-rows-like-eq-rows": _ub_rows_like_the_eq_rows,
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_LAYOUT_CASES))
+def test_export_equals_the_row_loop_off_the_step_layout(case):
+    """Rows that do not follow ``build_lp``'s step layout: with the flow
+    limits appended to ``a_ub`` a step's chunk of rows spans up to three
+    blocks of columns, a one-step instance is a single chunk, a section
+    may have no rows, and one whose chunks repeat the other's patterns
+    still renders its own sense."""
+    inst = OFF_LAYOUT_CASES[case]()
+    assert export_lp_text(inst) == _getrow_export(inst)
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+@pytest.mark.parametrize("case", ["example1", "random31", "random34"])
+def test_an_lp_reader_reaches_the_optimum_from_the_export(case, tmp_path):
+    """HiGHS's own LP-file reader, solving the exported text cold, reaches
+    ``solve_lp``'s optimum; the text has no objective constant, so the
+    frozen t = 0 state's time is added back."""
+    inst = build_lp(*LP_CASES[case]())
+    path = tmp_path / "inst.lp"
+    path.write_text(export_lp_text(inst), encoding="ascii")
+    core = rampflow.lp._highs_bindings()
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) != core.HighsStatus.kError
+    assert highs.getNumCol() == inst.varmap.size
+    assert highs.getNumRow() == inst.a_eq.shape[0] + inst.a_ub.shape[0]
+    highs.run()
+    assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+    read = highs.getInfo().objective_function_value + inst.objective_constant
+    assert read == pytest.approx(solve_lp(inst).objective, rel=1e-9)
 
 
 def test_export_follows_a_nudged_coefficient():
@@ -559,12 +629,54 @@ def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
     assert calls == [1]
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
     assert warm.status == cold.status == "Optimal"
+    assert warm.warm is True and cold.warm is False
     assert certify_relaxation(inst, warm).exact
     cols, rows = _greedy_basis(inst)
     assert np.sum(cols == 1) + np.sum(rows == 1) == rows.size
     if case == "grenoble240":
         # greedy is optimal here, so its basis is an optimal one
         assert warm.iterations == 0 < cold.iterations
+
+
+# state after 77 windows of a receding-horizon loop on builtin_grenoble(0):
+# from t0 = 0, solve the 80-step window and apply the plan's first 8 rates
+_MPC_RHO_616 = [
+    34.42168648819589, 39.2625318723792, 39.6702094058695, 40.01069671439679,
+    37.82474345905738, 38.26383231777741, 36.18373900647879,
+    39.510671935986835, 39.930399315795306, 40.479351848445326,
+    40.193869486427026, 40.34053276348951, 40.46144674591529,
+    42.54581231852996, 42.679133771531895, 43.041771502195324,
+    43.20249356556917, 43.35518265262092, 57.52034434790357,
+    80.36983822603217, 49.28176952551049]
+_MPC_Q_616 = [0.0] * 18 + [169.61508411737196, 0.0, 0.0]
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+def test_a_warm_point_that_misses_a_row_is_solved_again_cold(monkeypatch):
+    """On this window the greedy basis leads HiGHS to a point it calls
+    optimal while an equality row misses by 2e-7, over the row tolerance;
+    ``solve_lp`` solves it again cold, and that solution passes. Negative
+    control: with the retry returning the warm point again, the row check
+    refuses it."""
+    sc = builtin_grenoble(0)
+    window = DemandProfile(sc.demand.w0[616:696], sc.demand.w_ramp[616:696])
+    inst = build_lp(sc.model, window, SimState(_MPC_RHO_616, _MPC_Q_616))
+    assert _greedy_basis(inst) is not None
+    sol = solve_lp(inst)
+    assert sol.warm is False and sol.status == "Optimal"
+    assert max(sol.residual_eq, sol.residual_ub) <= rampflow.lp._RESIDUAL_TOL
+
+    real, solved = rampflow.lp._solve_highs, []
+
+    def warm_only(core, inst, basis):
+        if not solved:
+            solved.append(real(core, inst, basis))
+        return solved[0]
+
+    monkeypatch.setattr(rampflow.lp, "_solve_highs", warm_only)
+    with pytest.raises(rampflow.lp.LpError, match="violates rows: eq"):
+        solve_lp(inst)
 
 
 def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
@@ -577,6 +689,7 @@ def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     inst = build_lp(m, d)
     assert _greedy_basis(inst) is None
     sol = solve_lp(inst)
+    assert sol.warm is False
     assert sol.objective == pytest.approx(
         _solve_without_bindings(inst, monkeypatch).objective, rel=1e-9)
     assert certify_relaxation(inst, sol).failure

@@ -300,6 +300,20 @@ def test_yaml_non_finite_initial_state_rejected(tmp_path):
             load_scenario(p)
 
 
+def test_yaml_initial_state_outside_by_rounding_loads_onto_the_boxes(tmp_path):
+    """The loaded state is the checked one, moved onto its boxes; a queue
+    outside by more than rounding (negative control) is refused."""
+    p = tmp_path / "edge.yaml"
+    p.write_text(_YAML_OK.replace("q: [2.0, 0.0]", "q: [80.00000001, -1e-10]"),
+                 encoding="utf-8")
+    sc = load_scenario(p)
+    assert sc.initial.q.tolist() == [80.0, 0.0]
+    p.write_text(_YAML_OK.replace("q: [2.0, 0.0]", "q: [80.001, 0.0]"),
+                 encoding="utf-8")
+    with pytest.raises(ScenarioError, match=r"value 80\.001 outside"):
+        load_scenario(p)
+
+
 def test_yaml_demand_must_pick_exactly_one_kind(tmp_path):
     text = _YAML_OK.replace("demand:\n", "demand:\n  csv: nope.csv\n")
     p = tmp_path / "two.yaml"

@@ -703,13 +703,17 @@ def _two_queued_cells():
 
 
 # the box tolerance is 1e-9 * max(1, bound): 2.5e-7 cars/km on rho_jam 250
-# and 4e-8 cars on queue_max 40
+# and 4e-8 cars on queue_max 40; a refusal shows the value's every digit
 @pytest.mark.parametrize("rho0, q0, refused", [
-    ([250.0, 0.0], [0.0, 40.0], False),                 # on the edges
-    ([250.0 + 1e-7, 0.0], [0.0, 40.0 + 2e-8], False),   # out by rounding
-    ([250.0 + 5e-7, 0.0], [0.0, 0.0], True),
-    ([0.0, 0.0], [0.0, -4.0], True),
-    ([0.0, 0.0], [0.0, 40.0 + 1e-7], True),
+    ([250.0, 0.0], [0.0, 40.0], None),                  # on the edges
+    ([250.0 + 1e-7, 0.0], [0.0, 40.0 + 2e-8], None),    # out by rounding
+    ([250.0 + 5e-7, 0.0], [0.0, 0.0],
+     r"density outside its box at cell 1: value 250\.0000005 outside "
+     r"\[0\.0, 250\.0\]"),
+    ([0.0, 0.0], [0.0, -4.0],
+     r"queue outside its box at cell 2: value -4\.0 outside \[0\.0, 40\.0\]"),
+    ([0.0, 0.0], [0.0, 40.0 + 1e-7],
+     r"queue outside its box at cell 2: value 40\.0000001 outside"),
 ], ids=["on-the-edges", "out-by-rounding", "density-above-jam",
         "negative-queue", "queue-above-its-box"])
 def test_initial_states_outside_the_boxes_are_refused(rho0, q0, refused):
@@ -720,11 +724,44 @@ def test_initial_states_outside_the_boxes_are_refused(rho0, q0, refused):
             lambda: solve_lp(build_lp(model, demand, state)))
     for run in runs:
         if refused:
-            with pytest.raises(ContractViolationError,
-                               match="outside its box"):
+            with pytest.raises(ContractViolationError, match=refused):
                 run()
         else:
             run()
+
+
+def test_a_state_outside_its_boxes_by_rounding_starts_on_them():
+    """A state that passes the box check by rounding only starts the run
+    on the boxes. Before it did, the LP from a density 1e-7 below 0 was
+    infeasible, and a queue 5e-10 above a queueless ramp's box left a rate
+    interval [1.8e-07, 0] at step 0. Negative control: a queue outside by
+    more than rounding is still refused."""
+    model, demand = _two_queued_cells()
+    model = model.with_cells([replace(c, ramp_flow_max=1000.0)
+                              for c in model.cells])
+    state = SimState([250.0, -1e-7], [0.0, 0.0])
+    inst = build_lp(model, demand, state)
+    assert inst.initial.rho.tolist() == [250.0, 0.0]
+    sol = solve_lp(inst)
+    traj = simulate(model, demand, initial_state=state)
+    assert traj.rho[0].tolist() == [250.0, 0.0]
+    assert sol.objective <= evaluate_metrics(model, traj).tts + 1e-9
+
+    sc = builtin_example1()
+    assert sc.model.queue_max[0] == 0.0
+    traj = simulate(sc.model, sc.demand,
+                    initial_state=SimState(sc.initial.rho, [5e-10, 0.0]))
+    assert traj.q[0].tolist() == [0.0, 0.0]
+    with pytest.raises(ContractViolationError,
+                       match=r"queue outside its box at cell 1: value 5e-08"):
+        simulate(sc.model, sc.demand,
+                 initial_state=SimState(sc.initial.rho, [5e-8, 0.0]))
+
+    # on a stack, each plant's run starts on that plant's boxes
+    low = model.with_cells([replace(c, rho_jam=200.0) for c in model.cells])
+    traj = simulate(FreewayModel.stack([model, low]), demand,
+                    initial_state=SimState([200.0 + 1e-7, 0.0], [0.0, 0.0]))
+    assert traj.rho[:, 0, 0].tolist() == [200.0 + 1e-7, 200.0]
 
 
 def test_one_initial_state_is_checked_against_every_plant_of_a_stack():
