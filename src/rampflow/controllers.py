@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import CellParams, FreewayModel, validate_model
-from .simulator import SimState, _flows
+from .simulator import _ZERO, SimState, _flows
 
 KINDS = ("none", "best_effort", "alinea")
 
@@ -74,7 +74,7 @@ class ControllerSpec:
             return (0.0 if r_prev is None else r_prev) \
                 + self.ki * (m.rho_crit - state.rho)
         flows_now = internal_flows(m, state.rho, w_row[0])
-        return (m.length / m.dt * (m.rho_crit - state.rho)
+        return (m._length_over_dt * (m.rho_crit - state.rho)
                 + flows_now[..., 1:] / m.beta_bar - flows_now[..., :-1])
 
 
@@ -96,7 +96,7 @@ def internal_flows(model: FreewayModel, rho_measured: np.ndarray,
     example when the believed jam density is below the true one), so they
     are clipped into it first.
     """
-    rho = np.asarray(rho_measured, dtype=float).clip(0.0, model.rho_jam)
+    rho = np.asarray(rho_measured, dtype=float).clip(_ZERO, model.rho_jam)
     return _flows(model, rho, w0)
 
 

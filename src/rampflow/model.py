@@ -14,6 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
+#: relative tolerance of every box check (state, rates, queueless ramps):
+#: a value may leave its box by this fraction of max(1, |bound|)
+_BOX_TOL = 1e-9
+
 
 class GeometryError(ValueError):
     """Raised when cell parameters cannot define a usable fundamental diagram."""
@@ -91,6 +95,14 @@ class FreewayModel:
     Unset w_back/capacity entries are resolved with triangular defaults at
     construction. Parameter arrays are read-only numpy views indexed 0..n-1
     for cells 1..n. ``runs`` is None here; see :meth:`stack` for a batch.
+
+    The step kernel's constants are folded once per model, a stack
+    included: the curves' pieces (``_demand_slope``, ``_demand_dropped``,
+    ``_supply_max``), ``_dt`` (dt as a 0-d array), ``_dt_over_length`` =
+    dt / length and ``_length_over_dt`` = length / dt, and the density box
+    widened by its tolerance ``_rho_tol`` to [``_rho_floor``,
+    ``_rho_ceil``]. Each is the value the step would compute, so folding
+    changes no bit of a result.
     """
 
     runs: int | None = None
@@ -155,6 +167,16 @@ class FreewayModel:
         self._demand_dropped = frozen(
             (1.0 - self.capacity_drop) * self._demand_slope * self.rho_crit)
         self._supply_max = frozen(self.w_back * (self.rho_jam - self.rho_crit))
+        # constant pieces of the step: dt / length for the density update,
+        # length / dt for the greedy law, the density box with its tolerance,
+        # and dt as a 0-d array, which numpy takes as is where it converts
+        # the float anew on every call
+        self._dt = frozen(self.dt)
+        self._dt_over_length = frozen(self.dt / self.length)
+        self._length_over_dt = frozen(self.length / self.dt)
+        self._rho_tol = frozen(_BOX_TOL * np.maximum(1.0, self.rho_jam))
+        self._rho_floor = frozen(-self._rho_tol)
+        self._rho_ceil = frozen(self.rho_jam + self._rho_tol)
 
     @property
     def has_capacity_drop(self) -> bool:
@@ -167,8 +189,9 @@ class FreewayModel:
         """Vectorized demand curve over all cells; broadcasts over a
         leading run axis of ``rho`` or of the model."""
         rho = np.asarray(rho, dtype=float)
-        free = self._demand_slope * np.minimum(rho, self.rho_crit)
-        return np.where(rho > self.rho_crit, self._demand_dropped, free)
+        out = self._demand_slope * np.minimum(rho, self.rho_crit)
+        np.copyto(out, self._demand_dropped, where=rho > self.rho_crit)
+        return out
 
     def supply(self, rho: np.ndarray) -> np.ndarray:
         """Vectorized supply curve over all cells; broadcasts like

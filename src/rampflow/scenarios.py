@@ -9,6 +9,7 @@ to stress the controllers.
 from __future__ import annotations
 
 import csv
+import io
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +33,11 @@ from .simulator import (
 
 class ScenarioError(ValueError):
     """A scenario file or builtin reference could not be turned into a model."""
+
+
+#: PyYAML's libyaml parser where the platform has it, its pure-python one
+#: otherwise; both feed the safe constructor, so they build the same objects
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass
@@ -278,7 +284,7 @@ def load_scenario(ref: str | Path) -> Scenario:
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         raise ScenarioError(f"{path}: not valid YAML: {e}") from e
     if not isinstance(doc, dict):
@@ -398,21 +404,27 @@ def write_demand_csv(path: str | Path, demand: DemandProfile) -> None:
 
 
 def read_demand_csv(path: str | Path, n_cells: int) -> DemandProfile:
+    """The profile :func:`write_demand_csv` writes. Blank lines and quoted
+    numbers are accepted; a ragged or non-numeric row, or rows narrower or
+    wider than the header, raise ValueError."""
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"demand csv not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         expect = ["t"] + [f"w{k}" for k in range(n_cells + 1)]
         if header != expect:
             raise ScenarioError(
                 f"{path}: bad header {header}, expected {expect}")
-        rows = [[float(x) for x in row[1:]] for row in reader if row]
-    data = np.asarray(rows)
-    if data.size == 0:
+        body = fh.read()
+    if not body.strip():
         raise ScenarioError(f"{path}: no demand rows")
-    return DemandProfile(w0=data[:, 0], w_ramp=data[:, 1:])
+    data = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"',
+                      ndmin=2)
+    if data.shape[1] != len(expect):
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields, the "
+                         f"header has {len(expect)}")
+    return DemandProfile(w0=data[:, 1], w_ramp=data[:, 2:])
 
 
 # ---------------------------------------------------------------------------

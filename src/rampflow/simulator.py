@@ -22,9 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import FreewayModel
+from .model import _BOX_TOL, FreewayModel
 
-_BOX_TOL = 1e-9
+#: the clips' lower bound as a 0-d array, which numpy takes as is where it
+#: converts a Python float anew on every call
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 class ContractViolationError(RuntimeError):
@@ -197,11 +200,9 @@ def _flows(model: FreewayModel, rho: np.ndarray, w0: float) -> np.ndarray:
     d = model.demand(rho)
     phi = np.empty(d.shape[:-1] + (model.n + 1,))
     phi[..., 0] = w0
-    if model.n > 1:
-        s = model.supply(rho)
-        phi[..., 1:-1] = np.minimum(
-            np.minimum(d[..., :-1], model.capacity[..., :-1]), s[..., 1:])
-    phi[..., -1] = np.minimum(d[..., -1], model.capacity[..., -1])
+    np.minimum(d, model.capacity, out=phi[..., 1:])
+    inner = phi[..., 1:-1]
+    np.minimum(inner, model.supply(rho)[..., 1:], out=inner)
     return phi
 
 
@@ -232,8 +233,8 @@ def _rate_bounds(model: FreewayModel, q: np.ndarray, w: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The feasible rate interval: both queue-box limits within ``caps``,
     the constant bounds from :func:`_rate_caps`."""
-    return (np.maximum(caps[0], (q - model.queue_max) / model.dt + w),
-            np.minimum(caps[1], q / model.dt + w))
+    return (np.maximum(caps[0], (q - model.queue_max) / model._dt + w),
+            np.minimum(caps[1], q / model._dt + w))
 
 
 def _check_rates(r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -263,8 +264,7 @@ def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     """The state clipped onto [0, rho_jam] x [0, queue_max]; raise unless
     it lies there up to rounding. A stacked model checks it against every
     member's boxes, and the clipped state has the stack's shape."""
-    _check_box(rho, 0.0, model.rho_jam,
-               _BOX_TOL * np.maximum(1.0, model.rho_jam),
+    _check_box(rho, 0.0, model.rho_jam, model._rho_tol,
                "density outside its box")
     _check_box(q, 0.0, model.queue_max,
                _BOX_TOL * np.maximum(1.0, model.queue_max),
@@ -303,34 +303,39 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
         noise = np.reshape([g.normal(1.0, sigma_phi, size=model.n + 1)
                             for g in gens], state.rho.shape[:-1] + (-1,))
     rho_next, q_next, phi = _advance(model, state.rho, state.q, rates,
-                                     w_row, noise)
+                                     w_row[0], w_row[1:], noise)
     return SimState(rho_next, q_next), phi
 
 
 def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
-             rates: np.ndarray, w_row: np.ndarray,
+             rates: np.ndarray, w0: float, w: np.ndarray,
              noise: np.ndarray | None = None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step itself, from rates already checked against their interval:
-    (next densities, next queues, flow row). ``noise`` holds the flow
-    factors, or is None for a noiseless step.
+    (next densities, next queues, flow row), given the mainline inflow
+    ``w0`` and the ramp arrivals ``w``. ``noise`` holds the flow factors,
+    or is None for a noiseless step. It reads the constants the model
+    folds once: ``_dt`` and ``_dt_over_length`` for dt and dt / length,
+    and the density box widened by its tolerance, [``_rho_floor``,
+    ``_rho_ceil``].
 
     The rate interval implies the queue box (a rate in it leaves the queue
     in [0, queue_max] up to dt times the rate tolerance), so the queue is
     only clipped. Densities depend on the flows, which the interval does
     not bound: a noiseless step checks that they left their box by
     rounding only, which also catches a NaN inflow, before the clip."""
-    phi = _flows(model, rho, w_row[0])
+    phi = _flows(model, rho, w0)
     if noise is not None:
-        phi = (phi * noise).clip(0.0, phi)
-    rho_next = rho + model.dt / model.length * (
+        phi = (phi * noise).clip(_ZERO, phi)
+    rho_next = rho + model._dt_over_length * (
         phi[..., :-1] + rates - phi[..., 1:] / model.beta_bar)
-    q_next = (q + model.dt * (w_row[1:] - rates)).clip(0.0, model.queue_max)
+    q_next = (q + model._dt * (w - rates)).clip(_ZERO, model.queue_max)
     if noise is None:
-        _check_box(rho_next, 0.0, model.rho_jam,
-                   _BOX_TOL * np.maximum(1.0, model.rho_jam),
-                   "density left its box")
-    return rho_next.clip(0.0, model.rho_jam), q_next, phi
+        inside = (rho_next >= model._rho_floor) & (rho_next <= model._rho_ceil)
+        if np.count_nonzero(inside) != inside.size:   # NaN fails
+            _check_box(rho_next, 0.0, model.rho_jam, model._rho_tol,
+                       "density left its box")
+    return rho_next.clip(_ZERO, model.rho_jam), q_next, phi
 
 
 def _batch_size(*sizes: int | None) -> int | None:
@@ -372,7 +377,9 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     Each run's noise factors are drawn up front, one (T, n+1) draw from its
     generator, straight into the flow history; that is the same sequence
     :func:`step` draws one row per step. Every step advances like
-    :func:`step` and writes into the histories.
+    :func:`step`. The loop carries the state in the contiguous arrays
+    :func:`_advance` returns, copies each step's ramp arrivals to every run
+    once, and writes each history row once, without reading it back.
     """
     demand.check_against(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
@@ -400,22 +407,26 @@ def simulate(model: FreewayModel, demand: DemandProfile,
             rho_hist[0], q_hist[0], flows[0], rates_hist[0])
     w_rows = np.column_stack((demand.w0, demand.w_ramp))
 
+    rho, q = rho_hist[..., 0, :].copy(), q_hist[..., 0, :].copy()
+    w = np.empty(q.shape)   # the step's ramp arrivals, copied to every run
     r = None
     for t in range(T):
         w_row = w_rows[t]
-        rho, q = rho_hist[..., t, :], q_hist[..., t, :]
+        w[...] = w_row[1:]
         raw = np.inf if controller is None else controller.compute_rates(
             t, SimState._of(rho, q), w_row, r)
-        lo, hi = _rate_bounds(model, q, w_row[1:], caps)
+        lo, hi = _rate_bounds(model, q, w, caps)
         r = np.asarray(raw, dtype=float).clip(lo, hi)
         # the clamp leaves r <= hi, so only the lower side can fail: at a
         # NaN rate or an empty interval (lo > hi), refused as in step
         # unless the interval is empty by rounding only
-        if not (r >= lo).all():
+        ok = r >= lo
+        if np.count_nonzero(ok) != ok.size:
             _check_rates(r, lo, hi)
-        (rho_hist[..., t + 1, :], q_hist[..., t + 1, :],
-         flows[..., t, :]) = _advance(model, rho, q, r, w_row,
-                                      flows[..., t, :] if noisy else None)
+        rho, q, flows[..., t, :] = _advance(
+            model, rho, q, r, w_row[0], w, flows[..., t, :] if noisy else None)
+        rho_hist[..., t + 1, :] = rho
+        q_hist[..., t + 1, :] = q
         rates_hist[..., t, :] = r
     return Trajectory(rho=rho_hist, q=q_hist, flows=flows,
                       rates=rates_hist, demand=demand)

@@ -192,6 +192,31 @@ def test_simulate_demand_override_and_mismatch(tmp_path):
                  "--demand", str(tmp_path / "none.csv")]) == EXIT_SCENARIO
 
 
+@pytest.mark.parametrize("row", ["1,100,0", "1,100,0,50,7", "1,100,x,50"],
+                         ids=["short", "long", "text"])
+def test_a_ragged_or_non_numeric_demand_row(row, tmp_path):
+    """exits 5 as a ``--demand`` override and 2 inside a scenario file;
+    the same file without the bad row runs."""
+    good = "t,w0,w1,w2\n0,100,0,50\n"
+    csv_path = tmp_path / "demand.csv"
+    yaml_path = tmp_path / "s.yaml"
+    yaml_path.write_text(
+        "dt: 0.0025\ncells:\n"
+        "  - {length: 0.5, v_free: 100, rho_crit: 50, rho_jam: 250}\n"
+        "  - {length: 0.5, v_free: 100, rho_crit: 50, rho_jam: 250,\n"
+        "     ramp_flow_max: 900, queue_max: 40}\n"
+        "demand:\n  csv: demand.csv\n", encoding="utf-8")
+    out = str(tmp_path / "o.csv")
+    for text, override, in_file in ((good, EXIT_OK, EXIT_OK),
+                                    (good + row + "\n", EXIT_MISMATCH,
+                                     EXIT_SCENARIO)):
+        csv_path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--scenario", "builtin:example1",
+                     "--demand", str(csv_path), "--out", out]) == override
+        assert main(["simulate", "--scenario", str(yaml_path),
+                     "--out", out]) == in_file
+
+
 # ---------------------------------------------------------------------------
 # optimize
 

@@ -1,10 +1,15 @@
 """Builtin scenarios, the YAML loader, synthetic demand, and the campaign."""
 
+import csv
+import io
 import statistics
+import warnings
 
 import numpy as np
 import pytest
+import yaml
 
+from rampflow import scenarios
 from rampflow.controllers import make_controller, sample_controller_model
 from rampflow.model import FreewayModel
 from rampflow.scenarios import (
@@ -331,6 +336,76 @@ def test_missing_file_and_bad_yaml(tmp_path):
         load_scenario(p)
 
 
+_LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
+                              reason="PyYAML built without libyaml")
+_YAML_LOADERS = [pytest.param("SafeLoader", id="python"),
+                 pytest.param("CSafeLoader", id="libyaml", marks=_LIBYAML)]
+
+# the scalars and collections a scenario uses: ints, leading-dot floats,
+# exponents with and without a sign (YAML 1.1 reads `2e2` as a string,
+# which the table form converts), flow and block sequences and mappings
+_YAML_TYPES = """\
+label: types
+dt: 4.1666666666666666e-3
+cells:
+  - {length: .5, v_free: 9.0e+1, rho_crit: 50, rho_jam: 350,
+     ramp_flow_max: 1200, queue_max: 80}
+  - length: 0.5
+    v_free: 90
+    rho_crit: 50
+    rho_jam: 350
+    beta: 0.1
+demand:
+  table:
+    w0: [2000, 2.5e3, 1800.25]
+    w1:
+      - 100
+      - 2e2
+      - 0
+initial: {rho: [10.0, 5], q: [2, 0.0]}
+"""
+
+
+@_LIBYAML
+@pytest.mark.parametrize("text", [_YAML_OK, _YAML_TYPES],
+                         ids=["piecewise", "types"])
+def test_both_yaml_loaders_build_the_same_scenario(text, tmp_path,
+                                                   monkeypatch):
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(
+        text, Loader=yaml.SafeLoader)
+    p = tmp_path / "s.yaml"
+    p.write_text(text, encoding="utf-8")
+    loaded = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        monkeypatch.setattr(scenarios, "_YAML_LOADER", loader)
+        loaded.append(load_scenario(p))
+    py, c = loaded
+    assert py.label == c.label and py.model.dt == c.model.dt
+    assert py.model.cells == c.model.cells
+    for a, b in ((py.demand.w0, c.demand.w0),
+                 (py.demand.w_ramp, c.demand.w_ramp),
+                 (py.initial.rho, c.initial.rho),
+                 (py.initial.q, c.initial.q)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_the_yaml_loader_is_chosen_by_the_platform():
+    assert scenarios._YAML_LOADER is (
+        yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", _YAML_LOADERS)
+@pytest.mark.parametrize("text", ["cells: [unterminated", "a: b: c",
+                                  "cells:\n  - {length: 1\n"])
+def test_broken_yaml_is_a_scenario_error_under_each_loader(
+        loader, text, tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "_YAML_LOADER", getattr(yaml, loader))
+    p = tmp_path / "broken.yaml"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioError, match="not valid YAML"):
+        load_scenario(p)
+
+
 # ---------------------------------------------------------------------------
 # demand CSV round trip
 
@@ -348,6 +423,64 @@ def test_demand_csv_header_check(tmp_path):
     p.write_text("t,w0\n0,100\n", encoding="utf-8")
     with pytest.raises(ScenarioError, match="bad header"):
         read_demand_csv(p, 2)
+
+
+def _csv_module_rows(text: str) -> np.ndarray:
+    """The columns after ``t`` of every non-empty row, each parsed by
+    ``float`` from the csv module's fields: the reference reading."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    return np.array([[float(x) for x in row[1:]] for row in reader if row])
+
+
+def test_demand_csv_parses_like_the_csv_module(tmp_path):
+    p = tmp_path / "demand.csv"
+    for sc in (builtin_example1(), builtin_grenoble(3)):
+        write_demand_csv(p, sc.demand)
+        want = _csv_module_rows(p.read_text(encoding="utf-8"))
+        got = read_demand_csv(p, sc.model.n)
+        np.testing.assert_array_equal(got.w0, want[:, 0])
+        np.testing.assert_array_equal(got.w_ramp, want[:, 1:])
+
+
+def test_demand_csv_accepts_blank_lines_and_quoted_numbers(tmp_path):
+    clean = "t,w0,w1,w2\n0,1000.5,50,0\n1,1200,7.5e1,0\n"
+    loose = ('t,w0,w1,w2\n\n0,"1000.5",50,0\n\n'
+             '"1",1200,"7.5e1",0\n\n')
+    p, q = tmp_path / "clean.csv", tmp_path / "loose.csv"
+    p.write_text(clean, encoding="utf-8")
+    q.write_text(loose, encoding="utf-8")
+    a, b = read_demand_csv(p, 2), read_demand_csv(q, 2)
+    np.testing.assert_array_equal(b.w0, [1000.5, 1200.0])
+    np.testing.assert_array_equal(a.w0, b.w0)
+    np.testing.assert_array_equal(a.w_ramp, b.w_ramp)
+    np.testing.assert_array_equal(b.w_ramp, _csv_module_rows(loose)[:, 1:])
+    one = tmp_path / "one.csv"
+    one.write_text("t,w0,w1,w2\n0,1,2,3\n", encoding="utf-8")
+    assert read_demand_csv(one, 2).w_ramp.shape == (1, 2)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "\n  \n"],
+                         ids=["empty", "blank-lines", "whitespace"])
+def test_demand_csv_without_rows_is_refused_quietly(body, tmp_path):
+    p = tmp_path / "demand.csv"
+    p.write_text("t,w0,w1\n" + body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="no demand rows"):
+            read_demand_csv(p, 1)
+
+
+@pytest.mark.parametrize("rows", [
+    "0,100,50\n1,100\n", "0,100,50\n1,100,50,7\n", "0,100,x\n",
+    "0,100,\n", "0\n1\n", "0,100\n1,100\n"],
+    ids=["short", "long", "text", "empty-field", "t-only", "narrow"])
+def test_demand_csv_ragged_or_non_numeric_rows_raise(rows, tmp_path):
+    p = tmp_path / "demand.csv"
+    p.write_text("t,w0,w1\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_demand_csv(p, 1)
+    assert not isinstance(err.value, ScenarioError)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from rampflow.simulator import (
 )
 
 from conftest import one_step_rates, random_demand, random_model, random_state
+from test_model import demand_value, supply_value
 
 
 def one_cell(dt=0.01, **kw):
@@ -63,6 +64,76 @@ def test_compute_flows_respects_capacity_override():
     m = one_cell(capacity=1000.0)
     phi = compute_flows(m, SimState([40.0], [0.0]), w0=0.0)
     assert phi[1] == pytest.approx(1000.0, rel=1e-12)
+
+
+def _scalar_flows(cells, rho, w0: float) -> list[float]:
+    """phi_0 .. phi_n from the scalar curves, one cell at a time."""
+    n = len(cells)
+    phi = [w0]
+    for k, cell in enumerate(cells):
+        f = min(demand_value(cell, rho[k]), cell.capacity)
+        if k + 1 < n:
+            f = min(f, supply_value(cells[k + 1], rho[k + 1]))
+        phi.append(f)
+    return phi
+
+
+def _flow_cases():
+    """(model, per-run cell lists, densities, w0): single and stacked
+    states on a single and a stacked model, with densities exactly at
+    rho_crit and rho_jam, dropping cells and a binding capacity."""
+    base = [dict(rho_crit=50.0, rho_jam=250.0),
+            dict(rho_crit=40.0, rho_jam=200.0, beta=0.2, capacity_drop=0.1),
+            dict(rho_crit=60.0, rho_jam=300.0, capacity=4000.0),
+            dict(rho_crit=45.0, rho_jam=240.0, beta=0.1, capacity_drop=0.3),
+            dict(rho_crit=55.0, rho_jam=260.0)]
+    cells = [CellParams(length=1.0, v_free=90.0 + 5 * k, **kw)
+             for k, kw in enumerate(base)]
+    alt = [replace(c, v_free=c.v_free * 1.1, capacity_drop=0.2 - c.beta)
+           for c in cells]
+    single = FreewayModel(cells, dt=0.002)
+    members = [single, FreewayModel(alt, dt=0.002), single]
+    stack = FreewayModel.stack(members)
+    resolved = [m.cells for m in members]
+    rng = np.random.default_rng(5)
+
+    def densities(shape, jam):
+        rho = rng.uniform(0.0, jam, size=shape)
+        pick = rng.random(shape)
+        crit = np.broadcast_to(stack.rho_crit if len(shape) > 1
+                               else single.rho_crit, shape)
+        rho = np.where(pick < 0.2, crit, rho)
+        return np.where(pick > 0.85, np.broadcast_to(jam, shape), rho)
+
+    for _ in range(20):
+        rho = densities((5,), single.rho_jam)
+        yield single, [single.cells], rho, 1500.0
+        yield stack, resolved, rho, 1500.0
+        rows = densities((3, 5), single.rho_jam)
+        yield single, [single.cells] * 3, rows, 900.0
+        yield stack, resolved, densities((3, 5), stack.rho_jam), 900.0
+
+
+def _flow_mismatches() -> int:
+    """Entries where compute_flows differs from the scalar curves."""
+    bad = 0
+    for model, runs, rho, w0 in _flow_cases():
+        got = compute_flows(model, SimState(rho, np.zeros_like(rho)), w0)
+        rows = np.broadcast_to(rho, (len(runs), rho.shape[-1])) \
+            if model.runs else np.atleast_2d(rho)
+        want = np.array([_scalar_flows(c, r, w0) for c, r in zip(runs, rows)])
+        bad += int(np.sum(np.atleast_2d(got) != want))
+    return bad
+
+
+def test_compute_flows_equals_the_scalar_curves(monkeypatch):
+    assert _flow_mismatches() == 0
+    # negative control: the drop applied at rho_crit itself
+    def drop_at_crit(self, rho):
+        free = self._demand_slope * np.minimum(rho, self.rho_crit)
+        return np.where(rho >= self.rho_crit, self._demand_dropped, free)
+    monkeypatch.setattr(FreewayModel, "demand", drop_at_crit)
+    assert _flow_mismatches() > 0
 
 
 def test_feasible_rate_interval():
