@@ -66,14 +66,23 @@ class ControllerSpec:
     def compute_rates(self, t: int, state: SimState, w_row: np.ndarray,
                       r_prev: np.ndarray | None) -> np.ndarray | float:
         """Raw rate vector for step ``t``; ``r_prev`` is the rate applied
-        at step t - 1 (None at t = 0)."""
+        at step t - 1 (None at t = 0).
+
+        The greedy law predicts the flow row with :func:`internal_flows`,
+        except on a state from :func:`simulate` whose plant is the
+        internal model itself: there it reads the plant's row off the
+        state, which is the same row, bit for bit, because the loop's
+        densities already lie in the plant's [0, rho_jam]."""
         m = self.internal_model
         if self.kind == "none":
             return np.inf
         if self.kind == "alinea":
             return (0.0 if r_prev is None else r_prev) \
                 + self.ki * (m.rho_crit - state.rho)
-        flows_now = internal_flows(m, state.rho, w_row[0])
+        if getattr(state, "_plant", None) is m:
+            flows_now = state._plant_flows
+        else:
+            flows_now = internal_flows(m, state.rho, w_row[0])
         return (m._length_over_dt * (m.rho_crit - state.rho)
                 + flows_now[..., 1:] / m.beta_bar - flows_now[..., :-1])
 
@@ -94,7 +103,10 @@ def internal_flows(model: FreewayModel, rho_measured: np.ndarray,
 
     Measurements can sit outside the belief model's density range (for
     example when the believed jam density is below the true one), so they
-    are clipped into it first.
+    are clipped into it first. On densities already in that range the clip
+    is the identity, and the row is the model's own ``_flows`` row, which
+    is why a law that believes the plant may take the plant's row from
+    :func:`simulate` instead.
     """
     rho = np.asarray(rho_measured, dtype=float).clip(_ZERO, model.rho_jam)
     return _flows(model, rho, w0)

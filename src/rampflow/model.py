@@ -98,7 +98,8 @@ class FreewayModel:
 
     The step kernel's constants are folded once per model, a stack
     included: the curves' pieces (``_demand_slope``, ``_demand_dropped``,
-    ``_supply_max``), ``_dt`` (dt as a 0-d array), ``_dt_over_length`` =
+    ``_supply_max``) and whether any cell drops (``_drops``), ``_dt`` (dt
+    as a 0-d array), ``_dt_over_length`` =
     dt / length and ``_length_over_dt`` = length / dt, and the density box
     widened by its tolerance ``_rho_tol`` to [``_rho_floor``,
     ``_rho_ceil``]. Each is the value the step would compute, so folding
@@ -166,6 +167,9 @@ class FreewayModel:
         self._demand_slope = frozen(self.beta_bar * self.v_free)
         self._demand_dropped = frozen(
             (1.0 - self.capacity_drop) * self._demand_slope * self.rho_crit)
+        # without a drop the dropped level is slope * rho_crit, which the
+        # min already gives above rho_crit, so demand skips the copy
+        self._drops = bool(np.any(self.capacity_drop != 0.0))
         self._supply_max = frozen(self.w_back * (self.rho_jam - self.rho_crit))
         # constant pieces of the step: dt / length for the density update,
         # length / dt for the greedy law, the density box with its tolerance,
@@ -190,7 +194,8 @@ class FreewayModel:
         leading run axis of ``rho`` or of the model."""
         rho = np.asarray(rho, dtype=float)
         out = self._demand_slope * np.minimum(rho, self.rho_crit)
-        np.copyto(out, self._demand_dropped, where=rho > self.rho_crit)
+        if self._drops:
+            np.copyto(out, self._demand_dropped, where=rho > self.rho_crit)
         return out
 
     def supply(self, rho: np.ndarray) -> np.ndarray:

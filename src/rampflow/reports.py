@@ -125,13 +125,24 @@ def rates_csv_text(rates: np.ndarray) -> str:
 # restrictiveness and bounds
 
 def restrictiveness_csv_text(report: RestrictivenessReport) -> str:
-    """One row per (step, cell): its restrictive flag and the reason."""
+    """One row per (step, cell): its restrictive flag and the reason.
+
+    A run has few distinct rows of flags and reasons, so each one's cell
+    parts ``",k,status,reason\n"`` are built once, and a step is its
+    index put before every part: ``s + s.join(parts)`` with ``s = str(t)``.
+    """
     blocks = ["t,cell,status,reason\n"]
+    parts_of = {}
     for t, (flags, reasons) in enumerate(zip(report.restrictive.tolist(),
                                              report.reasons)):
-        blocks.append("".join(
-            f"{t},{k},{'restrictive' if flag else 'nonrestrictive'},{why}\n"
-            for k, (flag, why) in enumerate(zip(flags, reasons), 1)))
+        key = (tuple(flags), tuple(reasons))
+        parts = parts_of.get(key)
+        if parts is None:
+            parts = parts_of[key] = [
+                f",{k},{'restrictive' if flag else 'nonrestrictive'},{why}\n"
+                for k, (flag, why) in enumerate(zip(flags, reasons), 1)]
+        s = str(t)
+        blocks.append(s + s.join(parts))
     return "".join(blocks)
 
 

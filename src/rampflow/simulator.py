@@ -56,10 +56,17 @@ class SimState:
     """Densities and queues at one instant; arrays are copied on entry.
 
     Arrays are (n,) for one run or (R, n) for a batch of R runs.
+
+    A state :func:`simulate` hands a law also carries ``_plant``, the
+    plant it runs on, and ``_plant_flows``, the noiseless flow row that
+    plant realizes at these densities; both are None on any other state.
     """
 
     rho: np.ndarray   # cars/km, per cell
     q: np.ndarray     # cars, per onramp (0 for cells without one)
+
+    _plant = None
+    _plant_flows = None
 
     def __post_init__(self):
         self.rho = np.array(self.rho, dtype=float)
@@ -67,10 +74,13 @@ class SimState:
         _require_finite("state", self.rho, self.q)
 
     @classmethod
-    def _of(cls, rho: np.ndarray, q: np.ndarray) -> "SimState":
-        """A state over arrays the kernel wrote, without copy or check."""
+    def _of(cls, rho: np.ndarray, q: np.ndarray, plant=None,
+            flows: np.ndarray | None = None) -> "SimState":
+        """A state over arrays the kernel wrote, without copy or check,
+        with the flow row ``flows`` that ``plant`` realizes at ``rho``."""
         state = object.__new__(cls)
         state.rho, state.q = rho, q
+        state._plant, state._plant_flows = plant, flows
         return state
 
 
@@ -310,11 +320,15 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
 def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
              rates: np.ndarray, w0: float, w: np.ndarray,
              noise: np.ndarray | None = None,
+             phi: np.ndarray | None = None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step itself, from rates already checked against their interval:
     (next densities, next queues, flow row), given the mainline inflow
     ``w0`` and the ramp arrivals ``w``. ``noise`` holds the flow factors,
-    or is None for a noiseless step. It reads the constants the model
+    or is None for a noiseless step. ``phi`` is the noiseless flow row
+    ``_flows(model, rho, w0)`` when the caller has it (:func:`simulate`
+    does), or None to compute it here (:func:`step`); noise scales a copy
+    of it, never the row itself. It reads the constants the model
     folds once: ``_dt`` and ``_dt_over_length`` for dt and dt / length,
     and the density box widened by its tolerance, [``_rho_floor``,
     ``_rho_ceil``].
@@ -324,7 +338,8 @@ def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     only clipped. Densities depend on the flows, which the interval does
     not bound: a noiseless step checks that they left their box by
     rounding only, which also catches a NaN inflow, before the clip."""
-    phi = _flows(model, rho, w0)
+    if phi is None:
+        phi = _flows(model, rho, w0)
     if noise is not None:
         phi = (phi * noise).clip(_ZERO, phi)
     rho_next = rho + model._dt_over_length * (
@@ -380,6 +395,12 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     :func:`step`. The loop carries the state in the contiguous arrays
     :func:`_advance` returns, copies each step's ramp arrivals to every run
     once, and writes each history row once, without reading it back.
+
+    The plant's noiseless flow row depends on the densities only, so each
+    step evaluates it once, before the law runs: :func:`_advance` takes
+    it, and the state handed to the law carries it with the plant, so a
+    law that believes the plant (``internal_model is model``) reads it
+    instead of predicting the same row again.
     """
     demand.check_against(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
@@ -413,8 +434,9 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     for t in range(T):
         w_row = w_rows[t]
         w[...] = w_row[1:]
+        phi = _flows(model, rho, w_row[0])
         raw = np.inf if controller is None else controller.compute_rates(
-            t, SimState._of(rho, q), w_row, r)
+            t, SimState._of(rho, q, model, phi), w_row, r)
         lo, hi = _rate_bounds(model, q, w, caps)
         r = np.asarray(raw, dtype=float).clip(lo, hi)
         # the clamp leaves r <= hi, so only the lower side can fail: at a
@@ -424,7 +446,8 @@ def simulate(model: FreewayModel, demand: DemandProfile,
         if np.count_nonzero(ok) != ok.size:
             _check_rates(r, lo, hi)
         rho, q, flows[..., t, :] = _advance(
-            model, rho, q, r, w_row[0], w, flows[..., t, :] if noisy else None)
+            model, rho, q, r, w_row[0], w,
+            flows[..., t, :] if noisy else None, phi)
         rho_hist[..., t + 1, :] = rho
         q_hist[..., t + 1, :] = q
         rates_hist[..., t, :] = r

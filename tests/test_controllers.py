@@ -8,9 +8,12 @@ from rampflow.controllers import (
     make_controller,
     sample_controller_model,
 )
+from rampflow import controllers
 from rampflow.model import CellParams, FreewayModel, validate_model
+from rampflow.scenarios import builtin_example1, builtin_example2, builtin_grenoble
 from rampflow.simulator import (
     DemandProfile,
+    DisturbanceSpec,
     RateSchedule,
     SimState,
     _rate_bounds,
@@ -177,3 +180,95 @@ def test_alinea_controller_reused_starts_from_a_clean_integrator():
     second = simulate(m, dem, ctrl, initial_state=start)
     np.testing.assert_array_equal(second.rates, first.rates)
     np.testing.assert_array_equal(second.rho, first.rho)
+
+
+class _OwnPrediction:
+    """The greedy law predicting its flow row with ``internal_flows`` at
+    every step, whatever the plant: the reference for the shared row."""
+
+    def __init__(self, belief: FreewayModel):
+        self.m = belief
+
+    def compute_rates(self, t, state, w_row, r_prev):
+        m = self.m
+        flows_now = internal_flows(m, state.rho, w_row[0])
+        return (m._length_over_dt * (m.rho_crit - state.rho)
+                + flows_now[..., 1:] / m.beta_bar - flows_now[..., :-1])
+
+
+def _edge_state(model: FreewayModel, demand: DemandProfile) -> SimState:
+    """A state on its boxes' edges, some values outside by rounding only:
+    jammed cells with empty queues between empty cells, whose queues are
+    full where the arrivals never exceed the rate cap."""
+    odd = np.arange(model.n) % 2 == 1
+    calm = demand.w_ramp.max(axis=0) <= model.ramp_flow_max
+    rho = np.where(odd, model.rho_jam * (1.0 + 1e-12), -1e-12)
+    q = np.where(calm & ~odd, model.queue_max * (1.0 + 1e-12), 0.0)
+    return SimState(rho, q)
+
+
+def _greedy_runs(plant: FreewayModel, demand: DemandProfile) -> dict:
+    """The runs the shared row serves: simulate's keywords by label."""
+    return {
+        "one run": {},
+        "relaxed batch": {"relaxed": (False, True)},
+        "noisy": {"disturbance": DisturbanceSpec(sigma_phi=0.05, seed=3)},
+        "box edge": {"initial_state": _edge_state(plant, demand)},
+    }
+
+
+def _trajectory_bytes(traj) -> bytes:
+    return b"".join(a.tobytes()
+                    for a in (traj.rho, traj.q, traj.flows, traj.rates))
+
+
+def _shared_row_mismatches(belief_of) -> list[str]:
+    """Greedy runs on the builtins whose law, believing ``belief_of(plant)``,
+    differs in any bit from the law that predicts its own row with an
+    equal but distinct copy of that belief."""
+    bad = []
+    for sc in (builtin_example1(), builtin_example2(), builtin_grenoble()):
+        plant = sc.model
+        belief = belief_of(plant)
+        copy = _OwnPrediction(belief.with_cells(belief.cells))
+        for label, kw in _greedy_runs(plant, sc.demand).items():
+            got = simulate(plant, sc.demand,
+                           make_controller("best_effort", belief), **kw)
+            want = simulate(plant, sc.demand, copy, **kw)
+            if _trajectory_bytes(got) != _trajectory_bytes(want):
+                bad.append(f"{sc.label}: {label}")
+    return bad
+
+
+def test_a_law_believing_the_plant_reads_the_plant_row(monkeypatch):
+    predicted = []
+    own = controllers.internal_flows
+
+    def counted(*args):
+        predicted.append(1)
+        return own(*args)
+    monkeypatch.setattr(controllers, "internal_flows", counted)
+    # the plant itself: its row, never a prediction of its own
+    assert _shared_row_mismatches(lambda plant: plant) == []
+    assert predicted == []
+    # an equal but distinct belief predicts its row, to the same bits
+    copies = _shared_row_mismatches(lambda plant: plant.with_cells(plant.cells))
+    assert copies == [] and predicted
+
+
+def test_the_plant_row_is_not_read_by_a_mismatched_belief(monkeypatch):
+    def mismatched(plant):
+        return sample_controller_model(plant, dv=0.1, drho=0.2, seed=11)
+    assert _shared_row_mismatches(mismatched) == []
+    # negative control: a law that reads the plant row whatever it believes
+    greedy = ControllerSpec.compute_rates
+
+    def any_belief(self, t, state, w_row, r_prev):
+        if state._plant is not None and self.kind == "best_effort":
+            m = self.internal_model
+            flows_now = state._plant_flows
+            return (m._length_over_dt * (m.rho_crit - state.rho)
+                    + flows_now[..., 1:] / m.beta_bar - flows_now[..., :-1])
+        return greedy(self, t, state, w_row, r_prev)
+    monkeypatch.setattr(ControllerSpec, "compute_rates", any_belief)
+    assert _shared_row_mismatches(mismatched)

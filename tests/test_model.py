@@ -11,7 +11,13 @@ from rampflow.model import (
     triangular_fd_defaults,
     validate_model,
 )
-from rampflow.scenarios import grenoble_cells
+from rampflow.scenarios import (
+    builtin_example1,
+    builtin_example2,
+    builtin_grenoble,
+    grenoble_cells,
+    with_capacity_drop,
+)
 
 
 # scalar curves of one cell: the reference for the vectorised
@@ -170,3 +176,52 @@ def test_vectorized_curves_match_scalar():
         for k in range(3):
             assert d[k] == pytest.approx(demand_value(cells[k], rho[k]), rel=1e-12)
             assert s[k] == pytest.approx(supply_value(cells[k], rho[k]), rel=1e-12)
+
+
+def _demand_with_the_copy(model: FreewayModel, rho: np.ndarray) -> np.ndarray:
+    """The demand curve with the drop level copied in above rho_crit on
+    every model, drop or none."""
+    out = model._demand_slope * np.minimum(rho, model.rho_crit)
+    np.copyto(out, model._demand_dropped, where=rho > model.rho_crit)
+    return out
+
+
+def _demand_copy_mismatches() -> int:
+    """Densities where ``demand`` differs, in any bit, from the curve
+    that always copies: on the builtins, a Grenoble stack, and a stack
+    whose second member drops, at 0, rho_crit, rho_jam and between."""
+    rng = np.random.default_rng(7)
+    plain = [builtin_example1().model, builtin_example2().model,
+             builtin_grenoble().model]
+    grenoble = plain[-1]
+    models = plain + [
+        FreewayModel.stack([grenoble] * 3),
+        FreewayModel.stack([grenoble, with_capacity_drop(grenoble, 0.1),
+                            grenoble])]
+    bad = 0
+    for m in models:
+        for shape in (m.rho_jam.shape, (3,) + m.rho_jam.shape[-1:]):
+            jam = np.broadcast_to(m.rho_jam, shape)
+            crit = np.broadcast_to(m.rho_crit, shape)
+            pick = rng.random(shape)
+            rho = np.where(pick < 0.2, crit, rng.uniform(0.0, jam))
+            rho = np.where(pick > 0.9, jam, np.where(pick > 0.8, 0.0, rho))
+            got, want = m.demand(rho), _demand_with_the_copy(m, rho)
+            bad += int(np.sum(got.view(np.int64) != want.view(np.int64)))
+    return bad
+
+
+def test_demand_skips_the_drop_copy_only_where_no_cell_drops(monkeypatch):
+    grenoble = builtin_grenoble().model
+    mixed = FreewayModel.stack([grenoble, with_capacity_drop(grenoble, 0.1)])
+    assert not grenoble._drops and mixed._drops
+    assert _demand_copy_mismatches() == 0
+    # negative control: a fold that reads the first member only skips the
+    # copy on the mixed stack, and its dropping member's curve is wrong
+    fold = FreewayModel._set_params
+
+    def first_member_fold(self, values):
+        fold(self, values)
+        self._drops = bool(np.any(np.atleast_2d(self.capacity_drop)[0]))
+    monkeypatch.setattr(FreewayModel, "_set_params", first_member_fold)
+    assert _demand_copy_mismatches() > 0

@@ -2,18 +2,36 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rampflow.controllers import make_controller
+from rampflow.cumulative import (
+    DEMAND_LIMITED,
+    NONRESTRICTIVE,
+    SUPPLY_LIMITED,
+    RestrictivenessReport,
+    tts_bounds,
+)
+from rampflow.model import FreewayModel
 from rampflow.reports import (
     fmt,
     rates_csv_text,
     read_trajectory_csv,
+    restrictiveness_csv_text,
     trajectory_csv_text,
 )
-from rampflow.scenarios import builtin_example1
+from rampflow.scenarios import (
+    GRENOBLE_DT,
+    GRENOBLE_PRESET,
+    builtin_example1,
+    builtin_example2,
+    builtin_grenoble,
+    grenoble_cells,
+    synth_demand,
+)
 from rampflow.simulator import simulate
 
 
@@ -78,3 +96,83 @@ def test_rates_equal_a_csv_writer_rendering():
     text = rates_csv_text(rates)
     assert text == ref
     assert text.splitlines()[1].startswith("0,0,0.333333333,")
+
+
+def _restrictiveness_per_cell(report: RestrictivenessReport) -> str:
+    """The writer as one f-string per (step, cell): the reference."""
+    blocks = ["t,cell,status,reason\n"]
+    for t, (flags, reasons) in enumerate(zip(report.restrictive.tolist(),
+                                             report.reasons)):
+        blocks.append("".join(
+            f"{t},{k},{'restrictive' if flag else 'nonrestrictive'},{why}\n"
+            for k, (flag, why) in enumerate(zip(flags, reasons), 1)))
+    return "".join(blocks)
+
+
+def _restrictiveness_reusing_the_last_row(report) -> str:
+    """A mutant of the writer that keeps the previous step's parts for a
+    row it has not seen, as a one-entry cache keyed by nothing would."""
+    blocks = ["t,cell,status,reason\n"]
+    parts = None
+    for t, (flags, reasons) in enumerate(zip(report.restrictive.tolist(),
+                                             report.reasons)):
+        if parts is None:
+            parts = [f",{k},{'restrictive' if f else 'nonrestrictive'},{w}\n"
+                     for k, (f, w) in enumerate(zip(flags, reasons), 1)]
+        s = str(t)
+        blocks.append(s + s.join(parts))
+    return "".join(blocks)
+
+
+def _report(rows: list[list[str]]) -> RestrictivenessReport:
+    flags = np.array([[why != NONRESTRICTIVE for why in row] for row in rows])
+    return RestrictivenessReport(reasons=rows, restrictive=flags,
+                                 restrictive_fraction=0.0,
+                                 interior_clean=False)
+
+
+def _tiled_grenoble(tiles: int = 3):
+    """Grenoble's cells and ramp demands repeated ``tiles`` times."""
+    cells = grenoble_cells() * tiles
+    model = FreewayModel(cells, GRENOBLE_DT)
+    n = len(grenoble_cells())
+    spec = replace(GRENOBLE_PRESET, ramp_peaks={
+        k + n * j: v for j in range(tiles)
+        for k, v in GRENOBLE_PRESET.ramp_peaks.items()})
+    return model, synth_demand(model, spec, 0)
+
+
+def test_restrictiveness_equals_the_per_cell_writer():
+    restrictive = 0
+    for sc in (builtin_example1(), builtin_example2(), builtin_grenoble()):
+        report = tts_bounds(sc.model, sc.demand, sc.initial).restrictiveness
+        assert restrictiveness_csv_text(report) \
+            == _restrictiveness_per_cell(report), sc.label
+        restrictive += int(report.restrictive.sum())
+    report = tts_bounds(*_tiled_grenoble()).restrictiveness
+    assert report.restrictive.shape[1] == 63
+    assert restrictiveness_csv_text(report) == _restrictiveness_per_cell(report)
+    # both statuses show up in the builtins' tables
+    assert restrictive > 0
+
+
+def test_restrictiveness_synthetic_reports():
+    three = [NONRESTRICTIVE, SUPPLY_LIMITED, DEMAND_LIMITED, NONRESTRICTIVE]
+    calm = [NONRESTRICTIVE] * 4
+    other = [DEMAND_LIMITED, NONRESTRICTIVE, NONRESTRICTIVE, SUPPLY_LIMITED]
+    cases = {
+        "all three reasons in one step": [calm, three, calm],
+        "alternating rows": [three, other, three, other, other, three],
+        "one cell, one step": [[SUPPLY_LIMITED]],
+    }
+    for label, rows in cases.items():
+        report = _report(rows)
+        assert restrictiveness_csv_text(report) \
+            == _restrictiveness_per_cell(report), label
+    one = restrictiveness_csv_text(_report(cases["one cell, one step"]))
+    assert one == ("t,cell,status,reason\n"
+                   "0,1,restrictive,supply_limited_with_space\n")
+    # negative control: parts kept from a previous, different row
+    alternating = _report(cases["alternating rows"])
+    assert _restrictiveness_reusing_the_last_row(alternating) \
+        != _restrictiveness_per_cell(alternating)
