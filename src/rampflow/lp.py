@@ -340,8 +340,13 @@ def _solve_highs(core, inst: LpInstance,
         start.col_status, start.row_status = (
             [kinds[i] for i in s.tolist()] for s in basis)
         start.valid = True
+        # a basis with one basic per row goes in as it is; HiGHS refuses
+        # any other (kError), and its alien hand-off repairs that one
+        start.alien = False
         if highs.setBasis(start) == core.HighsStatus.kError:
-            raise LpError("HiGHS refused the greedy basis")
+            start.alien = True
+            if highs.setBasis(start) == core.HighsStatus.kError:
+                raise LpError("HiGHS refused the greedy basis")
     highs.run()
     model_status = highs.getModelStatus()
     status = highs.modelStatusToString(model_status)

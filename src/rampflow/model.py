@@ -10,6 +10,7 @@ of the cell outflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -111,8 +112,8 @@ class FreewayModel:
     def __init__(self, cells: Sequence[CellParams], dt: float):
         if len(cells) == 0:
             raise GeometryError("model needs at least one cell")
-        if dt <= 0.0:
-            raise GeometryError(f"need dt > 0, got {dt}")
+        if not 0.0 < dt < inf:   # NaN fails too
+            raise GeometryError(f"need finite dt > 0, got {dt}")
         resolved = []
         for cell in cells:
             if cell.w_back is None or cell.capacity is None:
@@ -133,6 +134,11 @@ class FreewayModel:
         (R, n) density array at once. A stack evaluates curves and bounds
         for a batch of beliefs, or is the plant of a batch of runs (run r
         on model r); it has no ``cells`` of its own.
+
+        The (R, n) arrays are cell-major (Fortran order): a cell's R
+        values are adjacent, so a step's views shifted by one cell are
+        contiguous blocks, and so are the batch arrays :func:`simulate`
+        computes from them.
         """
         models = tuple(models)
         if not models:
@@ -153,7 +159,7 @@ class FreewayModel:
 
     def _set_params(self, values: dict) -> None:
         def frozen(a) -> np.ndarray:
-            a = np.array(a, dtype=float)
+            a = np.array(a, dtype=float, order="F")
             a.flags.writeable = False
             return a
 
@@ -219,31 +225,33 @@ def validate_model(model: FreewayModel) -> list[Violation]:
     demand and supply slopes).
 
     Returns an empty list for a usable model; violations are data, not
-    exceptions, so callers can report all of them at once.
+    exceptions, so callers can report all of them at once. Every range
+    rule is written so that a non-finite value (NaN or an infinity)
+    breaks it.
     """
     out: list[Violation] = []
     for i, c in enumerate(model.cells):
         k = i + 1
-        if c.length <= 0.0:
+        if not 0.0 < c.length < inf:
             out.append(Violation(k, "length > 0", f"length={c.length}"))
-        if c.v_free <= 0.0:
+        if not 0.0 < c.v_free < inf:
             out.append(Violation(k, "v_free > 0", f"v_free={c.v_free}"))
-        if not (0.0 < c.rho_crit < c.rho_jam):
+        if not 0.0 < c.rho_crit < c.rho_jam < inf:
             out.append(Violation(
                 k, "0 < rho_crit < rho_jam",
                 f"rho_crit={c.rho_crit}, rho_jam={c.rho_jam}"))
-        if c.w_back <= 0.0:
+        if not 0.0 < c.w_back < inf:
             out.append(Violation(k, "w_back > 0", f"w_back={c.w_back}"))
-        if c.capacity <= 0.0:
+        if not 0.0 < c.capacity < inf:
             out.append(Violation(k, "capacity > 0", f"capacity={c.capacity}"))
-        if not (0.0 <= c.beta < 1.0):
+        if not 0.0 <= c.beta < 1.0:
             out.append(Violation(k, "0 <= beta < 1", f"beta={c.beta}"))
-        if c.ramp_flow_max < 0.0:
+        if not 0.0 <= c.ramp_flow_max < inf:
             out.append(Violation(
                 k, "ramp_flow_max >= 0", f"ramp_flow_max={c.ramp_flow_max}"))
-        if c.queue_max < 0.0:
+        if not 0.0 <= c.queue_max < inf:
             out.append(Violation(k, "queue_max >= 0", f"queue_max={c.queue_max}"))
-        if not (0.0 <= c.capacity_drop < 1.0):
+        if not 0.0 <= c.capacity_drop < 1.0:
             out.append(Violation(
                 k, "0 <= capacity_drop < 1", f"capacity_drop={c.capacity_drop}"))
         # Step-size conditions, using the slopes of the PWA pieces.
@@ -262,14 +270,21 @@ def validate_model(model: FreewayModel) -> list[Violation]:
 def require_monotone(model: FreewayModel) -> None:
     """Refuse a model outside the monotone class, which is all that the LP
     relaxation and the bound sandwich cover: a capacity drop makes outflow
-    non-concave in density, and a step that breaks the step-size
-    conditions makes the dynamics non-monotone. The constructor accepts
-    such models, so the monotonicity probe can show them failing."""
+    non-concave in density, a step that breaks the step-size conditions
+    makes the dynamics non-monotone, and a parameter outside its range
+    (any rule of :func:`validate_model`, a NaN included) leaves the
+    theory altogether. The constructor accepts such models, so the
+    monotonicity probe can show them failing."""
     if model.has_capacity_drop:
         raise UnsupportedModelError(
             "capacity drop breaks monotonicity; neither the LP relaxation "
             "nor the bound sandwich is exact for such models")
-    bad = [str(v) for v in validate_model(model) if v.rule in _STEP_RULES]
+    violations = validate_model(model)
+    bad = [str(v) for v in violations if v.rule not in _STEP_RULES]
+    if bad:
+        raise UnsupportedModelError(
+            "parameters outside their ranges: " + "; ".join(bad))
+    bad = [str(v) for v in violations if v.rule in _STEP_RULES]
     if bad:
         raise UnsupportedModelError(
             f"dt = {model.dt:g} h is too long for monotone dynamics: "

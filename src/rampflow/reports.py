@@ -54,23 +54,22 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     ``phi`` is the flow leaving the cell during [t, t+1) and ``r`` the
     metering rate applied then; both are blank on the final-state rows.
     Numbers are rendered as :func:`fmt` renders them, one step per
-    ``str.format`` call.
+    ``%`` call on a template whose step index ``str.replace`` puts in.
     """
     T, n = traj.horizon, traj.rho.shape[1]
     # + 0.0 turns -0.0 into 0.0, as in fmt
     rows = np.stack((traj.rho[:T], traj.q[:T], traj.flows[:, 1:],
                      traj.rates), axis=-1).reshape(T, 4 * n) + 0.0
     final = np.stack((traj.rho[T], traj.q[T]), axis=-1).ravel() + 0.0
-    # one str.format template per step: {0} is t, then the cells' values
+    # one %-template per step: the sentinel \0 stands for t, then the
+    # cells' values
     cells = range(1, n + 1)
-    step = "".join("{0},%d,{%d:.9g},{%d:.9g},{%d:.9g},{%d:.9g}\n"
-                   % (k, 4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k)
-                   for k in cells)
-    last = "".join("{0},%d,{%d:.9g},{%d:.9g},,\n" % (k, 2 * k - 1, 2 * k)
-                   for k in cells)
+    step = "".join("\0,%d,%%.9g,%%.9g,%%.9g,%%.9g\n" % k for k in cells)
+    last = "".join("\0,%d,%%.9g,%%.9g,,\n" % k for k in cells)
     blocks = [",".join(TRAJECTORY_HEADER) + "\n"]
-    blocks += [step.format(t, *row) for t, row in enumerate(rows.tolist())]
-    blocks.append(last.format(T, *final.tolist()))
+    blocks += [step.replace("\0", str(t)) % tuple(row)
+               for t, row in enumerate(rows.tolist())]
+    blocks.append(last.replace("\0", str(T)) % tuple(final.tolist()))
     return "".join(blocks)
 
 

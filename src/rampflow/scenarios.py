@@ -469,6 +469,22 @@ def _campaign_row(variant: str, sigma: float, dv: float, drho: float,
                        statistics.pstdev(vals), len(vals))
 
 
+class _UnmeteredOr:
+    """The unmetered law (``inf``) on the runs ``unmetered`` flags and
+    ``law``'s raw rate on the others, so both laws share one batch; the
+    law's state and rates stay per run, so each run is the run it would
+    be alone."""
+
+    def __init__(self, law, unmetered: np.ndarray):
+        self.law = law
+        self.runs = law.runs
+        self._unmetered = unmetered[:, None]
+
+    def compute_rates(self, t, state, w_row, r_prev):
+        return np.where(self._unmetered, np.inf,
+                        self.law.compute_rates(t, state, w_row, r_prev))
+
+
 def uncertainty_campaign(scenario: Scenario,
                          mismatch_grid=MISMATCH_GRID,
                          sigmas=(0.0, 0.05),
@@ -484,12 +500,13 @@ def uncertainty_campaign(scenario: Scenario,
     Beliefs are always sampled from the monotonic nominal model. Run r of
     any grid point uses disturbance seed ``seed + r`` and belief seed
     ``seed + 1000 + r``, so rows are reproducible and paired across
-    controllers. Per noise level the runs go through three batched
-    simulations, one per law, each on a stack of the variant plants: the
-    unmetered baseline, the greedy law over every (variant, mismatch
-    point, run) belief, and the integral law. Noiseless runs of one
-    controller with one belief on one plant are identical, so the baseline
-    and the integral law then simulate one run per variant.
+    controllers. Per noise level the runs go through two batched
+    simulations, each on a stack of the variant plants. The unmetered
+    baseline and the integral law, both with the nominal belief, share
+    one; the greedy law over every (variant, mismatch point, run) belief
+    has the other, the largest batch. Noiseless runs of one controller
+    with one belief on one plant are identical, so without noise the
+    shared call simulates one run per law and variant.
 
     Raises ValueError when ``runs`` is below 1, a noise level is negative
     or not finite, or a variant is unknown.
@@ -509,28 +526,30 @@ def uncertainty_campaign(scenario: Scenario,
                for dv, drho in mismatch_grid for r in range(runs)]
     found: dict[tuple[str, float], list[CampaignRow]] = {}
     for sigma in sigmas if variants else ():   # no plant, no run
-        def twt(kind: str, belief: list[FreewayModel]) -> np.ndarray:
-            """Waiting times, one row per variant. ``belief`` is the
-            nominal model alone or one model per (mismatch point, run);
-            noise makes the nominal model's runs differ too."""
-            if sigma != 0.0 and len(belief) == 1:
-                belief = belief * runs
-            noise = DisturbanceSpec(
-                sigma_phi=sigma,
-                seed=run_seeds * (len(variants) * len(belief) // runs)) \
+        def twt(law, belief: list[FreewayModel], laws: int = 1) -> np.ndarray:
+            """Waiting times of one batch, shape (laws, variants,
+            len(belief)): each of ``laws`` laws on every variant plant
+            under each model of ``belief``."""
+            rows = laws * len(variants) * len(belief)
+            noise = DisturbanceSpec(sigma_phi=sigma,
+                                    seed=run_seeds * (rows // runs)) \
                 if sigma != 0.0 else None
-            plant = FreewayModel.stack([plants[v] for v in variants
-                                        for _ in belief])
-            return _metrics(
-                plant, scenario.demand,
-                make_controller(kind, belief * len(variants)),
-                scenario.initial, noise).twt.reshape(len(variants), -1)
+            plant = FreewayModel.stack([plants[v] for _ in range(laws)
+                                        for v in variants for _ in belief])
+            return _metrics(plant, scenario.demand, law, scenario.initial,
+                            noise).twt.reshape(laws, len(variants), -1)
 
-        shape = (len(variants), runs)
-        base = np.broadcast_to(twt("none", [nominal]), shape)
-        greedy = twt("best_effort", beliefs).reshape(
-            len(variants), len(mismatch_grid), runs)
-        integral = np.broadcast_to(twt("alinea", [nominal]), shape)
+        # noise makes the nominal belief's runs differ; without it they
+        # are identical, so each law runs once per variant
+        nominal_runs = [nominal] * (runs if sigma != 0.0 else 1)
+        half = len(variants) * len(nominal_runs)
+        base, integral = np.broadcast_to(twt(_UnmeteredOr(
+            make_controller("alinea", nominal_runs * 2 * len(variants)),
+            np.arange(2 * half) < half), nominal_runs, laws=2),
+            (2, len(variants), runs))
+        greedy = twt(make_controller("best_effort", beliefs * len(variants)),
+                     beliefs)[0].reshape(len(variants), len(mismatch_grid),
+                                         runs)
         for v, variant in enumerate(variants):
             found[variant, sigma] = [
                 _campaign_row(variant, sigma, dv, drho, "best_effort",

@@ -206,9 +206,14 @@ def compute_flows(model: FreewayModel, state: SimState, w0: float) -> np.ndarray
 
 
 def _flows(model: FreewayModel, rho: np.ndarray, w0: float) -> np.ndarray:
-    """Flow rows for densities (n,) or (R, n); the model may be a stack."""
+    """Flow rows for densities (n,) or (R, n); the model may be a stack.
+
+    A batch's rows are cell-major (Fortran order), like a stack's
+    parameters and :func:`simulate`'s loop state, so each shifted view
+    ``phi[..., 1:]``, ``phi[..., :-1]`` is one contiguous block, not R
+    strided rows."""
     d = model.demand(rho)
-    phi = np.empty(d.shape[:-1] + (model.n + 1,))
+    phi = np.empty(d.shape[:-1] + (model.n + 1,), order="F")
     phi[..., 0] = w0
     np.minimum(d, model.capacity, out=phi[..., 1:])
     inner = phi[..., 1:-1]
@@ -391,27 +396,40 @@ def simulate(model: FreewayModel, demand: DemandProfile,
 
     Each run's noise factors are drawn up front, one (T, n+1) draw from its
     generator, straight into the flow history; that is the same sequence
-    :func:`step` draws one row per step. Every step advances like
-    :func:`step`. The loop carries the state in the contiguous arrays
-    :func:`_advance` returns, copies each step's ramp arrivals to every run
-    once, and writes each history row once, without reading it back.
+    :func:`step` draws one row per step, and each noisy step copies its
+    row of them into one buffer. Every step advances like :func:`step`.
+    The loop carries the state in the arrays :func:`_advance` returns,
+    copies each step's ramp arrivals to every run once, and writes each
+    history row once, without reading it back. A batch is cell-major: the
+    loop state, the arrivals, the noise buffer and the rate caps (built
+    at full shape) are (R, n) arrays in Fortran order, like a stack's
+    parameters, so each step's shifted flow views are contiguous blocks.
+    A batch on a plant that is not a stack runs on that plant stacked R
+    times, after the initial state is checked against the plant itself.
 
     The plant's noiseless flow row depends on the densities only, so each
     step evaluates it once, before the law runs: :func:`_advance` takes
     it, and the state handed to the law carries it with the plant, so a
     law that believes the plant (``internal_model is model``) reads it
-    instead of predicting the same row again.
+    instead of predicting the same row again. The state names ``model``,
+    the plant the caller passed, also when the loop runs on its stack.
     """
     demand.check_against(model)
     sigma = disturbance.sigma_phi if disturbance is not None else 0.0
     runs = _batch_size(model.runs, getattr(controller, "runs", None),
                        disturbance.runs if disturbance is not None else None,
                        len(relaxed) if np.ndim(relaxed) else None)
-    caps = _rate_caps(model, relaxed)
     state = initial_state if initial_state is not None else zero_state(model)
     rho0, q0 = _check_state(model, state.rho, state.q)
+    # a batch on one plant runs on that plant stacked, checked first so a
+    # refusal names no run; the law's state still names ``model``
+    plant = model if runs is None or model.runs is not None \
+        else FreewayModel.stack([model] * runs)
 
     T, n, R = demand.horizon, model.n, runs or 1
+    shape = (n,) if runs is None else (R, n)
+    caps = tuple(np.array(np.broadcast_to(c, shape), order="F")
+                 for c in _rate_caps(plant, relaxed))
     rho_hist = np.empty((R, T + 1, n))
     q_hist = np.empty((R, T + 1, n))
     flows = np.empty((R, T, n + 1))
@@ -428,16 +446,18 @@ def simulate(model: FreewayModel, demand: DemandProfile,
             rho_hist[0], q_hist[0], flows[0], rates_hist[0])
     w_rows = np.column_stack((demand.w0, demand.w_ramp))
 
-    rho, q = rho_hist[..., 0, :].copy(), q_hist[..., 0, :].copy()
-    w = np.empty(q.shape)   # the step's ramp arrivals, copied to every run
+    rho = rho_hist[..., 0, :].copy(order="F")
+    q = q_hist[..., 0, :].copy(order="F")
+    w = np.empty(shape, order="F")   # the step's ramp arrivals, every run
+    noise = np.empty(shape[:-1] + (n + 1,), order="F") if noisy else None
     r = None
     for t in range(T):
         w_row = w_rows[t]
         w[...] = w_row[1:]
-        phi = _flows(model, rho, w_row[0])
+        phi = _flows(plant, rho, w_row[0])
         raw = np.inf if controller is None else controller.compute_rates(
             t, SimState._of(rho, q, model, phi), w_row, r)
-        lo, hi = _rate_bounds(model, q, w, caps)
+        lo, hi = _rate_bounds(plant, q, w, caps)
         r = np.asarray(raw, dtype=float).clip(lo, hi)
         # the clamp leaves r <= hi, so only the lower side can fail: at a
         # NaN rate or an empty interval (lo > hi), refused as in step
@@ -445,9 +465,10 @@ def simulate(model: FreewayModel, demand: DemandProfile,
         ok = r >= lo
         if np.count_nonzero(ok) != ok.size:
             _check_rates(r, lo, hi)
+        if noisy:
+            noise[...] = flows[..., t, :]
         rho, q, flows[..., t, :] = _advance(
-            model, rho, q, r, w_row[0], w,
-            flows[..., t, :] if noisy else None, phi)
+            plant, rho, q, r, w_row[0], w, noise, phi)
         rho_hist[..., t + 1, :] = rho
         q_hist[..., t + 1, :] = q
         rates_hist[..., t, :] = r
@@ -493,10 +514,14 @@ def freeflow_traverse_times(model: FreewayModel) -> np.ndarray:
 
 def _dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``x @ v`` over the last axis. A stacked ``v`` (R, n) contracts run r
-    of ``x`` with row r, rounding as ``x[r] @ v[r]`` does."""
+    of ``x`` with row r, rounding as ``x[r] @ v[r]`` does on run r's own
+    model, whose row is contiguous. A stack keeps its parameters
+    cell-major, and matmul rounds a strided ``v`` otherwise, so it
+    contracts a C-ordered copy."""
     if v.ndim == 1:
         return x @ v
     runs, n = v.shape
+    v = np.ascontiguousarray(v)
     return np.matmul(x.reshape(runs, -1, n),
                      v[:, :, None]).reshape(x.shape[:-1])
 

@@ -26,6 +26,7 @@ from rampflow.cumulative import (
     tts_bounds,
     tts_from_cumulative,
 )
+from rampflow.lp import build_lp
 from rampflow.model import (
     CellParams,
     FreewayModel,
@@ -480,6 +481,24 @@ def test_bounds_refuse_capacity_drop_models():
     # negative control: the same corridor without the drop is monotone
     b = tts_bounds(with_capacity_drop(sc.model, 0.0), sc.demand, sc.initial)
     assert b.tts_lb <= b.tts_be
+
+
+@pytest.mark.parametrize("refuse", [tts_bounds, build_lp])
+def test_parameters_outside_their_ranges_are_refused(refuse):
+    """A negative drop and a NaN length break validate_model's range rules,
+    so neither the bound sandwich nor the LP answers for them; the same
+    corridor with finite in-range values (negative control) answers."""
+    sc = builtin_example1()
+    nan_length = sc.model.with_cells(
+        [replace(sc.model.cells[0], length=math.nan), *sc.model.cells[1:]])
+    for bad, where in ((with_capacity_drop(sc.model, -0.2),
+                        "cell 1: 0 <= capacity_drop < 1"),
+                       (nan_length, "cell 1: length > 0: length=nan")):
+        with pytest.raises(UnsupportedModelError,
+                           match=f"outside their ranges: {where}"):
+            refuse(bad, sc.demand, sc.initial)
+    refuse(with_capacity_drop(sc.model, 0.0), sc.demand, sc.initial)
+    refuse(sc.model.with_cells(sc.model.cells), sc.demand, sc.initial)
 
 
 def test_bounds_sandwich_on_builtin_examples():

@@ -638,6 +638,60 @@ def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
         assert warm.iterations == 0 < cold.iterations
 
 
+BASIS_CASES = {**LP_CASES, "grenoble": lambda: _builtin(builtin_grenoble)}
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+def test_the_greedy_basis_has_one_basic_per_row(case):
+    """So HiGHS can take it as it is, without its alien repair."""
+    inst = build_lp(*BASIS_CASES[case]())
+    cols, rows = _greedy_basis(inst)
+    assert np.count_nonzero(cols == 1) + np.count_nonzero(rows == 1) \
+        == rows.size
+
+
+class _SetBasisLog:
+    """A HiGHS instance that logs each ``setBasis`` as (alien, status)."""
+
+    def __init__(self, make, log):
+        self._highs, self._log = make(), log
+
+    def setBasis(self, basis):
+        status = self._highs.setBasis(basis)
+        self._log.append((basis.alien, status))
+        return status
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+def test_a_basis_one_basic_short_goes_through_the_alien_hand_off(
+        monkeypatch):
+    """HiGHS takes the greedy basis as it is. Negative control: with one
+    basic flipped to nonbasic it refuses that basis, and the alien
+    hand-off solves it to the same optimum."""
+    core = rampflow.lp._highs_bindings()
+    make, log = core._Highs, []
+    monkeypatch.setattr(core, "_Highs", lambda: _SetBasisLog(make, log))
+    inst = build_lp(*LP_CASES["example1"]())
+    sol = solve_lp(inst)
+    assert log == [(False, core.HighsStatus.kOk)]
+    assert sol.warm is True
+
+    cols, rows = _greedy_basis(inst)
+    cols[np.flatnonzero(cols == 1)[0]] = 0
+    monkeypatch.setattr(rampflow.lp, "_greedy_basis",
+                        lambda inst: (cols, rows))
+    log.clear()
+    short = solve_lp(inst)
+    assert log == [(False, core.HighsStatus.kError),
+                   (True, core.HighsStatus.kOk)]
+    assert short.warm is True and short.status == "Optimal"
+    assert short.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
 # state after 77 windows of a receding-horizon loop on builtin_grenoble(0):
 # from t0 = 0, solve the 80-step window and apply the plan's first 8 rates
 _MPC_RHO_616 = [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,29 @@ def test_validate_flags_bad_geometry():
     m = FreewayModel([bad], dt=1e-3)
     viols = validate_model(m)
     assert any(v.rule == "0 < rho_crit < rho_jam" and v.cell == 1 for v in viols)
+
+
+RANGED = ("length", "v_free", "rho_crit", "rho_jam", "w_back", "capacity",
+          "beta", "ramp_flow_max", "queue_max", "capacity_drop")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", RANGED)
+def test_a_non_finite_parameter_breaks_its_range_rule(name, value):
+    ok = triangular_fd_defaults(_cell(ramp_flow_max=1000.0, queue_max=50.0))
+    bad = FreewayModel([ok, replace(ok, **{name: value})], dt=1e-3)
+    assert any(v.cell == 2 and name in v.rule.split()
+               for v in validate_model(bad))
+    # negative control: the same cells with the finite value
+    assert validate_model(FreewayModel([ok, ok], dt=1e-3)) == []
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+def test_the_constructor_refuses_a_non_finite_or_nonpositive_step(dt):
+    with pytest.raises(GeometryError, match="need finite dt > 0"):
+        FreewayModel([_cell()], dt=dt)
+    # negative control: a finite positive step
+    assert FreewayModel([_cell()], dt=1e-3).dt == 1e-3
 
 
 def test_vectorized_curves_match_scalar():

@@ -32,7 +32,7 @@ from rampflow.scenarios import (
     grenoble_cells,
     synth_demand,
 )
-from rampflow.simulator import simulate
+from rampflow.simulator import DemandProfile, DisturbanceSpec, simulate
 
 
 def _csv(rows) -> str:
@@ -72,6 +72,48 @@ def test_trajectory_equals_a_csv_writer_rendering():
     lines = text.splitlines()
     assert lines[1].startswith("0,1,0,") and lines[1].endswith(",0")
     assert lines[-1].endswith(",0,,")             # blank phi and r
+
+
+def _format_trajectory_csv(traj) -> str:
+    """The trajectory table as one ``str.format`` call per step renders
+    it: the reference for the writer's %-templates."""
+    T, n = traj.horizon, traj.rho.shape[1]
+    rows = np.stack((traj.rho[:T], traj.q[:T], traj.flows[:, 1:],
+                     traj.rates), axis=-1).reshape(T, 4 * n) + 0.0
+    final = np.stack((traj.rho[T], traj.q[T]), axis=-1).ravel() + 0.0
+    cells = range(1, n + 1)
+    step = "".join("{0},%d,{%d:.9g},{%d:.9g},{%d:.9g},{%d:.9g}\n"
+                   % (k, 4 * k - 3, 4 * k - 2, 4 * k - 1, 4 * k)
+                   for k in cells)
+    last = "".join("{0},%d,{%d:.9g},{%d:.9g},,\n" % (k, 2 * k - 1, 2 * k)
+                   for k in cells)
+    blocks = [",".join(("t", "cell", "rho", "q", "phi", "r")) + "\n"]
+    blocks += [step.format(t, *row) for t, row in enumerate(rows.tolist())]
+    blocks.append(last.format(T, *final.tolist()))
+    return "".join(blocks)
+
+
+def _trajectory_cases():
+    for make in (builtin_example1, builtin_example2, builtin_grenoble):
+        sc = make()
+        for sigma in (0.0, 0.05):
+            yield f"{sc.label} sigma {sigma}", simulate(
+                sc.model, sc.demand, make_controller("best_effort", sc.model),
+                DisturbanceSpec(sigma, seed=3), initial_state=sc.initial)
+    odd = _greedy_example1()
+    odd.rho, odd.rates = _odd_values(odd.rho), _odd_values(odd.rates)
+    odd.q[-1, -1] = -0.0
+    yield "negative zero", odd
+    sc = builtin_example1()
+    cell = FreewayModel(sc.model.cells[:1], sc.model.dt)
+    yield "one cell, one step", simulate(
+        cell, DemandProfile(sc.demand.w0[:1], sc.demand.w_ramp[:1, :1]))
+
+
+def test_trajectory_equals_the_str_format_rendering():
+    for label, traj in _trajectory_cases():
+        assert trajectory_csv_text(traj) == _format_trajectory_csv(traj), \
+            label
 
 
 def test_a_table_without_the_trajectory_columns_is_refused(tmp_path):

@@ -578,14 +578,35 @@ def test_campaign_lp_row_equals_separate_runs(monkeypatch):
     monkeypatch.setattr(scenarios, "simulate", counted)
     rows = uncertainty_campaign(sc, runs=1, sigmas=(0.0,),
                                 variants=("monotonic",), include_lp=True)
-    # baseline, greedy and alinea for the grid, one unmetered run for lp
-    assert len(calls) == 4
+    # baseline with alinea, and greedy, for the grid, one unmetered run
+    # for lp
+    assert len(calls) == 3
     ol = evaluate_metrics(sc.model, simulate(sc.model, sc.demand,
                                              initial_state=sc.initial))
     twt_lp = solve_lp(build_lp(sc.model, sc.demand, sc.initial)).objective \
         - ol.tft
     assert rows[-1].controller == "lp"
     assert rows[-1].mean_twt_improvement == 100.0 * (ol.twt - twt_lp) / ol.twt
+
+
+def test_the_default_grid_runs_in_four_calls_led_by_the_greedy_batch(
+        monkeypatch):
+    """Per noise level one call shares the unmetered and integral runs and
+    one runs the greedy law; no batch is larger than the greedy one."""
+    sc = builtin_example1()
+    calls = []
+
+    def counted(model, *args, **kwargs):
+        calls.append((kwargs["controller"], model.runs))
+        return simulate(model, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "simulate", counted)
+    uncertainty_campaign(sc, runs=2)
+    assert len(calls) == 4
+    greedy = [runs for law, runs in calls
+              if getattr(law, "kind", None) == "best_effort"]
+    assert greedy == [2 * len(MISMATCH_GRID) * 2] * 2
+    assert max(runs for _, runs in calls) == greedy[0]
 
 
 def test_campaign_refuses_bad_runs_and_noise_levels():

@@ -19,6 +19,7 @@ from rampflow.simulator import (
     DemandProfile,
     DisturbanceSpec,
     SimState,
+    _dot,
     _rate_bounds,
     _rate_caps,
     compute_flows,
@@ -847,3 +848,31 @@ def test_one_initial_state_is_checked_against_every_plant_of_a_stack():
     traj = simulate(stack, demand, initial_state=SimState([200.0, 0.0],
                                                           [0.0, 40.0]))
     assert traj.rho.shape == (2, demand.horizon + 1, model.n)
+
+
+def _dot_mismatches(dot) -> int:
+    """Random contractions, in every stack layout, on which ``dot(x, v)``
+    differs in any bit from ``x[r] @ v[r]`` on each row as one model's
+    contiguous parameter array."""
+    rng = np.random.default_rng(0)
+    bad = 0
+    for _ in range(300):
+        runs, n, T = (int(k) for k in rng.integers((1, 1, 0), (20, 70, 50)))
+        x = rng.normal(size=(runs, T, n) if T else (runs, n))
+        c = rng.normal(size=(runs, n))
+        strided = rng.normal(size=(runs, 2 * n))[:, ::2]
+        for v in (c, np.asfortranarray(c), strided):
+            want = np.array([x[r] @ v[r].copy() for r in range(runs)])
+            bad += not np.array_equal(dot(x, v), want)
+    return bad
+
+
+def test_dot_rounds_as_each_run_alone_in_every_layout():
+    assert _dot_mismatches(_dot) == 0
+    # negative control: matmul on the stack as laid out, without the copy
+
+    def uncopied(x, v):
+        runs, n = v.shape
+        return np.matmul(x.reshape(runs, -1, n),
+                         v[:, :, None]).reshape(x.shape[:-1])
+    assert _dot_mismatches(uncopied) > 0
