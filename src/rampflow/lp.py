@@ -263,7 +263,9 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     counts do not flag it, so such a point is solved again, once, cold. A
     scipy without HiGHS's bindings solves the instance cold through
     ``linprog``. All reach the same optimal value; on a degenerate LP they
-    may return different optimal plans.
+    may return different optimal plans. A non-finite objective or point
+    (HiGHS calls a NaN cost optimal; ``linprog`` refuses one) raises
+    ``LpError``, and a NaN residual fails its check.
     """
     core = _highs_bindings()
     basis = None if core is None else _greedy_basis(inst)
@@ -271,16 +273,20 @@ def solve_lp(inst: LpInstance) -> LpSolution:
                                   else _solve_highs(core, inst, basis))
     residual_eq, residual_ub = _residuals(inst, x)
     warm = basis is not None
-    if warm and max(residual_eq, residual_ub) > _RESIDUAL_TOL:
+    if warm and not (residual_eq <= _RESIDUAL_TOL
+                     and residual_ub <= _RESIDUAL_TOL):
         x, fun, status, iterations = _solve_highs(core, inst, None)
         residual_eq, residual_ub = _residuals(inst, x)
         warm = False
-    if residual_eq > _RESIDUAL_TOL or residual_ub > _RESIDUAL_TOL:
+    objective = fun + inst.objective_constant
+    if not (np.isfinite(objective) and np.isfinite(x).all()):
+        raise LpError(f"non-finite solution: objective {objective:g}")
+    if not (residual_eq <= _RESIDUAL_TOL and residual_ub <= _RESIDUAL_TOL):
         raise LpError(
             f"solution violates rows: eq {residual_eq:g}, ub {residual_ub:g}")
 
     flows, rates, rho, qs = inst.varmap.split(x)
-    return LpSolution(objective=fun + inst.objective_constant,
+    return LpSolution(objective=objective,
                       rho=np.vstack((inst.initial.rho, rho)),
                       q=np.vstack((inst.initial.q, qs)),
                       flows=flows.copy(), rates=rates.copy(),
@@ -302,10 +308,13 @@ def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
 
 def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
     from scipy.optimize import linprog
-    res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
-                  A_eq=inst.a_eq, b_eq=inst.b_eq,
-                  bounds=np.column_stack((inst.lb, inst.ub)),
-                  method="highs", options=_TOLERANCES)
+    try:
+        res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
+                      A_eq=inst.a_eq, b_eq=inst.b_eq,
+                      bounds=np.column_stack((inst.lb, inst.ub)),
+                      method="highs", options=_TOLERANCES)
+    except ValueError as e:   # linprog refuses a non-finite coefficient
+        raise LpError(f"solver refused the model: {e}") from e
     if not res.success:
         raise LpError(f"solver failed: {res.message}")
     # linprog succeeds only on HiGHS's "Optimal" model status
@@ -448,13 +457,15 @@ def certify_relaxation(inst: LpInstance,
 
     For monotone models the replayed run can only shift flows earlier, so
     its total time spent must match the LP objective up to roundoff; a
-    match certifies that the relaxation solved the original problem.
+    match certifies that the relaxation solved the original problem. A
+    replay that leaves the state boxes is a failed certificate; any other
+    error propagates.
     """
     try:
         traj = simulate(inst.model, inst.demand,
                         controller=RateSchedule(sol.rates),
                         initial_state=inst.initial)
-    except Exception as e:  # replay left the state boxes
+    except ContractViolationError as e:  # replay left the state boxes
         return RelaxationCertificate(
             exact=False, lp_objective=sol.objective, simulated_tts=np.nan,
             gap=np.nan, max_rate_adjustment=np.nan, failure=str(e))

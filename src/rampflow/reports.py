@@ -24,7 +24,8 @@ def fmt(x: float) -> str:
 
 
 def _clean(value):
-    """Round floats through %.9g so JSON bytes match the CSV convention."""
+    """Round floats through %.9g so JSON bytes match the CSV convention;
+    a non-finite float, which JSON cannot hold, becomes None (null)."""
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -32,7 +33,7 @@ def _clean(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
-        return float(fmt(value))
+        return float(fmt(value)) if np.isfinite(value) else None
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value

@@ -17,8 +17,8 @@ where r_k is the metering rate chosen for the onramp of cell k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,12 +43,6 @@ class ShapeMismatchError(ValueError):
 def _require_finite(what: str, *arrays: np.ndarray) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{what} must be finite")
-
-
-def _check_noise_level(sigma_phi: float) -> None:
-    if not (np.isfinite(sigma_phi) and sigma_phi >= 0.0):
-        raise ValueError(f"sigma_phi must be finite and >= 0, got "
-                         f"{sigma_phi}")
 
 
 @dataclass
@@ -101,19 +95,24 @@ class DisturbanceSpec:
     seed: int | Sequence[int] = 0
 
     def __post_init__(self):
-        _check_noise_level(self.sigma_phi)
+        if not (np.isfinite(self.sigma_phi) and self.sigma_phi >= 0.0):
+            raise ValueError(f"sigma_phi must be finite and >= 0, got "
+                             f"{self.sigma_phi}")
 
     @property
     def runs(self) -> int | None:
         return None if np.ndim(self.seed) == 0 else len(self.seed)
 
-    def rng(self, runs: int | None = None):
-        """One generator, or a list of ``runs`` generators (one per seed;
-        a single seed is shared by every run)."""
-        if runs is None:
-            return np.random.default_rng(self.seed)
-        seeds = self.seed if self.runs is not None else [self.seed] * runs
-        return [np.random.default_rng(s) for s in seeds]
+    def factors(self, runs: int | None, T: int,
+                n: int) -> Iterator[np.ndarray]:
+        """Each run's (T, n+1) flow factors N(1, sigma_phi), drawn at once
+        from the run's own generator: one per seed, or one seed for each
+        of the ``runs`` runs (one run if None). Row t is step t's factors,
+        as the generator gives them drawing n+1 per step."""
+        seeds = [self.seed] * (runs or 1) if self.runs is None else self.seed
+        for s in seeds:
+            yield np.random.default_rng(s).normal(
+                1.0, self.sigma_phi, size=(T, n + 1))
 
 
 class DemandProfile:
@@ -289,7 +288,7 @@ def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
 
 
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
-         w_row: np.ndarray, rng=None, sigma_phi: float = 0.0,
+         w_row: np.ndarray, noise: np.ndarray | None = None,
          relaxed: bool | Sequence[bool] = False,
          ) -> tuple[SimState, np.ndarray]:
     """Advance one step and return (next state, realized flow row).
@@ -299,41 +298,32 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
     feasible interval are a contract violation. With ``relaxed=True`` the
     constant rate bounds [0, ramp_flow_max] are waived and only the
     queue-box limits apply; a batch may instead pass R flags, one per run.
-    Noise needs ``rng``: a generator for one run, or a sequence of R
-    generators, each drawing its run's n+1 factors; a negative or
-    non-finite ``sigma_phi`` is refused.
+    ``noise`` is the step's flow factors, (n+1,) or one row per run
+    (R, n+1), as :meth:`DisturbanceSpec.factors` draws them; None is a
+    noiseless step, and a non-finite factor is refused.
     """
-    _check_noise_level(sigma_phi)
     if np.ndim(relaxed) and np.shape(relaxed) != state.q.shape[:-1]:
         raise ValueError(f"{len(relaxed)} relaxed flags for state "
                          f"of shape {state.q.shape}")
+    if noise is not None:
+        _require_finite("noise factors", noise)
     rates = np.asarray(rates, dtype=float)
     _check_rates(rates, *_rate_bounds(model, state.q, w_row[1:],
                                       _rate_caps(model, relaxed)))
-    noise = None
-    if sigma_phi > 0.0:
-        if rng is None:
-            raise ValueError("noise requested but no rng supplied")
-        gens = [rng] if isinstance(rng, np.random.Generator) else rng
-        noise = np.reshape([g.normal(1.0, sigma_phi, size=model.n + 1)
-                            for g in gens], state.rho.shape[:-1] + (-1,))
     rho_next, q_next, phi = _advance(model, state.rho, state.q, rates,
-                                     w_row[0], w_row[1:], noise)
+                                     w_row[1:], noise,
+                                     _flows(model, state.rho, w_row[0]))
     return SimState(rho_next, q_next), phi
 
 
 def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
-             rates: np.ndarray, w0: float, w: np.ndarray,
-             noise: np.ndarray | None = None,
-             phi: np.ndarray | None = None,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             rates: np.ndarray, w: np.ndarray, noise: np.ndarray | None,
+             phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step itself, from rates already checked against their interval:
-    (next densities, next queues, flow row), given the mainline inflow
-    ``w0`` and the ramp arrivals ``w``. ``noise`` holds the flow factors,
-    or is None for a noiseless step. ``phi`` is the noiseless flow row
-    ``_flows(model, rho, w0)`` when the caller has it (:func:`simulate`
-    does), or None to compute it here (:func:`step`); noise scales a copy
-    of it, never the row itself. It reads the constants the model
+    (next densities, next queues, flow row), given the ramp arrivals
+    ``w`` and the noiseless flow row ``phi`` at ``rho``. ``noise`` holds
+    the flow factors, or is None for a noiseless step; it scales a copy
+    of ``phi``, never the row itself. It reads the constants the model
     folds once: ``_dt`` and ``_dt_over_length`` for dt and dt / length,
     and the density box widened by its tolerance, [``_rho_floor``,
     ``_rho_ceil``].
@@ -343,8 +333,6 @@ def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     only clipped. Densities depend on the flows, which the interval does
     not bound: a noiseless step checks that they left their box by
     rounding only, which also catches a NaN inflow, before the clip."""
-    if phi is None:
-        phi = _flows(model, rho, w0)
     if noise is not None:
         phi = (phi * noise).clip(_ZERO, phi)
     rho_next = rho + model._dt_over_length * (
@@ -394,10 +382,10 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     from ``initial_state`` and every array of the trajectory has a leading
     run axis. Otherwise it is one run with the unbatched shapes.
 
-    Each run's noise factors are drawn up front, one (T, n+1) draw from its
-    generator, straight into the flow history; that is the same sequence
-    :func:`step` draws one row per step, and each noisy step copies its
-    row of them into one buffer. Every step advances like :func:`step`.
+    Each run's noise factors are drawn up front by
+    :meth:`DisturbanceSpec.factors` and written into the flow history;
+    each noisy step copies its row of them into one buffer and advances
+    like :func:`step` given that row.
     The loop carries the state in the arrays :func:`_advance` returns,
     copies each step's ramp arrivals to every run once, and writes each
     history row once, without reading it back. A batch is cell-major: the
@@ -415,7 +403,6 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     the plant the caller passed, also when the loop runs on its stack.
     """
     demand.check_against(model)
-    sigma = disturbance.sigma_phi if disturbance is not None else 0.0
     runs = _batch_size(model.runs, getattr(controller, "runs", None),
                        disturbance.runs if disturbance is not None else None,
                        len(relaxed) if np.ndim(relaxed) else None)
@@ -436,11 +423,10 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     rates_hist = np.empty((R, T, n))
     rho_hist[:, 0] = rho0
     q_hist[:, 0] = q0
-    noisy = sigma > 0.0
+    noisy = disturbance is not None and disturbance.sigma_phi > 0.0
     if noisy:
-        gens = disturbance.rng(runs)
-        for run_flows, g in zip(flows, gens if runs else [gens]):
-            run_flows[...] = g.normal(1.0, sigma, size=(T, n + 1))
+        for run_flows, factors in zip(flows, disturbance.factors(runs, T, n)):
+            run_flows[...] = factors
     if runs is None:   # one run: drop the run axis everywhere
         rho_hist, q_hist, flows, rates_hist = (
             rho_hist[0], q_hist[0], flows[0], rates_hist[0])
@@ -467,8 +453,7 @@ def simulate(model: FreewayModel, demand: DemandProfile,
             _check_rates(r, lo, hi)
         if noisy:
             noise[...] = flows[..., t, :]
-        rho, q, flows[..., t, :] = _advance(
-            plant, rho, q, r, w_row[0], w, noise, phi)
+        rho, q, flows[..., t, :] = _advance(plant, rho, q, r, w, noise, phi)
         rho_hist[..., t + 1, :] = rho
         q_hist[..., t + 1, :] = q
         rates_hist[..., t, :] = r
@@ -490,13 +475,12 @@ class RateSchedule:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Run totals; on a batch, tts, twt and tdt carry a leading run axis,
-    and so does tft on a stack of plants."""
+    """Run totals; on a batch, tts and twt carry a leading run axis, and
+    so does tft on a stack of plants."""
 
     tts: float           # car-hours spent in the network
     tft: float           # car-hours if every car ran at free-flow speed
     twt: float           # tts - tft, time lost to congestion and queues
-    tdt: np.ndarray = field(repr=False, default=None)  # car-km per step
 
 
 def freeflow_traverse_times(model: FreewayModel) -> np.ndarray:
@@ -539,8 +523,7 @@ def evaluate_metrics(model: FreewayModel, traj: Trajectory) -> Metrics:
     tau = freeflow_traverse_times(model)
     tft = _per_run(dt * (np.sum(traj.demand.w0) * tau[..., 0] + np.sum(
         np.matmul(traj.demand.w_ramp, tau[..., None])[..., 0], axis=-1)))
-    tdt = dt * _dot(traj.flows[..., 1:], model.length)
-    return Metrics(tts=tts, tft=tft, twt=tts - tft, tdt=tdt)
+    return Metrics(tts=tts, tft=tft, twt=tts - tft)
 
 
 def mass_conservation_residual(model: FreewayModel, traj: Trajectory) -> float:

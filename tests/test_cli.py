@@ -295,6 +295,25 @@ def test_optimize_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_optimize_writes_null_where_the_replay_failed(monkeypatch, capsys):
+    """A certificate that failed carries NaN; optimize writes it as null,
+    so its output is JSON that a strict parser takes."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    def failed(inst, sol):
+        return rampflow.lp.RelaxationCertificate(
+            exact=False, lp_objective=sol.objective, simulated_tts=np.nan,
+            gap=np.nan, max_rate_adjustment=np.nan, failure="left its box")
+    monkeypatch.setattr(cli, "certify_relaxation", failed)
+    assert main(["optimize", "--scenario", "builtin:example1"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["exact"] is False
+    assert doc["simulated_tts"] is doc["gap"] \
+        is doc["max_rate_adjustment"] is None
+    assert doc["objective"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # bounds
 

@@ -749,6 +749,61 @@ def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     assert certify_relaxation(inst, sol).failure
 
 
+def test_a_replay_leaving_its_boxes_fails_the_certificate(monkeypatch):
+    """The replay of a plan that overfills its cell is a certificate that
+    fails with the box's message. Anything else the replay raises is a
+    bug, not a property of the plan, and propagates (negative control)."""
+    m = one_ramp_cell()
+    d = DemandProfile(w0=np.full(60, 8000.0), w_ramp=np.zeros((60, 1)))
+    inst = build_lp(m, d)
+    sol = solve_lp(inst)
+    cert = certify_relaxation(inst, sol)
+    assert cert.exact is False and "density left its box" in cert.failure
+    assert np.isnan(cert.simulated_tts) and np.isnan(cert.gap)
+
+    def bug(*args, **kwargs):
+        raise TypeError("a bug in the replay")
+    monkeypatch.setattr(rampflow.lp, "simulate", bug)
+    with pytest.raises(TypeError, match="a bug in the replay"):
+        certify_relaxation(inst, sol)
+
+
+@pytest.mark.parametrize("bindings, message", [
+    (True, "non-finite solution"), (False, "refused the model")],
+    ids=["highs", "linprog"])
+def test_a_nan_cost_is_an_lp_error(bindings, message, monkeypatch):
+    """HiGHS calls an LP with a NaN cost optimal at a NaN objective, and
+    solve_lp refuses that solution; linprog, the fallback on a scipy
+    without HiGHS's bindings, refuses the cost itself. The same instance
+    with a finite cost solves (negative control)."""
+    if bindings and rampflow.lp._highs_bindings() is None:
+        pytest.skip("this scipy ships no HiGHS bindings")
+    if not bindings:
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    sc = builtin_example1()
+    inst = build_lp(sc.model, sc.demand, sc.initial)
+    c = inst.c.copy()
+    c[0] = np.nan
+    with pytest.raises(rampflow.lp.LpError, match=message):
+        solve_lp(replace(inst, c=c))
+    c[0] = inst.c[0]
+    assert np.isfinite(solve_lp(replace(inst, c=c)).objective)
+
+
+@pytest.mark.parametrize("residuals", [(np.nan, 0.0), (0.0, np.nan)])
+def test_a_nan_residual_fails_the_row_check(residuals, monkeypatch):
+    """A NaN residual is a row check that fails, warm or cold; a residual
+    within the tolerance passes (negative control)."""
+    sc = builtin_example1()
+    inst = build_lp(sc.model, sc.demand, sc.initial)
+    monkeypatch.setattr(rampflow.lp, "_residuals", lambda inst, x: residuals)
+    with pytest.raises(rampflow.lp.LpError, match="violates rows: eq"):
+        solve_lp(inst)
+    monkeypatch.setattr(rampflow.lp, "_residuals",
+                        lambda inst, x: (0.0, 0.0))
+    assert solve_lp(inst).status == "Optimal"
+
+
 def test_scipy_loads_only_where_the_lp_needs_it():
     """A fresh ``import rampflow, rampflow.cli`` leaves scipy unloaded;
     building an LP loads it (the negative control)."""

@@ -249,7 +249,8 @@ def test_noise_clips_to_same_state_flows():
     rng = np.random.default_rng(7)
     saw_reduction = False
     for _ in range(50):
-        _, noisy = step(m, state, np.zeros(1), w_row, rng=rng, sigma_phi=0.1)
+        _, noisy = step(m, state, np.zeros(1), w_row,
+                        rng.normal(1.0, 0.1, size=2))
         assert np.all(noisy <= clean + 1e-12)
         assert np.all(noisy >= 0.0)
         saw_reduction |= bool(np.any(noisy < clean - 1.0))
@@ -300,7 +301,6 @@ def test_metrics_free_flow_total():
     assert met.tft == pytest.approx(5.0, rel=1e-12)
     assert met.tts >= met.tft - 1e-9
     assert met.twt == pytest.approx(met.tts - met.tft, rel=1e-12)
-    assert met.tdt.shape == (T,)
 
 
 def test_tts_counts_states_and_queues():
@@ -347,21 +347,33 @@ def test_non_finite_inputs_are_refused():
 def test_noise_levels_outside_the_theory_are_refused():
     m = one_cell(dt=0.01, ramp_flow_max=1000.0, queue_max=50.0)
     dem = DemandProfile(w0=np.full(5, 500.0), w_ramp=np.full((5, 1), 100.0))
-    state = SimState([30.0], [10.0])
-    rates, w_row = np.array([100.0]), np.array([500.0, 100.0])
     for bad in (-0.3, -1e-12, np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma_phi"):
             DisturbanceSpec(sigma_phi=bad, seed=1)
-        with pytest.raises(ValueError, match="sigma_phi"):
-            step(m, state, rates, w_row, rng=np.random.default_rng(1),
-                 sigma_phi=bad)
     # negative controls: no noise and a small noise level still run
     for ok in (0.0, 0.05):
         traj = simulate(m, dem, disturbance=DisturbanceSpec(ok, seed=1))
         assert np.isfinite(evaluate_metrics(m, traj).tts)
-        nxt, _ = step(m, state, rates, w_row, rng=np.random.default_rng(1),
-                      sigma_phi=ok)
+
+
+def test_step_refuses_non_finite_noise_factors():
+    """A noisy step skips the density check, so a NaN factor would reach
+    the state unseen; step refuses it up front, for one run or a batch."""
+    m = one_cell(dt=0.01, ramp_flow_max=1000.0, queue_max=50.0)
+    rates, w_row = np.array([100.0]), np.array([500.0, 100.0])
+    one = SimState([30.0], [10.0])
+    batch = SimState(np.full((2, 1), 30.0), np.full((2, 1), 10.0))
+    for state, shape in ((one, (2,)), (batch, (2, 2))):
+        for bad in (np.nan, np.inf):
+            noise = np.full(shape, 0.9)
+            noise[..., -1] = bad
+            with pytest.raises(ValueError, match="noise factors"):
+                step(m, state, rates, w_row, noise)
+        # negative control: finite factors, also ones the clip cuts
+        nxt, phi = step(m, state, rates, w_row, np.full(shape, 1.5))
+        _, clean = step(m, state, rates, w_row)
         assert np.isfinite(nxt.rho).all()
+        np.testing.assert_array_equal(phi, np.broadcast_to(clean, phi.shape))
 
 
 RUN_FIELDS = ("rho", "q", "flows", "rates")
@@ -394,7 +406,6 @@ def test_batch_of_r_equals_r_batches_of_one(kind, relaxed, sigma, drop):
     assert batch.flows.shape == (3, T, n + 1)
     met = evaluate_metrics(plant, batch)
     assert met.tts.shape == met.twt.shape == (3,)
-    assert met.tdt.shape == (3, T)
     worst = 0.0
     for r in range(3):
         one = run(beliefs[r], seeds[r])
@@ -512,16 +523,13 @@ def test_a_belief_is_saturated_by_the_plant_bounds():
 
 def step_loop(plant, demand, law, initial, sigma, seed, relaxed):
     """The closed loop as the reference writes it: clamp the law's raw
-    rate into the plant's interval, then one checked ``step`` with its
-    per-step noise draws."""
+    rate into the plant's interval, then one checked ``step`` given that
+    step's noise factors, which each run draws from its own generator."""
     runs = law.runs
     shape = (plant.n,) if runs is None else (runs, plant.n)
     state = SimState(np.broadcast_to(initial.rho, shape),
                      np.broadcast_to(initial.q, shape))
-    rng = None
-    if sigma:
-        rng = np.random.default_rng(seed) if runs is None \
-            else [np.random.default_rng(s) for s in seed]
+    gens = [np.random.default_rng(s) for s in np.atleast_1d(seed)]
     hist = {name: [] for name in RUN_FIELDS}
     hist["rho"].append(state.rho)
     hist["q"].append(state.q)
@@ -531,8 +539,10 @@ def step_loop(plant, demand, law, initial, sigma, seed, relaxed):
         lo, hi = _rate_bounds(plant, state.q, w_row[1:],
                               _rate_caps(plant, relaxed))
         r = np.clip(law.compute_rates(t, state, w_row, r), lo, hi)
-        state, phi = step(plant, state, r, w_row, rng=rng, sigma_phi=sigma,
-                          relaxed=relaxed)
+        noise = np.reshape([g.normal(1.0, sigma, size=plant.n + 1)
+                            for g in gens], shape[:-1] + (-1,)) \
+            if sigma else None
+        state, phi = step(plant, state, r, w_row, noise, relaxed=relaxed)
         for name, value in zip(RUN_FIELDS, (state.rho, state.q, phi, r)):
             hist[name].append(value)
     return {name: np.stack(v, axis=-2) for name, v in hist.items()}
@@ -730,7 +740,7 @@ def test_stack_metrics_equal_the_members(sigma):
     for v, plant in enumerate(plants):
         np.testing.assert_array_equal(tau[v], freeflow_traverse_times(plant))
         one = evaluate_metrics(plant, traj.run(v))
-        for name in ("tts", "tft", "twt", "tdt"):
+        for name in ("tts", "tft", "twt"):
             np.testing.assert_array_equal(getattr(met, name)[v],
                                           getattr(one, name))
     assert mass_conservation_residual(stack, traj) == max(
