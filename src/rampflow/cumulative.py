@@ -30,6 +30,7 @@ from .simulator import (
     SimState,
     Trajectory,
     _check_rates,
+    _check_state,
     _flows,
     _rate_bounds,
     _rate_caps,
@@ -323,16 +324,21 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     certificate says so. The greedy run and its restrictiveness report
     come back on the result.
 
-    Both runs are one batch of 2 of the greedy law with
-    ``relaxed=(False, True)``: ``simulate`` clamps run 0 into the capped
-    interval, so run 0 is exactly the greedy run, and run 1 into the
-    queue-box limits alone. Capacity-drop models and steps that break the
-    step-size conditions are refused: they are not monotone, so the
+    Both runs are one batch of 2 of the greedy law on ``model`` stacked
+    twice, which the law believes too, so it reads the plant's flow row.
+    With ``relaxed=(False, True)``, ``simulate`` clamps run 0 into the
+    capped interval, so run 0 is exactly the greedy run, and run 1 into
+    the queue-box limits alone. Capacity-drop models and steps that break
+    the step-size conditions are refused: they are not monotone, so the
     relaxed run proves no lower bound.
     """
     require_monotone(model)
-    both = simulate(model, demand,
-                    controller=make_controller("best_effort", model),
+    # checked on ``model`` first, so a refusal names no run of the pair
+    demand.check_against(model)
+    if initial_state is not None:
+        _check_state(model, initial_state.rho, initial_state.q)
+    pair = FreewayModel.stack([model, model])
+    both = simulate(pair, demand, make_controller("best_effort", pair),
                     initial_state=initial_state, relaxed=(False, True))
     be = both.run(0)
     tts_be = evaluate_metrics(model, be).tts

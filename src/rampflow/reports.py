@@ -79,6 +79,9 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
 
     The demand profile is not stored in the table, so the caller supplies
     it; a table whose horizon differs raises :class:`ShapeMismatchError`.
+    A row that names a step below 0 or a cell below 1, that carries a
+    flow without its rate (or a rate without its flow), or a flow on the
+    final state, raises ValueError naming its line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -86,22 +89,36 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
                    if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"trajectory table lacks columns {missing}")
-        rows = list(reader)
+        rows = []
+        for r in reader:
+            try:
+                t, k = int(r["t"]), int(r["cell"])
+                if t < 0 or k < 1:
+                    raise ValueError(f"step {t}, cell {k} outside the table")
+                if (r["phi"] == "") != (r["r"] == ""):
+                    raise ValueError("a flow needs its rate, a rate its flow")
+                flow = None if r["phi"] == "" else (float(r["phi"]),
+                                                    float(r["r"]))
+                rows.append((reader.line_num, t, k - 1, float(r["rho"]),
+                             float(r["q"]), flow))
+            except ValueError as e:
+                raise ValueError(f"trajectory table line {reader.line_num}: "
+                                 f"{e}") from None
     if not rows:
         raise ValueError("empty trajectory table")
-    n = max(int(r["cell"]) for r in rows)
-    T = max(int(r["t"]) for r in rows)
+    n = max(r[2] for r in rows) + 1
+    T = max(r[1] for r in rows)
     rho = np.full((T + 1, n), np.nan)
     q = np.full((T + 1, n), np.nan)
     flows = np.full((T, n + 1), np.nan)
     rates = np.full((T, n), np.nan)
-    for r in rows:
-        t, k = int(r["t"]), int(r["cell"]) - 1
-        rho[t, k] = float(r["rho"])
-        q[t, k] = float(r["q"])
-        if r["phi"] != "":
-            flows[t, k + 1] = float(r["phi"])
-            rates[t, k] = float(r["r"])
+    for line, t, k, rho_tk, q_tk, flow in rows:
+        rho[t, k], q[t, k] = rho_tk, q_tk
+        if flow is not None:
+            if t == T:
+                raise ValueError(f"trajectory table line {line}: a flow on "
+                                 f"the final state (step {T})")
+            flows[t, k + 1], rates[t, k] = flow
     if np.isnan(rho).any() or np.isnan(flows[:, 1:]).any():
         raise ValueError("trajectory table has missing rows")
     if demand.horizon != T:

@@ -334,8 +334,13 @@ def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
     initial = zero_state(model)
     if "initial" in doc:
         init = doc["initial"]
-        rho = np.asarray(init.get("rho", np.zeros(model.n)), dtype=float)
-        q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
+        if not isinstance(init, dict):
+            fail("initial: need a mapping with rho and q")
+        try:
+            rho = np.asarray(init.get("rho", np.zeros(model.n)), dtype=float)
+            q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
+        except (TypeError, ValueError) as e:
+            fail(f"initial: {e}")
         if rho.shape != (model.n,) or q.shape != (model.n,):
             fail(f"initial: rho and q must have length {model.n}")
         try:
@@ -345,62 +350,75 @@ def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
     return Scenario(label, model, demand, initial)
 
 
+def _column(key, n: int, first: int, section: str, fail) -> int:
+    """The demand column ``key`` names, w0 (or 0) the mainline and wk (or
+    k) the ramp of cell k; refused outside w<first>..w<n>."""
+    digits = str(key).lstrip("w")
+    if not (digits.isdigit() and first <= int(digits) <= n):
+        fail(f"{section}: column {key!r} is not one of w{first}..w{n}")
+    return int(digits)
+
+
 def _demand_from_dict(spec, model: FreewayModel, path: Path, fail) -> DemandProfile:
+    """The demand section's profile; a malformed section is a
+    :class:`ScenarioError` that names it."""
     if not isinstance(spec, dict):
         fail("demand: need a mapping with one of csv|table|piecewise|synth")
     kinds = [k for k in ("csv", "table", "piecewise", "synth") if k in spec]
     if len(kinds) != 1:
         fail("demand: give exactly one of csv|table|piecewise|synth")
     kind = kinds[0]
+    body, section = spec[kind], f"demand.{kind}"
     if kind == "csv":
-        return read_demand_csv(path.parent / spec["csv"], model.n)
-    if kind == "table":
-        tab = spec["table"]
-        try:
-            w0 = np.asarray(tab["w0"], dtype=float)
-            steps = w0.shape[0]
-            w_ramp = np.zeros((steps, model.n))
-            for key, col in tab.items():
-                if key == "w0":
-                    continue
-                k = int(key.lstrip("w"))
-                w_ramp[:, k - 1] = np.asarray(col, dtype=float)
-            return DemandProfile(w0=w0, w_ramp=w_ramp)
-        except (KeyError, ValueError, IndexError) as e:
-            fail(f"demand.table: {e}")
-    if kind == "piecewise":
-        pw = spec["piecewise"]
-        steps = int(spec.get("steps", 0))
-        if steps <= 0:
-            fail("demand: piecewise needs a positive 'steps'")
-        pieces: dict[int, list[tuple[float, float, float]]] = {}
-        for key, segs in pw.items():
-            k = int(str(key).lstrip("w"))
-            pieces[k] = [(float(s["from_min"]), float(s["to_min"]),
-                          float(s["value"])) for s in segs]
-        return _piecewise_profile(model, steps, pieces)
-    syn = dict(spec["synth"])
-    seed = int(syn.pop("seed", 0))
-    ramp_peaks = {int(k): float(v)
-                  for k, v in dict(syn.pop("ramp_peaks", {})).items()}
-    windows = tuple(tuple(float(x) for x in w)
-                    for w in syn.pop("windows", ((1.0, 2.5),)))
+        return read_demand_csv(path.parent / str(body), model.n)
+    if not isinstance(body, dict):
+        fail(f"{section}: need a mapping")
     try:
+        if kind == "table":
+            w0 = np.asarray(body["w0"], dtype=float)
+            w_ramp = np.zeros((w0.shape[0], model.n))
+            for key, col in body.items():
+                if key != "w0":
+                    k = _column(key, model.n, 1, section, fail)
+                    w_ramp[:, k - 1] = np.asarray(col, dtype=float)
+            return DemandProfile(w0=w0, w_ramp=w_ramp)
+        if kind == "piecewise":
+            steps = int(spec.get("steps", 0))
+            if steps <= 0:
+                fail("demand: piecewise needs a positive 'steps'")
+            pieces = {}
+            for key, segs in body.items():
+                pieces[_column(key, model.n, 0, section, fail)] = [
+                    (float(s["from_min"]), float(s["to_min"]),
+                     float(s["value"])) for s in segs]
+            return _piecewise_profile(model, steps, pieces)
+        syn = dict(body)
+        seed = int(syn.pop("seed", 0))
+        ramp_peaks = {_column(k, model.n, 1, section, fail): float(v)
+                      for k, v in dict(syn.pop("ramp_peaks", {})).items()}
+        windows = tuple(tuple(float(x) for x in w)
+                        for w in syn.pop("windows", ((1.0, 2.5),)))
         sspec = SynthDemandSpec(ramp_peaks=ramp_peaks, windows=windows,
                                 **{k: (int(v) if k == "horizon_steps" else float(v))
                                    for k, v in syn.items()})
-    except TypeError as e:
-        fail(f"demand.synth: {e}")
-    return synth_demand(model, sspec, seed=seed)
+        return synth_demand(model, sspec, seed=seed)
+    except ScenarioError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        fail(f"{section}: "
+             + (f"missing {e}" if isinstance(e, KeyError) else str(e)))
 
 
 def write_demand_csv(path: str | Path, demand: DemandProfile) -> None:
+    """One row per step, t and the arrivals w0..wn as %.9g, through one
+    ``%`` template per row."""
     n = demand.w_ramp.shape[1]
+    row = "%d" + ",%.9g" * (n + 1) + "\n"
+    lines = [",".join(["t"] + [f"w{k}" for k in range(n + 1)]) + "\n"]
+    lines += [row % (t, *values) for t, values in enumerate(
+        np.column_stack((demand.w0, demand.w_ramp)).tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"w{k}" for k in range(n + 1)])
-        for t in range(demand.horizon):
-            writer.writerow([t] + [f"{v:.9g}" for v in demand.row(t)])
+        fh.write("".join(lines))
 
 
 def read_demand_csv(path: str | Path, n_cells: int) -> DemandProfile:

@@ -383,24 +383,21 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     run axis. Otherwise it is one run with the unbatched shapes.
 
     Each run's noise factors are drawn up front by
-    :meth:`DisturbanceSpec.factors` and written into the flow history;
-    each noisy step copies its row of them into one buffer and advances
-    like :func:`step` given that row.
-    The loop carries the state in the arrays :func:`_advance` returns,
-    copies each step's ramp arrivals to every run once, and writes each
-    history row once, without reading it back. A batch is cell-major: the
-    loop state, the arrivals, the noise buffer and the rate caps (built
-    at full shape) are (R, n) arrays in Fortran order, like a stack's
-    parameters, so each step's shifted flow views are contiguous blocks.
-    A batch on a plant that is not a stack runs on that plant stacked R
-    times, after the initial state is checked against the plant itself.
+    :meth:`DisturbanceSpec.factors` into the flow history, and each noisy
+    step advances like :func:`step` given its row of them. The loop
+    carries the state in the arrays :func:`_advance` returns, copies each
+    step's ramp arrivals to every run once, and writes each history row
+    once, without reading it back. A batch is cell-major: the loop state,
+    the arrivals, the noise buffer and the rate caps (built at full shape)
+    are (R, n) arrays in Fortran order, like a stack's parameters, so each
+    step's shifted flow views are contiguous blocks. A batch on a plant
+    that is not a stack broadcasts its parameters.
 
     The plant's noiseless flow row depends on the densities only, so each
     step evaluates it once, before the law runs: :func:`_advance` takes
     it, and the state handed to the law carries it with the plant, so a
     law that believes the plant (``internal_model is model``) reads it
-    instead of predicting the same row again. The state names ``model``,
-    the plant the caller passed, also when the loop runs on its stack.
+    instead of predicting the same row again.
     """
     demand.check_against(model)
     runs = _batch_size(model.runs, getattr(controller, "runs", None),
@@ -408,15 +405,11 @@ def simulate(model: FreewayModel, demand: DemandProfile,
                        len(relaxed) if np.ndim(relaxed) else None)
     state = initial_state if initial_state is not None else zero_state(model)
     rho0, q0 = _check_state(model, state.rho, state.q)
-    # a batch on one plant runs on that plant stacked, checked first so a
-    # refusal names no run; the law's state still names ``model``
-    plant = model if runs is None or model.runs is not None \
-        else FreewayModel.stack([model] * runs)
 
     T, n, R = demand.horizon, model.n, runs or 1
     shape = (n,) if runs is None else (R, n)
     caps = tuple(np.array(np.broadcast_to(c, shape), order="F")
-                 for c in _rate_caps(plant, relaxed))
+                 for c in _rate_caps(model, relaxed))
     rho_hist = np.empty((R, T + 1, n))
     q_hist = np.empty((R, T + 1, n))
     flows = np.empty((R, T, n + 1))
@@ -440,10 +433,10 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     for t in range(T):
         w_row = w_rows[t]
         w[...] = w_row[1:]
-        phi = _flows(plant, rho, w_row[0])
+        phi = _flows(model, rho, w_row[0])
         raw = np.inf if controller is None else controller.compute_rates(
             t, SimState._of(rho, q, model, phi), w_row, r)
-        lo, hi = _rate_bounds(plant, q, w, caps)
+        lo, hi = _rate_bounds(model, q, w, caps)
         r = np.asarray(raw, dtype=float).clip(lo, hi)
         # the clamp leaves r <= hi, so only the lower side can fail: at a
         # NaN rate or an empty interval (lo > hi), refused as in step
@@ -453,7 +446,7 @@ def simulate(model: FreewayModel, demand: DemandProfile,
             _check_rates(r, lo, hi)
         if noisy:
             noise[...] = flows[..., t, :]
-        rho, q, flows[..., t, :] = _advance(plant, rho, q, r, w, noise, phi)
+        rho, q, flows[..., t, :] = _advance(model, rho, q, r, w, noise, phi)
         rho_hist[..., t + 1, :] = rho
         q_hist[..., t + 1, :] = q
         rates_hist[..., t, :] = r

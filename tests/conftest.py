@@ -7,10 +7,18 @@ state boxes that the dynamics assume.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from rampflow.controllers import make_controller
 from rampflow.model import CellParams, FreewayModel, validate_model
+from rampflow.scenarios import (
+    GRENOBLE_DT,
+    GRENOBLE_PRESET,
+    grenoble_cells,
+    synth_demand,
+)
 from rampflow.simulator import DemandProfile, SimState, simulate
 
 
@@ -119,3 +127,15 @@ def one_step_rates(model: FreewayModel, kind: str, state: SimState,
     demand = DemandProfile(w0=w_row[:1], w_ramp=np.reshape(w_row[1:], (1, -1)))
     return simulate(model, demand, make_controller(kind, model, **kw),
                     initial_state=state, relaxed=relaxed).rates[0]
+
+
+def tiled_grenoble(tiles: int = 3) -> tuple[FreewayModel, DemandProfile]:
+    """Grenoble's cells and ramp demands repeated ``tiles`` times (63
+    cells by default, the corridor of perfbench's certify workload)."""
+    cells = grenoble_cells() * tiles
+    model = FreewayModel(cells, GRENOBLE_DT)
+    n = len(grenoble_cells())
+    spec = replace(GRENOBLE_PRESET, ramp_peaks={
+        k + n * j: v for j in range(tiles)
+        for k, v in GRENOBLE_PRESET.ramp_peaks.items()})
+    return model, synth_demand(model, spec, 0)

@@ -392,6 +392,20 @@ def test_report_cell_count_mismatch_exits_5(tmp_path):
     assert code == EXIT_MISMATCH
 
 
+def test_report_a_row_outside_the_table_exits_2(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--scenario", "builtin:example1",
+                 "--controller", "be", "--out", str(traj)]) == EXIT_OK
+    argv = ["report", "--scenario", "builtin:example1",
+            "--trajectory", str(traj)]
+    assert main(argv) == EXIT_OK   # negative control: the table as written
+    with open(traj, "a", encoding="utf-8") as fh:
+        fh.write("-1,1,1,2,,\n")
+    assert main(argv) == EXIT_SCENARIO
+    assert "line 364: step -1, cell 1 outside the table" \
+        in capsys.readouterr().err
+
+
 def test_report_missing_trajectory_exits_2(tmp_path):
     assert main(["report", "--scenario", "builtin:example1",
                  "--trajectory", str(tmp_path / "ghost.csv")]) == EXIT_SCENARIO
@@ -556,6 +570,18 @@ def test_validate_good_scenario(capsys):
     assert doc["scenario"] == "grenoble"
     assert doc["cells"] == 21
     assert doc["violations"] == []
+
+
+def test_validate_a_malformed_section_exits_2(tmp_path, capsys):
+    """``initial: 5`` once ended validate with an AttributeError traceback
+    (exit 1). Negative control: the scenario without it validates."""
+    p = tmp_path / "drop.yaml"
+    p.write_text(_DROP_YAML, encoding="utf-8")
+    assert main(["validate", "--scenario", str(p)]) == EXIT_OK
+    p.write_text(_DROP_YAML + "initial: 5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", "--scenario", str(p)]) == EXIT_SCENARIO
+    assert "initial: need a mapping" in capsys.readouterr().err
 
 
 def test_validate_bad_scenario_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rampflow import controllers, cumulative
 from rampflow.controllers import make_controller
 from rampflow.cumulative import (
     BoundsReport,
@@ -40,15 +41,17 @@ from rampflow.simulator import (
     compute_flows,
     evaluate_metrics,
     simulate,
+    zero_state,
 )
 from rampflow.scenarios import (
+    Scenario,
     builtin_example1,
     builtin_example2,
     builtin_grenoble,
     with_capacity_drop,
 )
 
-from conftest import random_demand, random_model, random_state
+from conftest import random_demand, random_model, random_state, tiled_grenoble
 
 
 def _phi_reference(model, rho, inflow_cum, virtual_cars):
@@ -472,6 +475,63 @@ def test_bounds_equal_separate_greedy_and_relaxed_runs(make):
                                       getattr(be, name))
     assert b.restrictiveness.reasons \
         == restrictiveness_report(sc.model, be).reasons
+
+
+def _corridor63() -> Scenario:
+    model, demand = tiled_grenoble()
+    return Scenario("corridor63", model, demand, zero_state(model))
+
+
+@pytest.mark.parametrize("make", [builtin_example1, builtin_example2,
+                                  lambda: builtin_grenoble(0), _corridor63],
+                         ids=["example1", "example2", "grenoble",
+                              "corridor63"])
+def test_bounds_equal_the_pair_on_the_unstacked_plant(make):
+    """tts_bounds runs its pair on a two-run stack; the reference is the
+    same pair on the unstacked plant, whose batch broadcasts the plant's
+    parameters. Both bounds and the greedy history agree bit for bit."""
+    sc = make()
+    b = tts_bounds(sc.model, sc.demand, sc.initial)
+    pair = simulate(sc.model, sc.demand,
+                    make_controller("best_effort", sc.model),
+                    initial_state=sc.initial, relaxed=(False, True))
+    assert b.tts_be == evaluate_metrics(sc.model, pair.run(0)).tts
+    assert b.tts_lb == evaluate_metrics(sc.model, pair.run(1)).tts
+    for name in ("rho", "q", "flows", "rates"):
+        assert getattr(b.greedy, name).tobytes() \
+            == getattr(pair.run(0), name).tobytes(), name
+
+
+def test_the_bounds_pair_reads_its_plant_row(monkeypatch):
+    """The pair runs on a two-run stack that its law believes too, so the
+    law reads the plant's flow row off the state and predicts none of its
+    own, and none of its operands broadcast. Negative control: a law
+    believing an equal but distinct stack predicts its row at every step,
+    and lands on the same bits."""
+    predicted = []
+    own = controllers.internal_flows
+
+    def counted(*args):
+        predicted.append(1)
+        return own(*args)
+    monkeypatch.setattr(controllers, "internal_flows", counted)
+    pairs = []
+
+    def recorded(model, demand, controller, **kw):
+        pairs.append((model, controller.internal_model))
+        return simulate(model, demand, controller, **kw)
+    monkeypatch.setattr(cumulative, "simulate", recorded)
+    sc = builtin_example1()
+    b = tts_bounds(sc.model, sc.demand, sc.initial)
+    [(plant, belief)] = pairs
+    assert plant.runs == 2 and belief is plant
+    assert predicted == []
+    other = FreewayModel.stack([sc.model, sc.model])
+    pair = simulate(FreewayModel.stack([sc.model, sc.model]), sc.demand,
+                    make_controller("best_effort", other),
+                    initial_state=sc.initial, relaxed=(False, True))
+    assert len(predicted) == sc.demand.horizon
+    assert pair.run(0).rates.tobytes() == b.greedy.rates.tobytes()
 
 
 def test_bounds_refuse_capacity_drop_models():

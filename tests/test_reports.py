@@ -2,7 +2,6 @@
 
 import csv
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,15 +23,13 @@ from rampflow.reports import (
     trajectory_csv_text,
 )
 from rampflow.scenarios import (
-    GRENOBLE_DT,
-    GRENOBLE_PRESET,
     builtin_example1,
     builtin_example2,
     builtin_grenoble,
-    grenoble_cells,
-    synth_demand,
 )
 from rampflow.simulator import DemandProfile, DisturbanceSpec, simulate
+
+from conftest import tiled_grenoble
 
 
 def _csv(rows) -> str:
@@ -130,6 +127,36 @@ def test_a_table_without_the_trajectory_columns_is_refused(tmp_path):
     assert trajectory_csv_text(read_trajectory_csv(full, traj.demand)) == text
 
 
+# example1's table: a header, then 181 states of 2 cells on lines 2-363
+@pytest.mark.parametrize("mutate, message", [
+    (lambda lines: lines + ["3,0,1,2,3,4\n"],
+     r"line 364: step 3, cell 0 outside the table"),
+    (lambda lines: lines + ["-1,1,1,2,,\n"],
+     r"line 364: step -1, cell 1 outside the table"),
+    (lambda lines: lines[:-1] + [lines[-1].replace(",,", ",5,6")],
+     r"line 363: a flow on the final state \(step 180\)"),
+    (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0] + ",\n"]
+     + lines[6:], r"line 6: a flow needs its rate, a rate its flow"),
+], ids=["cell-0", "step-minus-1", "flow-on-the-final-state",
+        "flow-without-rate"])
+def test_rows_outside_the_table_are_refused(mutate, message, tmp_path):
+    """Before these refusals, cell 0 and step -1 overwrote the last cell
+    and the final state through negative indices, a final-state flow
+    raised IndexError and a flow without its rate failed to parse ''.
+    Negative control: the unmodified table reads back."""
+    traj = _greedy_example1()
+    lines = trajectory_csv_text(traj).splitlines(keepends=True)
+    assert traj.horizon == 180 and len(lines) == 363
+    p = tmp_path / "traj.csv"
+    p.write_text("".join(lines), encoding="utf-8")
+    np.testing.assert_allclose(read_trajectory_csv(p, traj.demand).rho,
+                               traj.rho, rtol=1e-8, atol=1e-12)
+    p.write_text("".join(mutate(lines)), encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as refused:
+        read_trajectory_csv(p, traj.demand)
+    assert type(refused.value) is ValueError   # exit 2, not a mismatch
+
+
 def test_rates_equal_a_csv_writer_rendering():
     rates = _odd_values(np.random.default_rng(5).uniform(0, 900, (7, 3)))
     ref = _csv([["t", "r1", "r2", "r3"]]
@@ -173,17 +200,6 @@ def _report(rows: list[list[str]]) -> RestrictivenessReport:
                                  interior_clean=False)
 
 
-def _tiled_grenoble(tiles: int = 3):
-    """Grenoble's cells and ramp demands repeated ``tiles`` times."""
-    cells = grenoble_cells() * tiles
-    model = FreewayModel(cells, GRENOBLE_DT)
-    n = len(grenoble_cells())
-    spec = replace(GRENOBLE_PRESET, ramp_peaks={
-        k + n * j: v for j in range(tiles)
-        for k, v in GRENOBLE_PRESET.ramp_peaks.items()})
-    return model, synth_demand(model, spec, 0)
-
-
 def test_restrictiveness_equals_the_per_cell_writer():
     restrictive = 0
     for sc in (builtin_example1(), builtin_example2(), builtin_grenoble()):
@@ -191,7 +207,7 @@ def test_restrictiveness_equals_the_per_cell_writer():
         assert restrictiveness_csv_text(report) \
             == _restrictiveness_per_cell(report), sc.label
         restrictive += int(report.restrictive.sum())
-    report = tts_bounds(*_tiled_grenoble()).restrictiveness
+    report = tts_bounds(*tiled_grenoble()).restrictiveness
     assert report.restrictive.shape[1] == 63
     assert restrictiveness_csv_text(report) == _restrictiveness_per_cell(report)
     # both statuses show up in the builtins' tables

@@ -29,7 +29,12 @@ from rampflow.scenarios import (
     with_capacity_drop,
     write_demand_csv,
 )
-from rampflow.simulator import DisturbanceSpec, evaluate_metrics, simulate
+from rampflow.simulator import (
+    DemandProfile,
+    DisturbanceSpec,
+    evaluate_metrics,
+    simulate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +301,47 @@ def test_yaml_rejections(tmp_path, mangle, message):
         load_scenario(p)
 
 
+_PIECEWISE = """\
+  piecewise:
+    w0:
+      - {from_min: 0, to_min: 30, value: 2000}
+    w1:
+      - {from_min: 5, to_min: 15, value: 600}
+  steps: 90
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("initial:\n  rho: [10.0, 5.0]\n  q: [2.0, 0.0]\n", "initial: 5\n",
+     r"toy\.yaml: initial: need a mapping with rho and q"),
+    ("rho: [10.0, 5.0]", "rho: [ten, 5.0]",
+     r"initial: could not convert string to float: 'ten'"),
+    ("{from_min: 5, to_min: 15, value: 600}", "{from_min: 5, value: 600}",
+     r"demand\.piecewise: missing 'to_min'"),
+    ("    w1:\n", "    w9:\n",
+     r"demand\.piecewise: column 'w9' is not one of w0\.\.w2"),
+    (_PIECEWISE, "  synth: 5\n", r"demand\.synth: need a mapping"),
+    (_PIECEWISE, "  synth: {horizon_steps: 9, mainline_peak: 1, "
+     "ramp_peaks: {3: 100}}\n",
+     r"demand\.synth: column 3 is not one of w1\.\.w2"),
+    (_PIECEWISE, "  table: 5\n", r"demand\.table: need a mapping"),
+], ids=["initial-not-a-mapping", "initial-not-numbers",
+        "segment-without-to_min", "column-past-the-cells",
+        "synth-not-a-mapping", "synth-ramp-past-the-cells",
+        "table-not-a-mapping"])
+def test_malformed_sections_are_scenario_errors(old, new, message, tmp_path):
+    """A malformed section is a ScenarioError naming it (exit 2), not an
+    AttributeError, KeyError, TypeError or IndexError from the parser.
+    Negative control: the same scenario, well formed, loads."""
+    p = tmp_path / "toy.yaml"
+    assert old in _YAML_OK
+    p.write_text(_YAML_OK, encoding="utf-8")
+    assert load_scenario(p).horizon == 90
+    p.write_text(_YAML_OK.replace(old, new), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(p)
+
+
 def test_yaml_non_finite_initial_state_rejected(tmp_path):
     p = tmp_path / "nan.yaml"
     for value in (".nan", ".inf"):
@@ -416,6 +462,30 @@ def test_demand_csv_roundtrip(tmp_path):
     back = read_demand_csv(p, sc.model.n)
     np.testing.assert_allclose(back.w0, sc.demand.w0, rtol=1e-9)
     np.testing.assert_allclose(back.w_ramp, sc.demand.w_ramp, rtol=1e-9)
+
+
+def _demand_csv_per_value(path, demand: DemandProfile) -> None:
+    """The writer before the per-row template: ``csv.writer`` over each
+    value's ``format``, the reference bytes."""
+    n = demand.w_ramp.shape[1]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"w{k}" for k in range(n + 1)])
+        for t in range(demand.horizon):
+            writer.writerow([t] + [f"{v:.9g}" for v in demand.row(t)])
+
+
+def test_demand_csv_bytes_equal_the_per_value_writer(tmp_path):
+    signed_zero = DemandProfile(np.array([-0.0, 1e-300, 1234.5678901234]),
+                                np.array([[0.0, -0.0], [2.5, 1e20],
+                                          [1.0 / 3.0, 7.0]]))
+    assert "-0" in f"{signed_zero.w0[0]:.9g}"
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for demand in (builtin_example1().demand, builtin_example2().demand,
+                   builtin_grenoble(3).demand, signed_zero):
+        write_demand_csv(got, demand)
+        _demand_csv_per_value(want, demand)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_demand_csv_header_check(tmp_path):

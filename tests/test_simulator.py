@@ -420,6 +420,36 @@ def test_batch_of_r_equals_r_batches_of_one(kind, relaxed, sigma, drop):
         worst, rel=1e-12, abs=1e-15)
 
 
+def test_a_batch_on_one_plant_runs_that_plant(monkeypatch):
+    """simulate stacks nothing: a batch on a plant that is not a stack
+    runs that plant, broadcasting its parameters, and the law's state
+    names it. The same batch on the plant stacked by the caller (the
+    reference, simulated before stacking is patched out) has the same
+    bits."""
+    sc = builtin_example1()
+    law = make_controller("best_effort", sc.model)
+    kw = dict(initial_state=sc.initial, relaxed=(False, True),
+              disturbance=DisturbanceSpec(0.05, seed=[1, 2]))
+    stacked = simulate(FreewayModel.stack([sc.model] * 2), sc.demand, law,
+                       **kw)
+    plants = []
+
+    class Seen:
+        def compute_rates(self, t, state, w_row, r_prev):
+            plants.append(state._plant)
+            return law.compute_rates(t, state, w_row, r_prev)
+
+    def no_stack(cls, models):
+        raise AssertionError("simulate stacked the plant")
+    monkeypatch.setattr(FreewayModel, "stack", classmethod(no_stack))
+    batch = simulate(sc.model, sc.demand, Seen(), **kw)
+    assert len(plants) == sc.horizon
+    assert all(plant is sc.model for plant in plants)
+    for name in RUN_FIELDS:
+        assert getattr(batch, name).tobytes() \
+            == getattr(stacked, name).tobytes(), name
+
+
 def test_batch_sizes_must_agree():
     sc = builtin_example1()
     beliefs = [sc.model, sc.model]
