@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import CellParams, FreewayModel, validate_model
-from .simulator import _ZERO, SimState, _flows
+from .simulator import _ZERO, SimState, _clip, _flows
 
 KINDS = ("none", "best_effort", "alinea")
 
@@ -108,7 +108,7 @@ def internal_flows(model: FreewayModel, rho_measured: np.ndarray,
     is why a law that believes the plant may take the plant's row from
     :func:`simulate` instead.
     """
-    rho = np.asarray(rho_measured, dtype=float).clip(_ZERO, model.rho_jam)
+    rho = _clip(np.asarray(rho_measured, dtype=float), _ZERO, model.rho_jam)
     return _flows(model, rho, w0)
 
 

@@ -81,7 +81,8 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
     it; a table whose horizon differs raises :class:`ShapeMismatchError`.
     A row that names a step below 0 or a cell below 1, that carries a
     flow without its rate (or a rate without its flow), or a flow on the
-    final state, raises ValueError naming its line.
+    final state, raises ValueError naming its line; a second row for the
+    same step and cell raises ValueError naming both lines.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -90,11 +91,16 @@ def read_trajectory_csv(path, demand: DemandProfile) -> Trajectory:
         if missing:
             raise ValueError(f"trajectory table lacks columns {missing}")
         rows = []
+        line_of = {}   # (t, k) -> the line that gave it
         for r in reader:
             try:
                 t, k = int(r["t"]), int(r["cell"])
                 if t < 0 or k < 1:
                     raise ValueError(f"step {t}, cell {k} outside the table")
+                first = line_of.setdefault((t, k), reader.line_num)
+                if first != reader.line_num:
+                    raise ValueError(f"step {t}, cell {k} already given on "
+                                     f"line {first}")
                 if (r["phi"] == "") != (r["r"] == ""):
                     raise ValueError("a flow needs its rate, a rate its flow")
                 flow = None if r["phi"] == "" else (float(r["phi"]),

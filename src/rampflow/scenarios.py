@@ -205,8 +205,13 @@ def _smooth_noise(rng: np.random.Generator, steps: int, width: int) -> np.ndarra
 
 def synth_demand(model: FreewayModel, spec: SynthDemandSpec,
                  seed: int = 0) -> DemandProfile:
-    """Deterministic-per-seed daily profile for the given model."""
+    """Deterministic-per-seed daily profile for the given model; a
+    ``ramp_peaks`` key outside cells 1..n or a peak above its ramp's
+    ``ramp_flow_max`` raises :class:`ScenarioError`."""
     for k, peak in spec.ramp_peaks.items():
+        if not 1 <= k <= model.n:
+            raise ScenarioError(
+                f"ramp peak at cell {k!r} outside cells 1..{model.n}")
         cap = model.ramp_flow_max[k - 1]
         if peak > cap + 1e-9:
             raise ScenarioError(
@@ -336,6 +341,10 @@ def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
         init = doc["initial"]
         if not isinstance(init, dict):
             fail("initial: need a mapping with rho and q")
+        unknown = set(init) - {"rho", "q"}
+        if unknown:
+            fail(f"initial: unknown keys {sorted(unknown, key=str)}; "
+                 f"have rho and q")
         try:
             rho = np.asarray(init.get("rho", np.zeros(model.n)), dtype=float)
             q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
@@ -487,20 +496,27 @@ def _campaign_row(variant: str, sigma: float, dv: float, drho: float,
                        statistics.pstdev(vals), len(vals))
 
 
-class _UnmeteredOr:
-    """The unmetered law (``inf``) on the runs ``unmetered`` flags and
-    ``law``'s raw rate on the others, so both laws share one batch; the
-    law's state and rates stay per run, so each run is the run it would
-    be alone."""
+class _LawPerRun:
+    """Run r's law is ``kinds[r]``: the unmetered law (``inf``), or the
+    ``alinea`` or ``best_effort`` law believing model r of ``beliefs``.
+    A law that some run has is computed once per step on the whole
+    belief stack, and each run takes its own law's rate; the laws act run
+    by run, so each run is the run it would be alone."""
 
-    def __init__(self, law, unmetered: np.ndarray):
-        self.law = law
-        self.runs = law.runs
-        self._unmetered = unmetered[:, None]
+    def __init__(self, kinds: list[str], beliefs: list[FreewayModel]):
+        self.kinds = kinds
+        self.runs = len(kinds)
+        belief = FreewayModel.stack(beliefs)
+        kind = np.array(kinds)[:, None]
+        self._laws = [(kind == k, make_controller(k, belief))
+                      for k in ("alinea", "best_effort") if k in kinds]
 
     def compute_rates(self, t, state, w_row, r_prev):
-        return np.where(self._unmetered, np.inf,
-                        self.law.compute_rates(t, state, w_row, r_prev))
+        rates = np.inf
+        for rows, law in self._laws:
+            rates = np.where(
+                rows, law.compute_rates(t, state, w_row, r_prev), rates)
+        return rates
 
 
 def uncertainty_campaign(scenario: Scenario,
@@ -518,13 +534,14 @@ def uncertainty_campaign(scenario: Scenario,
     Beliefs are always sampled from the monotonic nominal model. Run r of
     any grid point uses disturbance seed ``seed + r`` and belief seed
     ``seed + 1000 + r``, so rows are reproducible and paired across
-    controllers. Per noise level the runs go through two batched
-    simulations, each on a stack of the variant plants. The unmetered
-    baseline and the integral law, both with the nominal belief, share
-    one; the greedy law over every (variant, mismatch point, run) belief
-    has the other, the largest batch. Noiseless runs of one controller
+    controllers. Each batched simulation runs on a stack of the variant
+    plants, each run under its own law. Noiseless runs of one controller
     with one belief on one plant are identical, so without noise the
-    shared call simulates one run per law and variant.
+    unmetered baseline and the integral law, both with the nominal
+    belief, run once per variant, in the batch of the greedy law over
+    every (variant, mismatch point, run) belief. With noise they run once
+    per run in a batch of their own, so that no batch grows past the
+    greedy one by more than one run per cheap law and variant.
 
     Raises ValueError when ``runs`` is below 1, a noise level is negative
     or not finite, or a variant is unknown.
@@ -542,37 +559,45 @@ def uncertainty_campaign(scenario: Scenario,
     run_seeds = [seed + r for r in range(runs)]
     beliefs = [sample_controller_model(nominal, dv, drho, seed=seed + 1000 + r)
                for dv, drho in mismatch_grid for r in range(runs)]
+    greedy = ("best_effort", beliefs)
+
+    def twt(sigma: float, *laws: tuple[str, list[FreewayModel]],
+            ) -> list[np.ndarray]:
+        """Waiting times of one batch at noise level ``sigma`` that runs
+        each (kind, belief) law on every variant plant under each model
+        of its belief: one array (variants, len(belief)) per law. A
+        belief's model i is run i % runs and takes that run's seed."""
+        rows = [(kind, variant, model) for kind, belief in laws
+                for variant in variants for model in belief]
+        noise = DisturbanceSpec(sigma_phi=sigma,
+                                seed=run_seeds * (len(rows) // runs)) \
+            if sigma != 0.0 else None
+        plant = FreewayModel.stack([plants[v] for _, v, _ in rows])
+        law = _LawPerRun([k for k, _, _ in rows], [m for _, _, m in rows])
+        twts = _metrics(plant, scenario.demand, law, scenario.initial,
+                        noise).twt
+        ends = np.cumsum([len(variants) * len(b) for _, b in laws])
+        return [x.reshape(len(variants), -1)
+                for x in np.split(twts, ends[:-1])]
+
     found: dict[tuple[str, float], list[CampaignRow]] = {}
     for sigma in sigmas if variants else ():   # no plant, no run
-        def twt(law, belief: list[FreewayModel], laws: int = 1) -> np.ndarray:
-            """Waiting times of one batch, shape (laws, variants,
-            len(belief)): each of ``laws`` laws on every variant plant
-            under each model of ``belief``."""
-            rows = laws * len(variants) * len(belief)
-            noise = DisturbanceSpec(sigma_phi=sigma,
-                                    seed=run_seeds * (rows // runs)) \
-                if sigma != 0.0 else None
-            plant = FreewayModel.stack([plants[v] for _ in range(laws)
-                                        for v in variants for _ in belief])
-            return _metrics(plant, scenario.demand, law, scenario.initial,
-                            noise).twt.reshape(laws, len(variants), -1)
-
-        # noise makes the nominal belief's runs differ; without it they
-        # are identical, so each law runs once per variant
-        nominal_runs = [nominal] * (runs if sigma != 0.0 else 1)
-        half = len(variants) * len(nominal_runs)
-        base, integral = np.broadcast_to(twt(_UnmeteredOr(
-            make_controller("alinea", nominal_runs * 2 * len(variants)),
-            np.arange(2 * half) < half), nominal_runs, laws=2),
-            (2, len(variants), runs))
-        greedy = twt(make_controller("best_effort", beliefs * len(variants)),
-                     beliefs)[0].reshape(len(variants), len(mismatch_grid),
-                                         runs)
+        if sigma == 0.0:
+            base, integral, greedy_twt = twt(
+                sigma, ("none", [nominal]), ("alinea", [nominal]), greedy)
+        else:
+            base, integral = twt(sigma, ("none", [nominal] * runs),
+                                 ("alinea", [nominal] * runs))
+            greedy_twt, = twt(sigma, greedy)
+        base, integral = (np.broadcast_to(x, (len(variants), runs))
+                          for x in (base, integral))
+        greedy_twt = greedy_twt.reshape(len(variants), len(mismatch_grid),
+                                        runs)
         for v, variant in enumerate(variants):
             found[variant, sigma] = [
                 _campaign_row(variant, sigma, dv, drho, "best_effort",
                               base[v], twts)
-                for (dv, drho), twts in zip(mismatch_grid, greedy[v])]
+                for (dv, drho), twts in zip(mismatch_grid, greedy_twt[v])]
             found[variant, sigma].append(_campaign_row(
                 variant, sigma, 0.0, 0.0, "alinea", base[v], integral[v]))
     rows = [r for variant in variants for sigma in sigmas

@@ -22,6 +22,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+# The step kernel clips through ``_clip``, the ufunc that ``ndarray.clip``
+# runs once its Python wrapper has looked at the bounds: the same bits
+# without the wrapper's cost. Its bounds are arrays or ``_ZERO``, never a
+# 0-d NaN, which numpy 1.x's wrapper would read as "no bound".
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:   # numpy 1.x
+    from numpy.core.umath import clip as _clip
+
 from .model import _BOX_TOL, FreewayModel
 
 #: the clips' lower bound as a 0-d array, which numpy takes as is where it
@@ -334,16 +343,16 @@ def _advance(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     not bound: a noiseless step checks that they left their box by
     rounding only, which also catches a NaN inflow, before the clip."""
     if noise is not None:
-        phi = (phi * noise).clip(_ZERO, phi)
+        phi = _clip(phi * noise, _ZERO, phi)
     rho_next = rho + model._dt_over_length * (
         phi[..., :-1] + rates - phi[..., 1:] / model.beta_bar)
-    q_next = (q + model._dt * (w - rates)).clip(_ZERO, model.queue_max)
+    q_next = _clip(q + model._dt * (w - rates), _ZERO, model.queue_max)
     if noise is None:
         inside = (rho_next >= model._rho_floor) & (rho_next <= model._rho_ceil)
         if np.count_nonzero(inside) != inside.size:   # NaN fails
             _check_box(rho_next, 0.0, model.rho_jam, model._rho_tol,
                        "density left its box")
-    return rho_next.clip(_ZERO, model.rho_jam), q_next, phi
+    return _clip(rho_next, _ZERO, model.rho_jam), q_next, phi
 
 
 def _batch_size(*sizes: int | None) -> int | None:
@@ -437,7 +446,7 @@ def simulate(model: FreewayModel, demand: DemandProfile,
         raw = np.inf if controller is None else controller.compute_rates(
             t, SimState._of(rho, q, model, phi), w_row, r)
         lo, hi = _rate_bounds(model, q, w, caps)
-        r = np.asarray(raw, dtype=float).clip(lo, hi)
+        r = _clip(np.asarray(raw, dtype=float), lo, hi)
         # the clamp leaves r <= hi, so only the lower side can fail: at a
         # NaN rate or an empty interval (lo > hi), refused as in step
         # unless the interval is empty by rounding only

@@ -406,6 +406,20 @@ def test_report_a_row_outside_the_table_exits_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_report_a_repeated_row_exits_2(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--scenario", "builtin:example1",
+                 "--controller", "be", "--out", str(traj)]) == EXIT_OK
+    argv = ["report", "--scenario", "builtin:example1",
+            "--trajectory", str(traj)]
+    assert main(argv) == EXIT_OK   # negative control: the table as written
+    with open(traj, "a", encoding="utf-8") as fh:
+        fh.write("3,1,99,0,0,0\n")
+    assert main(argv) == EXIT_SCENARIO
+    assert "line 364: step 3, cell 1 already given on line 8" \
+        in capsys.readouterr().err
+
+
 def test_report_missing_trajectory_exits_2(tmp_path):
     assert main(["report", "--scenario", "builtin:example1",
                  "--trajectory", str(tmp_path / "ghost.csv")]) == EXIT_SCENARIO

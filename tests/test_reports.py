@@ -157,6 +157,26 @@ def test_rows_outside_the_table_are_refused(mutate, message, tmp_path):
     assert type(refused.value) is ValueError   # exit 2, not a mismatch
 
 
+def test_a_second_row_for_a_step_and_cell_is_refused(tmp_path):
+    """Before this refusal the last row for a (step, cell) won: example1's
+    table with ``3,1,99,0,0,0`` appended replayed with that density.
+    Negative control: the unmodified table reads back."""
+    traj = _greedy_example1()
+    text = trajectory_csv_text(traj)
+    p = tmp_path / "traj.csv"
+    p.write_text(text, encoding="utf-8")
+    assert trajectory_csv_text(read_trajectory_csv(p, traj.demand)) == text
+    # step 3, cell 1 is the table's eighth row: 2 cells per step after
+    # the header on line 1
+    assert text.splitlines()[7].startswith("3,1,")
+    p.write_text(text + "3,1,99,0,0,0\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=r"line 364: step 3, cell 1 already given on "
+                             r"line 8") as refused:
+        read_trajectory_csv(p, traj.demand)
+    assert type(refused.value) is ValueError   # exit 2, not a mismatch
+
+
 def test_rates_equal_a_csv_writer_rendering():
     rates = _odd_values(np.random.default_rng(5).uniform(0, 900, (7, 3)))
     ref = _csv([["t", "r1", "r2", "r3"]]

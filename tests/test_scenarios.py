@@ -173,6 +173,23 @@ def test_synth_demand_rejects_ramp_peak_over_cap():
         synth_demand(m, spec, seed=0)
 
 
+@pytest.mark.parametrize("key", [0, 4, -1])
+def test_synth_demand_refuses_ramp_peaks_outside_the_cells(key):
+    """Key 0 once landed on the last cell through ``[k - 1]`` and key
+    n + 1 ended in an IndexError. Negative control: cells 1 and n take
+    their peaks."""
+    m = _flat_model()
+    ok = synth_demand(m, SynthDemandSpec(horizon_steps=10,
+                                         mainline_peak=1000.0,
+                                         ramp_peaks={1: 400.0, 3: 500.0}))
+    assert (ok.w_ramp > 0.0).any(axis=0).tolist() == [True, False, True]
+    spec = SynthDemandSpec(horizon_steps=10, mainline_peak=1000.0,
+                           ramp_peaks={key: 400.0})
+    with pytest.raises(ScenarioError,
+                       match=rf"ramp peak at cell {key} outside cells 1\.\.3"):
+        synth_demand(m, spec)
+
+
 # ---------------------------------------------------------------------------
 # YAML loader
 
@@ -339,6 +356,19 @@ def test_malformed_sections_are_scenario_errors(old, new, message, tmp_path):
     assert load_scenario(p).horizon == 90
     p.write_text(_YAML_OK.replace(old, new), encoding="utf-8")
     with pytest.raises(ScenarioError, match=message):
+        load_scenario(p)
+
+
+def test_initial_refuses_unknown_keys(tmp_path):
+    """A typo under ``initial:`` once loaded a zero state without a word.
+    Negative control: rho and q load as given."""
+    p = tmp_path / "toy.yaml"
+    p.write_text(_YAML_OK, encoding="utf-8")
+    assert load_scenario(p).initial.rho.tolist() == [10.0, 5.0]
+    p.write_text(_YAML_OK.replace("  rho: [10.0, 5.0]", "  rh0: [10.0, 5.0]"),
+                 encoding="utf-8")
+    with pytest.raises(ScenarioError,
+                       match=r"toy\.yaml: initial: unknown keys \['rh0'\]"):
         load_scenario(p)
 
 
@@ -623,6 +653,39 @@ def test_campaign_matches_serial_single_runs():
         assert g.stdev == pytest.approx(w[6], rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_the_law_per_run_batch_equals_each_law_alone(sigma):
+    """Each run of the campaign's mixed batch is, bit for bit, the run of
+    its own law alone: rates and histories, with the integral law
+    integrating its own applied rates."""
+    sc = builtin_example1()
+    nominal = sc.model
+    dropped = with_capacity_drop(nominal, 0.10)
+    runs = [("none", nominal, nominal), ("alinea", nominal, nominal),
+            ("best_effort", nominal, nominal),
+            ("best_effort", dropped, sample_controller_model(
+                nominal, 0.10, 0.20, seed=7)),
+            ("alinea", dropped, nominal), ("none", dropped, nominal)]
+    seeds = [3, 4, 5, 6, 7, 8]
+    noise = DisturbanceSpec(sigma, seed=seeds) if sigma else None
+    law = scenarios._LawPerRun([k for k, _, _ in runs],
+                               [b for _, _, b in runs])
+    batch = simulate(FreewayModel.stack([p for _, p, _ in runs]), sc.demand,
+                     controller=law, disturbance=noise,
+                     initial_state=sc.initial)
+    assert len(law._laws) == 2   # each law once per step, not per run
+    for r, (kind, plant, belief) in enumerate(runs):
+        alone = simulate(plant, sc.demand,
+                         controller=make_controller(kind, belief),
+                         disturbance=DisturbanceSpec(sigma, seed=seeds[r])
+                         if sigma else None, initial_state=sc.initial)
+        for name in ("rho", "q", "flows", "rates"):
+            np.testing.assert_array_equal(getattr(batch.run(r), name),
+                                          getattr(alone, name))
+    # negative control: the integral law differs from the unmetered one
+    assert not np.array_equal(batch.rates[1], batch.rates[0])
+
+
 def test_campaign_lp_row_positive_improvement():
     sc = builtin_example1()
     rows = uncertainty_campaign(sc, runs=1, seed=0, sigmas=(0.0,),
@@ -648,9 +711,9 @@ def test_campaign_lp_row_equals_separate_runs(monkeypatch):
     monkeypatch.setattr(scenarios, "simulate", counted)
     rows = uncertainty_campaign(sc, runs=1, sigmas=(0.0,),
                                 variants=("monotonic",), include_lp=True)
-    # baseline with alinea, and greedy, for the grid, one unmetered run
+    # every law of the noiseless grid in one batch, one unmetered run
     # for lp
-    assert len(calls) == 3
+    assert len(calls) == 2
     ol = evaluate_metrics(sc.model, simulate(sc.model, sc.demand,
                                              initial_state=sc.initial))
     twt_lp = solve_lp(build_lp(sc.model, sc.demand, sc.initial)).objective \
@@ -659,24 +722,27 @@ def test_campaign_lp_row_equals_separate_runs(monkeypatch):
     assert rows[-1].mean_twt_improvement == 100.0 * (ol.twt - twt_lp) / ol.twt
 
 
-def test_the_default_grid_runs_in_four_calls_led_by_the_greedy_batch(
+def test_the_default_grid_runs_in_three_calls_led_by_the_greedy_batch(
         monkeypatch):
-    """Per noise level one call shares the unmetered and integral runs and
-    one runs the greedy law; no batch is larger than the greedy one."""
+    """The noiseless level is one call that holds every law; each noisy
+    level shares one call between the unmetered and integral runs and
+    gives the greedy law the other. No batch is larger than the greedy
+    one plus one run per cheap law and variant."""
     sc = builtin_example1()
     calls = []
 
     def counted(model, *args, **kwargs):
-        calls.append((kwargs["controller"], model.runs))
+        calls.append((set(kwargs["controller"].kinds), model.runs))
         return simulate(model, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "simulate", counted)
     uncertainty_campaign(sc, runs=2)
-    assert len(calls) == 4
-    greedy = [runs for law, runs in calls
-              if getattr(law, "kind", None) == "best_effort"]
-    assert greedy == [2 * len(MISMATCH_GRID) * 2] * 2
-    assert max(runs for _, runs in calls) == greedy[0]
+    assert [kinds for kinds, _ in calls] == [
+        {"none", "alinea", "best_effort"}, {"none", "alinea"},
+        {"best_effort"}]
+    greedy = 2 * len(MISMATCH_GRID) * 2
+    assert calls[2][1] == greedy
+    assert max(runs for _, runs in calls) == calls[0][1] == greedy + 2 * 2
 
 
 def test_campaign_refuses_bad_runs_and_noise_levels():

@@ -19,6 +19,8 @@ from rampflow.simulator import (
     DemandProfile,
     DisturbanceSpec,
     SimState,
+    _ZERO,
+    _clip,
     _dot,
     _rate_bounds,
     _rate_caps,
@@ -916,3 +918,30 @@ def test_dot_rounds_as_each_run_alone_in_every_layout():
         return np.matmul(x.reshape(runs, -1, n),
                          v[:, :, None]).reshape(x.shape[:-1])
     assert _dot_mismatches(uncopied) > 0
+
+
+def test_the_kernel_clip_is_ndarray_clip_bit_for_bit():
+    """``_clip`` is the ufunc behind ``ndarray.clip``, called without its
+    Python wrapper: every value, bound and order of bounds (lo > hi
+    included) gives the same bits, as do the kernel's 0-d ``_ZERO`` lower
+    bound and a 0-d value against array bounds."""
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5, 1.5, 3.0])
+    k = values.size
+    x, lo, hi = (np.broadcast_to(values.reshape(shape), (k, k, k)).copy()
+                 for shape in ((k, 1, 1), (1, k, 1), (1, 1, k)))
+    assert (lo > hi).any() and np.isnan(lo).any()
+
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    same(_clip(x, lo, hi), x.clip(lo, hi))
+    same(_clip(x, _ZERO, hi), x.clip(_ZERO, hi))
+    same(_clip(x, lo, x), x.clip(lo, x))
+    for v in values:
+        same(_clip(np.asarray(v), lo[0], hi[0]),
+             np.asarray(v).clip(lo[0], hi[0]))
+    # negative control: the comparison tells -0.0 from 0.0
+    with pytest.raises(AssertionError):
+        same(np.array([-0.0]), np.array([0.0]))
