@@ -51,7 +51,6 @@ from .cumulative import (
 from .lp import (
     LpInstance,
     LpSolution,
-    brute_force_min_tts,
     build_lp,
     certify_relaxation,
     export_lp_text,

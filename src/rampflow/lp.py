@@ -19,8 +19,12 @@ into a simplex basis, leaves HiGHS few or no pivots to make.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,14 +36,9 @@ from .simulator import (
     DemandProfile,
     RateSchedule,
     SimState,
-    _check_rates,
     _check_state,
-    _rate_bounds,
-    _rate_caps,
-    compute_flows,
     evaluate_metrics,
     simulate,
-    step,
     zero_state,
 )
 
@@ -119,6 +118,24 @@ class LpInstance:
     lb: np.ndarray            # column bounds; ub is inf for free columns
     ub: np.ndarray
     objective_constant: float  # time already spent in the frozen t = 0 state
+
+    @cached_property
+    def _greedy_x(self) -> np.ndarray | None:
+        """The greedy run's point in the column layout, or None when that
+        run leaves the state boxes. It is feasible in the LP, so the warm
+        start's basis and the bound on its answer both come from it."""
+        try:
+            greedy = simulate(
+                self.model, self.demand,
+                controller=make_controller("best_effort", self.model),
+                initial_state=self.initial)
+        except ContractViolationError:
+            return None
+        x = np.empty(self.varmap.size)
+        for part, run in zip(self.varmap.split(x), (
+                greedy.flows, greedy.rates, greedy.rho[1:], greedy.q[1:])):
+            part[:] = run
+        return x
 
 
 def build_lp(model: FreewayModel, demand: DemandProfile,
@@ -239,15 +256,39 @@ _TIGHT = 1e-9
 #: largest relative row violation a solution may carry
 _RESIDUAL_TOL = 1e-7
 #: largest relative gap between a replay and the LP objective that
-#: certifies the relaxation exact
+#: certifies the relaxation exact, and by which a solution may lie above
+#: the greedy point's objective
 _CERTIFY_TOL = 1e-6
-#: search nodes :func:`brute_force_min_tts` may visit
-_NODE_LIMIT = 200_000
+
+#: the full name of HiGHS's bindings in scipy
+_CORE = "scipy.optimize._highspy._core"
 
 
 def _highs_bindings():
     """HiGHS's own python bindings as scipy ships them, or None on a scipy
-    too old to have them."""
+    too old to have them or where their import is blocked.
+
+    Importing them through their package runs all of
+    ``scipy/optimize/__init__.py`` for the one module the solve calls, so
+    the extension is loaded from its file. It is registered under its full
+    name before it runs, and a later ``import scipy.optimize`` reuses it.
+    A file that fails to load falls back to the package import."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]       # None marks a blocked import
+    import scipy
+    found = PathFinder.find_spec("_core", [os.path.join(
+        os.path.dirname(scipy.__file__), "optimize", "_highspy")])
+    if found is None:
+        return None
+    spec = spec_from_file_location(
+        _CORE, found.origin, loader=ExtensionFileLoader(_CORE, found.origin))
+    try:
+        core = sys.modules[_CORE] = module_from_spec(spec)
+        spec.loader.exec_module(core)
+    except ImportError:
+        sys.modules.pop(_CORE, None)
+    else:
+        return core
     try:
         from scipy.optimize._highspy import _core
     except ImportError:
@@ -259,32 +300,35 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     """Solve the instance with HiGHS, warm-started from the greedy run.
 
     A warm start can end at a point HiGHS reports optimal that still
-    misses a row by more than ``_RESIDUAL_TOL``; HiGHS's own infeasibility
-    counts do not flag it, so such a point is solved again, once, cold. A
-    scipy without HiGHS's bindings solves the instance cold through
-    ``linprog``. All reach the same optimal value; on a degenerate LP they
-    may return different optimal plans. A non-finite objective or point
-    (HiGHS calls a NaN cost optimal; ``linprog`` refuses one) raises
-    ``LpError``, and a NaN residual fails its check.
+    misses a row by more than ``_RESIDUAL_TOL``, or that lies above the
+    greedy point, which is feasible and so bounds the optimum; HiGHS's own
+    checks flag neither, so a warm answer that fails a check is solved
+    again, once, cold. A scipy without HiGHS's bindings solves the
+    instance cold through ``linprog``. All reach the same optimal value;
+    on a degenerate LP they may return different optimal plans. An answer
+    that still fails a check raises ``LpError``: a non-finite objective or
+    point (HiGHS calls a NaN cost optimal; ``linprog`` refuses one), a NaN
+    or too large residual, or an objective above the greedy point's.
     """
     core = _highs_bindings()
     basis = None if core is None else _greedy_basis(inst)
+    greedy = np.inf if basis is None else (
+        float(inst.c @ inst._greedy_x) + inst.objective_constant)
     x, fun, status, iterations = (_solve_linprog(inst) if core is None
                                   else _solve_highs(core, inst, basis))
-    residual_eq, residual_ub = _residuals(inst, x)
+    residuals = _residuals(inst, x)
+    fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
     warm = basis is not None
-    if warm and not (residual_eq <= _RESIDUAL_TOL
-                     and residual_ub <= _RESIDUAL_TOL):
+    if fault and warm:
         x, fun, status, iterations = _solve_highs(core, inst, None)
-        residual_eq, residual_ub = _residuals(inst, x)
+        residuals = _residuals(inst, x)
+        fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
         warm = False
-    objective = fun + inst.objective_constant
-    if not (np.isfinite(objective) and np.isfinite(x).all()):
-        raise LpError(f"non-finite solution: objective {objective:g}")
-    if not (residual_eq <= _RESIDUAL_TOL and residual_ub <= _RESIDUAL_TOL):
-        raise LpError(
-            f"solution violates rows: eq {residual_eq:g}, ub {residual_ub:g}")
+    if fault:
+        raise LpError(fault)
 
+    residual_eq, residual_ub = residuals
+    objective = fun + inst.objective_constant
     flows, rates, rho, qs = inst.varmap.split(x)
     return LpSolution(objective=objective,
                       rho=np.vstack((inst.initial.rho, rho)),
@@ -292,6 +336,21 @@ def solve_lp(inst: LpInstance) -> LpSolution:
                       flows=flows.copy(), rates=rates.copy(),
                       residual_eq=residual_eq, residual_ub=residual_ub,
                       status=status, iterations=iterations, warm=warm, x=x)
+
+
+def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],
+           greedy: float) -> str:
+    """Why a solution is refused, or "" when it is not."""
+    residual_eq, residual_ub = residuals
+    if not (np.isfinite(objective) and np.isfinite(x).all()):
+        return f"non-finite solution: objective {objective:g}"
+    if not (residual_eq <= _RESIDUAL_TOL and residual_ub <= _RESIDUAL_TOL):
+        return (f"solution violates rows: eq {residual_eq:g}, "
+                f"ub {residual_ub:g}")
+    if objective > greedy + _CERTIFY_TOL * max(1.0, abs(greedy)):
+        return (f"solution {objective:.12g} lies above the greedy point's "
+                f"{greedy:.12g}")
+    return ""
 
 
 def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
@@ -386,18 +445,9 @@ def _greedy_basis(inst: LpInstance) -> tuple[np.ndarray, np.ndarray] | None:
     """
     model, vm = inst.model, inst.varmap
     T, n = vm.horizon, vm.n
-    if inst.a_ub.shape[0] != T * (2 * n - 1):
+    if inst.a_ub.shape[0] != T * (2 * n - 1) or inst._greedy_x is None:
         return None
-    try:
-        greedy = simulate(model, inst.demand,
-                          controller=make_controller("best_effort", model),
-                          initial_state=inst.initial)
-    except ContractViolationError:
-        return None
-    x = np.empty(vm.size)
-    for part, run in zip(vm.split(x), (greedy.flows, greedy.rates,
-                                       greedy.rho[1:], greedy.q[1:])):
-        part[:] = run
+    x = inst._greedy_x
     gap = _TIGHT * np.maximum(1.0, np.abs(x))
     at_lo, at_hi = x <= inst.lb + gap, x >= inst.ub - gap
     col = np.where(at_hi & ~at_lo, _UPPER, _LOWER).astype(np.int8)
@@ -638,76 +688,3 @@ def export_lp_text(inst: LpInstance) -> str:
                        edges, bounds),
            "End"]
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# tiny exhaustive oracles
-
-def _rate_grid(model: FreewayModel, state: SimState, w_row: np.ndarray,
-               points: int) -> np.ndarray:
-    """Cartesian grid over each ramp's current feasible rate interval, one
-    (G, n) row per rate vector, the last ramp varying fastest."""
-    lo, hi = _rate_bounds(model, state.q, w_row[1:], _rate_caps(model, False))
-    _check_rates(lo, lo, hi)
-    axes = [np.linspace(a, b, points) if b > a else np.array([a])
-            for a, b in zip(lo.tolist(), hi.tolist())]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def brute_force_min_tts(model: FreewayModel, demand: DemandProfile,
-                        initial_state: SimState | None = None,
-                        points: int = 5) -> tuple[float, np.ndarray]:
-    """Exhaustive search over gridded rate choices; tiny instances only.
-
-    The grid always contains both interval endpoints, so problems whose
-    optimum saturates a bound are solved exactly.
-    """
-    T = demand.horizon
-    # cells whose ramp can ever admit more than one feasible rate
-    branching = int(np.sum((model.ramp_flow_max > 0) | (model.queue_max > 0)))
-    if (points ** branching) ** T > _NODE_LIMIT:
-        raise ValueError("instance too large for exhaustive search")
-    initial = zero_state(model) if initial_state is None else initial_state
-    dt = model.dt
-    best = [np.inf, None]
-
-    def rec(t: int, state: SimState, acc: float, rates: list[np.ndarray]):
-        if t == demand.horizon:
-            total = acc + dt * float(model.length @ state.rho
-                                     + np.sum(state.q))
-            if total < best[0]:
-                best[0] = total
-                best[1] = np.array(rates)
-            return
-        acc += dt * float(model.length @ state.rho + np.sum(state.q))
-        if acc >= best[0]:
-            return
-        w_row = demand.row(t)
-        for r in _rate_grid(model, state, w_row, points):
-            nxt, _ = step(model, state, r, w_row)
-            rec(t + 1, nxt, acc, rates + [r])
-
-    rec(0, initial, 0.0, [])
-    if best[1] is None:
-        raise LpError("exhaustive search found no feasible rate sequence")
-    return float(best[0]), best[1]
-
-
-def brute_force_max_next_flows(model: FreewayModel, state: SimState,
-                               w_row: np.ndarray, w0_next: float = 0.0,
-                               points: int = 21) -> np.ndarray:
-    """Componentwise maximum of the next step's flow vector over gridded
-    rate choices.
-
-    A single rate choice can attain every component at once (steering all
-    densities toward critical maximizes each flow), which is what makes
-    per-step greedy metering globally optimal; this oracle provides the
-    adversaries for checking that claim. The grid is simulated as one
-    batch of G runs.
-    """
-    grid = _rate_grid(model, state, w_row, points)
-    batch = SimState(np.broadcast_to(state.rho, grid.shape),
-                     np.broadcast_to(state.q, grid.shape))
-    nxt, _ = step(model, batch, grid, w_row)
-    return compute_flows(model, nxt, w0_next).max(axis=0)

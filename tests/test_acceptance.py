@@ -32,12 +32,7 @@ from rampflow.cumulative import (
     tts_bounds,
     tts_from_cumulative,
 )
-from rampflow.lp import (
-    brute_force_max_next_flows,
-    brute_force_min_tts,
-    build_lp,
-    solve_lp,
-)
+from rampflow.lp import build_lp, solve_lp
 from rampflow.model import CellParams, FreewayModel, validate_model
 from rampflow.scenarios import (
     MISMATCH_GRID,
@@ -63,6 +58,7 @@ from conftest import (
     random_state,
     safe_one_step_instance,
 )
+from oracles import brute_force_max_next_flows, brute_force_min_tts
 
 VERDICTS: list[str] = []
 

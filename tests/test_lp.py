@@ -1,6 +1,8 @@
 """The hypograph LP: shape, exactness against resimulation, exhaustive
 oracles on tiny instances, and the structure of known optima."""
 
+import importlib.machinery
+import json
 import os
 import subprocess
 import sys
@@ -19,8 +21,6 @@ from rampflow.cumulative import tts_bounds
 from rampflow.lp import (
     VarMap,
     _greedy_basis,
-    brute_force_max_next_flows,
-    brute_force_min_tts,
     build_lp,
     certify_relaxation,
     export_lp_text,
@@ -53,6 +53,7 @@ from conftest import (
     random_state,
     safe_one_step_instance,
 )
+from oracles import brute_force_max_next_flows, brute_force_min_tts
 
 
 def one_ramp_cell(dt=0.002):
@@ -607,7 +608,7 @@ def test_solution_arrays_follow_the_column_layout(case):
 def _solve_without_bindings(inst, monkeypatch):
     """``solve_lp`` as on a scipy that ships no HiGHS bindings."""
     with monkeypatch.context() as m:
-        m.setitem(sys.modules, "scipy.optimize._highspy", None)
+        m.setitem(sys.modules, "scipy.optimize._highspy._core", None)
         return solve_lp(inst)
 
 
@@ -733,6 +734,73 @@ def test_a_warm_point_that_misses_a_row_is_solved_again_cold(monkeypatch):
         solve_lp(inst)
 
 
+def _unmetered_point(inst):
+    """The no-metering run's point in the column layout, feasible in the
+    LP like every run that stays in its boxes."""
+    run = simulate(inst.model, inst.demand, initial_state=inst.initial)
+    x = np.empty(inst.varmap.size)
+    for part, values in zip(inst.varmap.split(x), (
+            run.flows, run.rates, run.rho[1:], run.q[1:])):
+        part[:] = values
+    return x
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
+        monkeypatch):
+    """HiGHS can call a feasible point optimal that lies above the greedy
+    point, which is feasible too. Here the warm solve returns the
+    unmetered run's point, which meets every row but is worse than greedy
+    on example1: ``solve_lp`` solves again cold and returns that answer.
+    With the cold solve returning the same point, it is an ``LpError``."""
+    inst = build_lp(*LP_CASES["example1"]())
+    x = _unmetered_point(inst)
+    point = (x, float(inst.c @ x), "Optimal", 0)
+    assert max(rampflow.lp._residuals(inst, x)) <= rampflow.lp._RESIDUAL_TOL
+    greedy = float(inst.c @ inst._greedy_x) + inst.objective_constant
+    assert point[1] + inst.objective_constant > 1.01 * greedy
+
+    real, calls = rampflow.lp._solve_highs, []
+
+    def warm_unmetered(core, inst, basis):
+        calls.append("warm" if basis is not None else "cold")
+        return point if basis is not None else real(core, inst, basis)
+
+    monkeypatch.setattr(rampflow.lp, "_solve_highs", warm_unmetered)
+    sol = solve_lp(inst)
+    assert calls == ["warm", "cold"]
+    assert sol.warm is False and sol.status == "Optimal"
+    assert sol.objective <= greedy
+    assert sol.objective == pytest.approx(
+        _solve_without_bindings(inst, monkeypatch).objective, rel=1e-9)
+    assert certify_relaxation(inst, sol).exact
+
+    monkeypatch.setattr(rampflow.lp, "_solve_highs",
+                        lambda core, inst, basis: point)
+    with pytest.raises(rampflow.lp.LpError,
+                       match="lies above the greedy point's"):
+        solve_lp(inst)
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+@pytest.mark.parametrize("case", ["example1", "example2", "grenoble240"])
+def test_a_warm_answer_below_the_greedy_point_is_kept(case):
+    """Negative control for the greedy bound: the builtins' warm answers
+    lie at or below the greedy point, so ``solve_lp`` returns HiGHS's warm
+    answer as it is, with its objective and iteration count."""
+    inst = build_lp(*LP_CASES[case]())
+    sol = solve_lp(inst)
+    _, fun, _, iterations = rampflow.lp._solve_highs(
+        rampflow.lp._highs_bindings(), inst, _greedy_basis(inst))
+    assert sol.warm is True
+    assert sol.objective == fun + inst.objective_constant
+    assert sol.iterations == iterations
+    assert sol.objective <= float(inst.c @ inst._greedy_x) \
+        + inst.objective_constant + 1e-9 * sol.objective
+
+
 def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     """Mainline arrivals above the cell's discharge overfill it, so the
     greedy run aborts and there is no warm basis. The LP caps no density
@@ -779,7 +847,7 @@ def test_a_nan_cost_is_an_lp_error(bindings, message, monkeypatch):
     if bindings and rampflow.lp._highs_bindings() is None:
         pytest.skip("this scipy ships no HiGHS bindings")
     if not bindings:
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     sc = builtin_example1()
     inst = build_lp(sc.model, sc.demand, sc.initial)
     c = inst.c.copy()
@@ -817,3 +885,76 @@ def test_scipy_loads_only_where_the_lp_needs_it():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.split() == ["False", "True"]
+
+
+_OPTIMIZE_PROBE = """\
+import json, sys
+from rampflow import cli, lp
+blocked = sys.argv[1] == "blocked"
+if blocked:
+    import scipy.optimize
+    sys.modules["scipy.optimize._highspy._core"] = None
+code = cli.main(["optimize", "--scenario", "builtin:example1",
+                 "--out", sys.argv[2]])
+with open(sys.argv[2]) as f:
+    warm = json.load(f)["lp_warm"]
+probe = {"code": code, "lp_warm": warm,
+         "scipy.optimize": "scipy.optimize" in sys.modules}
+if not blocked:
+    import scipy.optimize
+    from scipy.optimize._highspy import _core
+    probe["same_core"] = (_core is lp._highs_bindings()
+                          is sys.modules["scipy.optimize._highspy._core"])
+    probe["linprog"] = scipy.optimize.linprog(
+        [1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun
+print(json.dumps(probe))
+"""
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+@pytest.mark.parametrize("blocked", [False, True], ids=["file", "blocked"])
+def test_optimize_loads_highs_without_scipy_optimize(blocked, tmp_path):
+    """In a fresh interpreter, ``rampflow optimize`` solves warm with
+    HiGHS's bindings loaded from their file, and ``scipy.optimize`` stays
+    unimported; importing it afterwards reuses the loaded bindings, and
+    ``linprog`` works. Negative control: with the bindings' import blocked
+    the same run goes through ``linprog``, cold."""
+    src = Path(rampflow.lp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _OPTIMIZE_PROBE,
+         "blocked" if blocked else "file", str(tmp_path / "out.json")],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    probe = json.loads(out.stdout.splitlines()[-1])
+    if blocked:
+        assert probe == {"code": 0, "lp_warm": False, "scipy.optimize": True}
+    else:
+        assert probe == {"code": 0, "lp_warm": True, "scipy.optimize": False,
+                         "same_core": True, "linprog": 1.0}
+
+
+@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
+                    reason="this scipy ships no HiGHS bindings")
+def test_a_bindings_file_that_fails_to_load_falls_back_to_the_package(
+        monkeypatch):
+    """An extension file that fails to load is dropped from
+    ``sys.modules`` and the bindings come through their package import;
+    with that import blocked too, there are none."""
+    name = rampflow.lp._CORE
+
+    class Broken(importlib.machinery.ExtensionFileLoader):
+        def create_module(self, spec):
+            raise ImportError("cannot load the extension")
+
+    monkeypatch.setattr(rampflow.lp, "ExtensionFileLoader", Broken)
+    monkeypatch.delitem(sys.modules, name)
+    core = rampflow.lp._highs_bindings()
+    from scipy.optimize._highspy import _core
+    assert core is _core and core.__name__ == name
+    assert sys.modules.get(name) in (None, core)
+
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    assert rampflow.lp._highs_bindings() is None
+    assert name not in sys.modules

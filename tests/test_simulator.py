@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rampflow.controllers import KINDS, make_controller, sample_controller_model
 from rampflow.cumulative import cctm_step, cumulative_from_state, tts_bounds
-from rampflow.lp import brute_force_max_next_flows, build_lp, solve_lp
+from rampflow.lp import build_lp, solve_lp
 from rampflow.model import CellParams, FreewayModel
 from rampflow.scenarios import (
     builtin_example1,
@@ -34,6 +34,7 @@ from rampflow.simulator import (
 )
 
 from conftest import one_step_rates, random_demand, random_model, random_state
+from oracles import brute_force_max_next_flows
 from test_model import demand_value, supply_value
 
 
