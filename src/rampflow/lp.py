@@ -271,8 +271,8 @@ def _highs_bindings():
     Importing them through their package runs all of
     ``scipy/optimize/__init__.py`` for the one module the solve calls, so
     the extension is loaded from its file. It is registered under its full
-    name before it runs, and a later ``import scipy.optimize`` reuses it.
-    A file that fails to load falls back to the package import."""
+    name once it has loaded, and a later ``import scipy.optimize`` reuses
+    it. A file that fails to load raises, and nothing is registered."""
     if _CORE in sys.modules:
         return sys.modules[_CORE]       # None marks a blocked import
     import scipy
@@ -282,18 +282,10 @@ def _highs_bindings():
         return None
     spec = spec_from_file_location(
         _CORE, found.origin, loader=ExtensionFileLoader(_CORE, found.origin))
-    try:
-        core = sys.modules[_CORE] = module_from_spec(spec)
-        spec.loader.exec_module(core)
-    except ImportError:
-        sys.modules.pop(_CORE, None)
-    else:
-        return core
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
-    return _core
+    core = module_from_spec(spec)
+    spec.loader.exec_module(core)
+    sys.modules[_CORE] = core
+    return core
 
 
 def solve_lp(inst: LpInstance) -> LpSolution:
@@ -301,7 +293,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
 
     A warm start can end at a point HiGHS reports optimal that still
     misses a row by more than ``_RESIDUAL_TOL``, or that lies above the
-    greedy point, which is feasible and so bounds the optimum; HiGHS's own
+    greedy point, which bounds the optimum where it is feasible; HiGHS's own
     checks flag neither, so a warm answer that fails a check is solved
     again, once, cold. A scipy without HiGHS's bindings solves the
     instance cold through ``linprog``. All reach the same optimal value;
@@ -312,8 +304,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     """
     core = _highs_bindings()
     basis = None if core is None else _greedy_basis(inst)
-    greedy = np.inf if basis is None else (
-        float(inst.c @ inst._greedy_x) + inst.objective_constant)
+    greedy = np.inf if basis is None else _greedy_objective(inst)
     x, fun, status, iterations = (_solve_linprog(inst) if core is None
                                   else _solve_highs(core, inst, basis))
     residuals = _residuals(inst, x)
@@ -336,6 +327,18 @@ def solve_lp(inst: LpInstance) -> LpSolution:
                       flows=flows.copy(), rates=rates.copy(),
                       residual_eq=residual_eq, residual_ub=residual_ub,
                       status=status, iterations=iterations, warm=warm, x=x)
+
+
+def _greedy_objective(inst: LpInstance) -> float:
+    """The greedy point's objective, which bounds the optimum, or inf when
+    that point misses a row or a column bound of this instance, as it may
+    once the instance's arrays are edited after ``build_lp``."""
+    x = inst._greedy_x
+    gap = _RESIDUAL_TOL * np.maximum(1.0, np.abs(x))
+    if max(_residuals(inst, x)) > _RESIDUAL_TOL or not np.all(
+            (inst.lb - gap <= x) & (x <= inst.ub + gap)):
+        return np.inf
+    return float(inst.c @ x) + inst.objective_constant
 
 
 def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],

@@ -1,7 +1,6 @@
 """The hypograph LP: shape, exactness against resimulation, exhaustive
 oracles on tiny instances, and the structure of known optima."""
 
-import importlib.machinery
 import json
 import os
 import subprocess
@@ -632,6 +631,8 @@ def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
     assert warm.status == cold.status == "Optimal"
     assert warm.warm is True and cold.warm is False
     assert certify_relaxation(inst, warm).exact
+    assert warm.objective <= float(inst.c @ inst._greedy_x) \
+        + inst.objective_constant + 1e-9 * warm.objective
     cols, rows = _greedy_basis(inst)
     assert np.sum(cols == 1) + np.sum(rows == 1) == rows.size
     if case == "grenoble240":
@@ -783,22 +784,22 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
         solve_lp(inst)
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
-@pytest.mark.parametrize("case", ["example1", "example2", "grenoble240"])
-def test_a_warm_answer_below_the_greedy_point_is_kept(case):
-    """Negative control for the greedy bound: the builtins' warm answers
-    lie at or below the greedy point, so ``solve_lp`` returns HiGHS's warm
-    answer as it is, with its objective and iteration count."""
-    inst = build_lp(*LP_CASES[case]())
-    sol = solve_lp(inst)
-    _, fun, _, iterations = rampflow.lp._solve_highs(
-        rampflow.lp._highs_bindings(), inst, _greedy_basis(inst))
-    assert sol.warm is True
-    assert sol.objective == fun + inst.objective_constant
-    assert sol.iterations == iterations
-    assert sol.objective <= float(inst.c @ inst._greedy_x) \
-        + inst.objective_constant + 1e-9 * sol.objective
+def test_a_cap_below_the_greedy_rate_still_solves(monkeypatch):
+    """The greedy point bounds the optimum only where it is feasible. Capped
+    below the rate the greedy run meters at step 6, the instance's optimum
+    lies above the greedy point's objective, and ``solve_lp`` returns it as
+    the cold ``linprog`` fallback does."""
+    inst = build_lp(*LP_CASES["random34"]())
+    col = inst.varmap.r(6, 1)
+    assert inst._greedy_x[col] > 0
+    ub = inst.ub.copy()
+    ub[col] = 0.0
+    capped = replace(inst, ub=ub)
+    sol = solve_lp(capped)
+    greedy = float(inst.c @ inst._greedy_x) + inst.objective_constant
+    assert sol.objective > 1.001 * greedy
+    assert sol.objective == pytest.approx(
+        _solve_without_bindings(capped, monkeypatch).objective, rel=1e-9)
 
 
 def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
@@ -932,29 +933,3 @@ def test_optimize_loads_highs_without_scipy_optimize(blocked, tmp_path):
     else:
         assert probe == {"code": 0, "lp_warm": True, "scipy.optimize": False,
                          "same_core": True, "linprog": 1.0}
-
-
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
-def test_a_bindings_file_that_fails_to_load_falls_back_to_the_package(
-        monkeypatch):
-    """An extension file that fails to load is dropped from
-    ``sys.modules`` and the bindings come through their package import;
-    with that import blocked too, there are none."""
-    name = rampflow.lp._CORE
-
-    class Broken(importlib.machinery.ExtensionFileLoader):
-        def create_module(self, spec):
-            raise ImportError("cannot load the extension")
-
-    monkeypatch.setattr(rampflow.lp, "ExtensionFileLoader", Broken)
-    monkeypatch.delitem(sys.modules, name)
-    core = rampflow.lp._highs_bindings()
-    from scipy.optimize._highspy import _core
-    assert core is _core and core.__name__ == name
-    assert sys.modules.get(name) in (None, core)
-
-    monkeypatch.delitem(sys.modules, name, raising=False)
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
-    assert rampflow.lp._highs_bindings() is None
-    assert name not in sys.modules
