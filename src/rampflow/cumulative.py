@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import make_controller
+from .controllers import internal_flows, make_controller
 from .model import FreewayModel, require_monotone
 from .simulator import (
     DemandProfile,
@@ -132,11 +132,6 @@ def to_cumulative(model: FreewayModel, traj: Trajectory) -> list[CumulativeState
     return [CumulativeState(*rows) for rows in zip(phi, inflow, demand)]
 
 
-def _decode_clipped(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
-    """Densities implied by the counters, clipped into the physical box."""
-    return np.clip(_decode(model, cum), 0.0, model.rho_jam)
-
-
 def cctm_step(model: FreewayModel, cum: CumulativeState,
               rates: np.ndarray, w_row: np.ndarray,
               relaxed: bool = False) -> CumulativeState:
@@ -209,8 +204,8 @@ def monotonicity_probe(model: FreewayModel, base: CumulativeState,
     if input_probe and np.count_nonzero(dR) != 1:
         raise ValueError("input probe must move exactly one ramp counter")
 
-    phi_b = _flows(model, _decode_clipped(model, base), w0)
-    phi_p = _flows(model, _decode_clipped(model, perturbed), w0)
+    phi_b = internal_flows(model, _decode(model, base), w0)
+    phi_p = internal_flows(model, _decode(model, perturbed), w0)
     # compare via increments so the large counters cancel exactly
     df = dphi + model.dt * (phi_p - phi_b)
 

@@ -119,24 +119,6 @@ class LpInstance:
     ub: np.ndarray
     objective_constant: float  # time already spent in the frozen t = 0 state
 
-    @cached_property
-    def _greedy_x(self) -> np.ndarray | None:
-        """The greedy run's point in the column layout, or None when that
-        run leaves the state boxes. It is feasible in the LP, so the warm
-        start's basis and the bound on its answer both come from it."""
-        try:
-            greedy = simulate(
-                self.model, self.demand,
-                controller=make_controller("best_effort", self.model),
-                initial_state=self.initial)
-        except ContractViolationError:
-            return None
-        x = np.empty(self.varmap.size)
-        for part, run in zip(self.varmap.split(x), (
-                greedy.flows, greedy.rates, greedy.rho[1:], greedy.q[1:])):
-            part[:] = run
-        return x
-
 
 def build_lp(model: FreewayModel, demand: DemandProfile,
              initial_state: SimState | None = None) -> LpInstance:
@@ -291,31 +273,32 @@ def _highs_bindings():
 def solve_lp(inst: LpInstance) -> LpSolution:
     """Solve the instance with HiGHS, warm-started from the greedy run.
 
-    A warm start can end at a point HiGHS reports optimal that still
-    misses a row by more than ``_RESIDUAL_TOL``, or that lies above the
-    greedy point, which bounds the optimum where it is feasible; HiGHS's own
-    checks flag neither, so a warm answer that fails a check is solved
-    again, once, cold. A scipy without HiGHS's bindings solves the
-    instance cold through ``linprog``. All reach the same optimal value;
-    on a degenerate LP they may return different optimal plans. An answer
-    that still fails a check raises ``LpError``: a non-finite objective or
-    point (HiGHS calls a NaN cost optimal; ``linprog`` refuses one), a NaN
-    or too large residual, or an objective above the greedy point's.
+    The greedy point bounds the optimum where it meets the instance's rows
+    and column bounds, as on every ``build_lp`` instance; an instance
+    edited to cut it off starts cold, without that bound. HiGHS can call a
+    point optimal that misses a row by more than ``_RESIDUAL_TOL`` or lies
+    above the greedy point, so a warm answer that fails a check is solved
+    again, once, cold. A scipy without HiGHS's bindings solves cold
+    through ``linprog``. All reach the same optimal value; on a degenerate
+    LP they may return different optimal plans. An answer that still fails
+    a check raises ``LpError``: a non-finite objective or point (HiGHS
+    calls a NaN cost optimal; ``linprog`` refuses one), a NaN or too large
+    residual, or an objective above the greedy point's.
     """
     core = _highs_bindings()
-    basis = None if core is None else _greedy_basis(inst)
-    greedy = np.inf if basis is None else _greedy_objective(inst)
-    x, fun, status, iterations = (_solve_linprog(inst) if core is None
-                                  else _solve_highs(core, inst, basis))
-    residuals = _residuals(inst, x)
-    fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
-    warm = basis is not None
-    if fault and warm:
-        x, fun, status, iterations = _solve_highs(core, inst, None)
+    point = _greedy_point(inst)
+    greedy = np.inf if point is None \
+        else float(inst.c @ point) + inst.objective_constant
+    basis = None if core is None or point is None \
+        else _greedy_basis(inst, point)
+    for start in (None,) if basis is None else (basis, None):
+        x, fun, status, iterations = (_solve_linprog(inst) if core is None
+                                      else _solve_highs(core, inst, start))
         residuals = _residuals(inst, x)
         fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
-        warm = False
-    if fault:
+        if not fault:
+            break
+    else:
         raise LpError(fault)
 
     residual_eq, residual_ub = residuals
@@ -326,19 +309,31 @@ def solve_lp(inst: LpInstance) -> LpSolution:
                       q=np.vstack((inst.initial.q, qs)),
                       flows=flows.copy(), rates=rates.copy(),
                       residual_eq=residual_eq, residual_ub=residual_ub,
-                      status=status, iterations=iterations, warm=warm, x=x)
+                      status=status, iterations=iterations,
+                      warm=start is not None, x=x)
 
 
-def _greedy_objective(inst: LpInstance) -> float:
-    """The greedy point's objective, which bounds the optimum, or inf when
-    that point misses a row or a column bound of this instance, as it may
-    once the instance's arrays are edited after ``build_lp``."""
-    x = inst._greedy_x
+def _greedy_point(inst: LpInstance) -> np.ndarray | None:
+    """The greedy run's point in the column layout, which bounds the
+    optimum; None when that run leaves the state boxes, or when the point
+    misses a row or a column bound of this instance, as it may once the
+    instance's arrays are edited after ``build_lp``."""
+    try:
+        greedy = simulate(
+            inst.model, inst.demand,
+            controller=make_controller("best_effort", inst.model),
+            initial_state=inst.initial)
+    except ContractViolationError:
+        return None
+    x = np.empty(inst.varmap.size)
+    for part, run in zip(inst.varmap.split(x), (
+            greedy.flows, greedy.rates, greedy.rho[1:], greedy.q[1:])):
+        part[:] = run
     gap = _RESIDUAL_TOL * np.maximum(1.0, np.abs(x))
     if max(_residuals(inst, x)) > _RESIDUAL_TOL or not np.all(
             (inst.lb - gap <= x) & (x <= inst.ub + gap)):
-        return np.inf
-    return float(inst.c @ x) + inst.objective_constant
+        return None
+    return x
 
 
 def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],
@@ -429,10 +424,11 @@ def _solve_highs(core, inst: LpInstance,
             info.simplex_iteration_count)
 
 
-def _greedy_basis(inst: LpInstance) -> tuple[np.ndarray, np.ndarray] | None:
-    """HiGHS column and row statuses of a basis at the greedy run's point;
-    None when that run leaves the state boxes or the rows are not
-    ``build_lp``'s layout, and the solve starts cold.
+def _greedy_basis(inst: LpInstance, x: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
+    """HiGHS column and row statuses of a basis at the greedy point ``x``;
+    None when the rows are not ``build_lp``'s layout, and the solve starts
+    cold.
 
     Each equality row owns one basic: the inflow row phi(t, 0), the
     density row rho(t+1, k), and the queue row q(t+1, k), or r(t, k) when
@@ -448,9 +444,8 @@ def _greedy_basis(inst: LpInstance) -> tuple[np.ndarray, np.ndarray] | None:
     """
     model, vm = inst.model, inst.varmap
     T, n = vm.horizon, vm.n
-    if inst.a_ub.shape[0] != T * (2 * n - 1) or inst._greedy_x is None:
+    if inst.a_ub.shape[0] != T * (2 * n - 1):
         return None
-    x = inst._greedy_x
     gap = _TIGHT * np.maximum(1.0, np.abs(x))
     at_lo, at_hi = x <= inst.lb + gap, x >= inst.ub - gap
     col = np.where(at_hi & ~at_lo, _UPPER, _LOWER).astype(np.int8)

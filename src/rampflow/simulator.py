@@ -209,8 +209,11 @@ class Trajectory:
 
 
 def compute_flows(model: FreewayModel, state: SimState, w0: float) -> np.ndarray:
-    """Flow row (phi_0 .. phi_n) the network realizes at this state."""
-    return _flows(model, state.rho, float(w0))
+    """Flow row (phi_0 .. phi_n) the network realizes at this state. A
+    state outside its boxes is refused, and one outside by rounding only
+    is moved onto them, as in :func:`simulate`."""
+    return _flows(model, _check_state(model, state.rho, state.q)[0],
+                  float(w0))
 
 
 def _flows(model: FreewayModel, rho: np.ndarray, w0: float) -> np.ndarray:
@@ -292,8 +295,7 @@ def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     _check_box(q, 0.0, model.queue_max,
                _BOX_TOL * np.maximum(1.0, model.queue_max),
                "queue outside its box")
-    return (np.clip(rho, 0.0, model.rho_jam),
-            np.clip(q, 0.0, model.queue_max))
+    return _clip(rho, _ZERO, model.rho_jam), _clip(q, _ZERO, model.queue_max)
 
 
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
@@ -309,19 +311,21 @@ def step(model: FreewayModel, state: SimState, rates: np.ndarray,
     queue-box limits apply; a batch may instead pass R flags, one per run.
     ``noise`` is the step's flow factors, (n+1,) or one row per run
     (R, n+1), as :meth:`DisturbanceSpec.factors` draws them; None is a
-    noiseless step, and a non-finite factor is refused.
+    noiseless step, and a non-finite factor is refused. A state outside
+    its boxes is refused, and one outside by rounding only is moved onto
+    them, as in :func:`simulate`.
     """
     if np.ndim(relaxed) and np.shape(relaxed) != state.q.shape[:-1]:
         raise ValueError(f"{len(relaxed)} relaxed flags for state "
                          f"of shape {state.q.shape}")
     if noise is not None:
         _require_finite("noise factors", noise)
+    rho, q = _check_state(model, state.rho, state.q)
     rates = np.asarray(rates, dtype=float)
-    _check_rates(rates, *_rate_bounds(model, state.q, w_row[1:],
+    _check_rates(rates, *_rate_bounds(model, q, w_row[1:],
                                       _rate_caps(model, relaxed)))
-    rho_next, q_next, phi = _advance(model, state.rho, state.q, rates,
-                                     w_row[1:], noise,
-                                     _flows(model, state.rho, w_row[0]))
+    rho_next, q_next, phi = _advance(model, rho, q, rates, w_row[1:], noise,
+                                     _flows(model, rho, w_row[0]))
     return SimState(rho_next, q_next), phi
 
 
@@ -359,6 +363,8 @@ def _batch_size(*sizes: int | None) -> int | None:
     given = {s for s in sizes if s is not None}
     if len(given) > 1:
         raise ValueError(f"batch sizes disagree: {sorted(given)}")
+    if 0 in given:
+        raise ValueError("a batch needs at least one run")
     return given.pop() if given else None
 
 

@@ -20,6 +20,7 @@ from rampflow.cumulative import tts_bounds
 from rampflow.lp import (
     VarMap,
     _greedy_basis,
+    _greedy_point,
     build_lp,
     certify_relaxation,
     export_lp_text,
@@ -631,9 +632,10 @@ def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
     assert warm.status == cold.status == "Optimal"
     assert warm.warm is True and cold.warm is False
     assert certify_relaxation(inst, warm).exact
-    assert warm.objective <= float(inst.c @ inst._greedy_x) \
+    point = _greedy_point(inst)
+    assert warm.objective <= float(inst.c @ point) \
         + inst.objective_constant + 1e-9 * warm.objective
-    cols, rows = _greedy_basis(inst)
+    cols, rows = _greedy_basis(inst, point)
     assert np.sum(cols == 1) + np.sum(rows == 1) == rows.size
     if case == "grenoble240":
         # greedy is optimal here, so its basis is an optimal one
@@ -647,7 +649,7 @@ BASIS_CASES = {**LP_CASES, "grenoble": lambda: _builtin(builtin_grenoble)}
 def test_the_greedy_basis_has_one_basic_per_row(case):
     """So HiGHS can take it as it is, without its alien repair."""
     inst = build_lp(*BASIS_CASES[case]())
-    cols, rows = _greedy_basis(inst)
+    cols, rows = _greedy_basis(inst, _greedy_point(inst))
     assert np.count_nonzero(cols == 1) + np.count_nonzero(rows == 1) \
         == rows.size
 
@@ -682,10 +684,10 @@ def test_a_basis_one_basic_short_goes_through_the_alien_hand_off(
     assert log == [(False, core.HighsStatus.kOk)]
     assert sol.warm is True
 
-    cols, rows = _greedy_basis(inst)
+    cols, rows = _greedy_basis(inst, _greedy_point(inst))
     cols[np.flatnonzero(cols == 1)[0]] = 0
     monkeypatch.setattr(rampflow.lp, "_greedy_basis",
-                        lambda inst: (cols, rows))
+                        lambda inst, x: (cols, rows))
     log.clear()
     short = solve_lp(inst)
     assert log == [(False, core.HighsStatus.kError),
@@ -718,7 +720,7 @@ def test_a_warm_point_that_misses_a_row_is_solved_again_cold(monkeypatch):
     sc = builtin_grenoble(0)
     window = DemandProfile(sc.demand.w0[616:696], sc.demand.w_ramp[616:696])
     inst = build_lp(sc.model, window, SimState(_MPC_RHO_616, _MPC_Q_616))
-    assert _greedy_basis(inst) is not None
+    assert _greedy_basis(inst, _greedy_point(inst)) is not None
     sol = solve_lp(inst)
     assert sol.warm is False and sol.status == "Optimal"
     assert max(sol.residual_eq, sol.residual_ub) <= rampflow.lp._RESIDUAL_TOL
@@ -759,7 +761,7 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
     x = _unmetered_point(inst)
     point = (x, float(inst.c @ x), "Optimal", 0)
     assert max(rampflow.lp._residuals(inst, x)) <= rampflow.lp._RESIDUAL_TOL
-    greedy = float(inst.c @ inst._greedy_x) + inst.objective_constant
+    greedy = float(inst.c @ _greedy_point(inst)) + inst.objective_constant
     assert point[1] + inst.objective_constant > 1.01 * greedy
 
     real, calls = rampflow.lp._solve_highs, []
@@ -784,19 +786,43 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
         solve_lp(inst)
 
 
+def test_a_linprog_answer_above_the_greedy_point_is_an_lp_error(
+        monkeypatch):
+    """Without HiGHS's bindings the greedy point bounds the cold
+    ``linprog`` answer too. Patched to return the unmetered run's point,
+    which meets every row but lies above greedy on example1, ``solve_lp``
+    refuses it. Negative control: the real ``linprog`` answer passes."""
+    inst = build_lp(*LP_CASES["example1"]())
+    x = _unmetered_point(inst)
+    greedy = float(inst.c @ _greedy_point(inst)) + inst.objective_constant
+    assert float(inst.c @ x) + inst.objective_constant > 1.01 * greedy
+    sol = _solve_without_bindings(inst, monkeypatch)
+    assert sol.warm is False and sol.objective <= greedy
+
+    monkeypatch.setattr(rampflow.lp, "_solve_linprog",
+                        lambda inst: (x, float(inst.c @ x), "Optimal", 0))
+    with pytest.raises(rampflow.lp.LpError,
+                       match="lies above the greedy point's"):
+        _solve_without_bindings(inst, monkeypatch)
+
+
 def test_a_cap_below_the_greedy_rate_still_solves(monkeypatch):
     """The greedy point bounds the optimum only where it is feasible. Capped
-    below the rate the greedy run meters at step 6, the instance's optimum
-    lies above the greedy point's objective, and ``solve_lp`` returns it as
-    the cold ``linprog`` fallback does."""
+    below the rate the greedy run meters at step 6, the instance cuts that
+    point off, so there is no warm basis and no bound: its optimum lies
+    above the greedy point's objective, and ``solve_lp`` returns it, cold,
+    as the ``linprog`` fallback does."""
     inst = build_lp(*LP_CASES["random34"]())
     col = inst.varmap.r(6, 1)
-    assert inst._greedy_x[col] > 0
+    point = _greedy_point(inst)
+    assert point[col] > 0
     ub = inst.ub.copy()
     ub[col] = 0.0
     capped = replace(inst, ub=ub)
+    assert _greedy_point(capped) is None
     sol = solve_lp(capped)
-    greedy = float(inst.c @ inst._greedy_x) + inst.objective_constant
+    assert sol.warm is False
+    greedy = float(inst.c @ point) + inst.objective_constant
     assert sol.objective > 1.001 * greedy
     assert sol.objective == pytest.approx(
         _solve_without_bindings(capped, monkeypatch).objective, rel=1e-9)
@@ -810,7 +836,7 @@ def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     m = one_ramp_cell()
     d = DemandProfile(w0=np.full(60, 8000.0), w_ramp=np.zeros((60, 1)))
     inst = build_lp(m, d)
-    assert _greedy_basis(inst) is None
+    assert _greedy_point(inst) is None
     sol = solve_lp(inst)
     assert sol.warm is False
     assert sol.objective == pytest.approx(

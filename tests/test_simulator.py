@@ -191,6 +191,33 @@ def test_relaxed_step_allows_negative_rates():
              np.array([0.0, 0.0]), relaxed=True)
 
 
+def test_step_and_compute_flows_refuse_a_state_outside_its_boxes():
+    """``step`` and ``compute_flows`` check their state as ``simulate``
+    does. Unchecked, a step from a second cell 10 cars/km over its jam
+    density sent -250 cars/h into that cell, and the flow row at 50 over
+    read -1250 cars/h. Negative control: a density over its jam density
+    by 1e-12 relative is over by rounding only, and both run from the
+    clipped state."""
+    cell = CellParams(length=1.0, v_free=100.0, rho_crit=50.0, rho_jam=250.0)
+    m = FreewayModel([cell, cell], dt=0.005)
+    w_row = np.zeros(3)
+    with pytest.raises(ContractViolationError, match=r"density outside "
+                       r"its box at cell 2: value 260\.0 outside"):
+        step(m, SimState([100.0, 260.0], [0.0, 0.0]), np.zeros(2), w_row)
+    with pytest.raises(ContractViolationError, match=r"density outside "
+                       r"its box at cell 2: value 300\.0 outside"):
+        compute_flows(m, SimState([100.0, 300.0], [0.0, 0.0]), 0.0)
+
+    over = SimState([100.0, 250.0 * (1.0 + 1e-12)], [0.0, 0.0])
+    on = SimState([100.0, 250.0], [0.0, 0.0])
+    assert over.rho[1] > 250.0
+    nxt, phi = step(m, over, np.zeros(2), w_row)
+    want, want_phi = step(m, on, np.zeros(2), w_row)
+    assert phi.tolist() == want_phi.tolist() == [0.0, 0.0, 5000.0]
+    assert nxt.rho.tolist() == want.rho.tolist()
+    assert compute_flows(m, over, 0.0).tolist() == want_phi.tolist()
+
+
 def test_demand_profile_validation():
     overload = DemandProfile(w0=np.zeros(5), w_ramp=np.full((5, 1), 1500.0))
     # a queue buffers arrivals above the metering cap ...
@@ -463,6 +490,27 @@ def test_batch_sizes_must_agree():
     traj = simulate(sc.model, sc.demand, make_controller("best_effort", beliefs),
                     disturbance=DisturbanceSpec(0.05, seed=4))
     np.testing.assert_array_equal(traj.rho[0], traj.rho[1])
+
+
+@pytest.mark.parametrize("empty", [
+    dict(disturbance=DisturbanceSpec(0.05, seed=[])), dict(relaxed=[])],
+    ids=["no-seeds", "no-relaxed-flags"])
+def test_an_empty_batch_is_refused(empty):
+    """An empty seed list once ran as one run on uninitialized noise (NaN
+    flows and TTS, no error), and an empty list of relaxed flags failed
+    inside numpy broadcasting. Negative control: a one-element list is a
+    batch of 1, equal to the single run."""
+    sc = builtin_example1()
+    with pytest.raises(ValueError, match="a batch needs at least one run"):
+        simulate(sc.model, sc.demand, **empty)
+    single = simulate(sc.model, sc.demand,
+                      disturbance=DisturbanceSpec(0.05, seed=3))
+    for one in (dict(disturbance=DisturbanceSpec(0.05, seed=[3])),
+                dict(disturbance=DisturbanceSpec(0.05, seed=3),
+                     relaxed=[False])):
+        traj = simulate(sc.model, sc.demand, **one)
+        assert traj.rho.shape == (1,) + single.rho.shape
+        assert traj.flows[0].tobytes() == single.flows.tobytes()
 
 
 @pytest.mark.parametrize("make", [builtin_example1, builtin_example2,
