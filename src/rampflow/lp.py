@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from .simulator import (
     simulate,
     zero_state,
 )
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 class LpError(RuntimeError):
@@ -93,15 +90,48 @@ class VarMap:
                 xs[:, 2 * n + 1:3 * n + 1], xs[:, 3 * n + 1:])
 
 
-def _csr(triplets, shape: tuple[int, int]) -> sparse.csr_matrix:
+class Csr(NamedTuple):
+    """A sparse matrix in compressed-row form, with the four fields a scipy
+    ``csr_matrix`` has: row ``i``'s columns are ``indices[indptr[i]:
+    indptr[i + 1]]``, sorted, and its values the same slice of ``data``.
+    The LP code reads only these fields, so a scipy CSR matrix serves in
+    its place; ``sparse.csr_matrix((a.data, a.indices, a.indptr),
+    shape=a.shape)`` turns a record into one."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _csr(triplets, shape: tuple[int, int]) -> Csr:
     """CSR matrix from (rows, cols, values) triplets that broadcast
-    together; within each row the columns come out sorted."""
+    together and name each entry once; within each row the columns come
+    out sorted, and the index arrays are int32, as in scipy."""
     parts = [np.broadcast_arrays(rows, cols, np.asarray(vals, dtype=float))
              for rows, cols, vals in triplets]
     rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts])
                         for i in range(3))
-    from scipy import sparse
-    return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    # one key per entry; each triplet's entries already come in key order,
+    # so the stable sort only merges those runs
+    order = np.argsort(rows * shape[1] + cols, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return Csr(indptr, cols[order].astype(np.int32), vals[order], shape)
+
+
+def _matvec(a: Csr, x: np.ndarray) -> np.ndarray:
+    """``a @ x``, each row summed from 0 in its stored column order, as
+    scipy's CSR product sums it, so the two agree bit for bit. Without
+    entries ``bincount`` counts in ints, hence the cast."""
+    m = a.shape[0]
+    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+    return np.bincount(rows, a.data * np.take(x, a.indices),
+                       minlength=m).astype(float, copy=False)
 
 
 @dataclass
@@ -111,9 +141,9 @@ class LpInstance:
     initial: SimState
     varmap: VarMap
     c: np.ndarray
-    a_eq: sparse.csr_matrix
+    a_eq: Csr
     b_eq: np.ndarray
-    a_ub: sparse.csr_matrix
+    a_ub: Csr
     b_ub: np.ndarray
     lb: np.ndarray            # column bounds; ub is inf for free columns
     ub: np.ndarray
@@ -355,19 +385,28 @@ def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
     """Largest relative violation of the equality and of the inequality
     rows."""
     scale_eq = np.maximum(1.0, np.abs(inst.b_eq))
-    residual_eq = float(np.max(np.abs(inst.a_eq @ x - inst.b_eq) / scale_eq)) \
+    residual_eq = float(np.max(
+        np.abs(_matvec(inst.a_eq, x) - inst.b_eq) / scale_eq)) \
         if inst.b_eq.size else 0.0
     scale_ub = np.maximum(1.0, np.abs(inst.b_ub))
-    residual_ub = float(np.max((inst.a_ub @ x - inst.b_ub) / scale_ub)) \
+    residual_ub = float(np.max(
+        (_matvec(inst.a_ub, x) - inst.b_ub) / scale_ub)) \
         if inst.b_ub.size else 0.0
     return residual_eq, residual_ub
 
 
 def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
+    """Solve cold through ``linprog``, the path of a scipy without HiGHS's
+    bindings; its ``scipy.optimize`` loads ``scipy.sparse`` anyway, so the
+    rows go over as scipy matrices."""
+    from scipy import sparse
     from scipy.optimize import linprog
+    a_eq, a_ub = (sparse.csr_matrix((a.data, a.indices, a.indptr),
+                                    shape=a.shape)
+                  for a in (inst.a_eq, inst.a_ub))
     try:
-        res = linprog(inst.c, A_ub=inst.a_ub, b_ub=inst.b_ub,
-                      A_eq=inst.a_eq, b_eq=inst.b_eq,
+        res = linprog(inst.c, A_ub=a_ub, b_ub=inst.b_ub,
+                      A_eq=a_eq, b_eq=inst.b_eq,
                       bounds=np.column_stack((inst.lb, inst.ub)),
                       method="highs", options=_TOLERANCES)
     except ValueError as e:   # linprog refuses a non-finite coefficient
@@ -383,21 +422,23 @@ def _solve_highs(core, inst: LpInstance,
                  ) -> tuple[np.ndarray, float, str, int]:
     """Solve through HiGHS's bindings, from ``basis`` (column and row
     statuses) or, given None, cold. The model goes over as arrays, through
-    the ``passModel`` overload that takes the column-wise matrix; its
-    integrality array must hold one 0 per column, as an empty one is
-    refused."""
-    from scipy import sparse
-    a = sparse.vstack((inst.a_eq, inst.a_ub), format="csc")
-    rows, cols = a.shape
+    the ``passModel`` overload that takes the matrix, here the equality
+    rows stacked over the inequality rows, row-wise; its integrality array
+    must hold one 0 per column, as an empty one is refused."""
+    a_eq, a_ub = inst.a_eq, inst.a_ub
+    indptr = np.concatenate((a_eq.indptr, a_ub.indptr[1:] + a_eq.indptr[-1]))
+    indices = np.concatenate((a_eq.indices, a_ub.indices))
+    data = np.concatenate((a_eq.data, a_ub.data))
+    rows, cols = indptr.size - 1, inst.varmap.size
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(name, value)
     if highs.passModel(
-            cols, rows, a.nnz, int(core.MatrixFormat.kColwise),
+            cols, rows, int(indptr[-1]), int(core.MatrixFormat.kRowwise),
             int(core.ObjSense.kMinimize), 0.0, inst.c, inst.lb, inst.ub,
             np.concatenate((inst.b_eq, np.full(inst.b_ub.size, -np.inf))),
             np.concatenate((inst.b_eq, inst.b_ub)),
-            a.indptr, a.indices, a.data,
+            indptr, indices, data,
             np.zeros(cols, dtype=np.int32)) == core.HighsStatus.kError:
         raise LpError("HiGHS refused the model")
     if basis is not None:
@@ -454,10 +495,13 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     hi_phi, hi_r, _, hi_q = vm.split(at_hi)
 
     # hypograph rows as (T, n, 2): demand row, supply row (none at cell n)
-    slack = inst.b_ub - inst.a_ub @ x
+    a = inst.a_ub
+    slack = inst.b_ub - _matvec(a, x)
+    scale = _matvec(Csr(a.indptr, a.indices, np.abs(a.data), a.shape),
+                    np.abs(x))
     tight = np.zeros((T, 2 * n), dtype=bool)
-    tight[:, :-1] = (slack <= _TIGHT * np.maximum(
-        1.0, abs(inst.a_ub) @ np.abs(x))).reshape(T, 2 * n - 1)
+    tight[:, :-1] = (slack <= _TIGHT * np.maximum(1.0, scale)).reshape(
+        T, 2 * n - 1)
     dem_tight, sup_tight = tight.reshape(T, n, 2).transpose(2, 0, 1)
     row = np.full((T, n, 2), _BASIC, dtype=np.int8)
 
@@ -651,8 +695,7 @@ def export_lp_text(inst: LpInstance) -> str:
         cols, inst.c[cols], np.searchsorted(cols, edges),
         lambda i, cols, vals, names: " ".join(_lp_terms(vals, cols, names)))
 
-    def rows(a: sparse.csr_matrix, b: np.ndarray, tag: str,
-             sense: str) -> list[str]:
+    def rows(a: Csr, b: np.ndarray, tag: str, sense: str) -> list[str]:
         m = a.shape[0]
         per = max(1, m // vm.horizon if m % vm.horizon == 0 else m)
         lens = np.diff(a.indptr)

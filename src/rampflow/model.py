@@ -101,10 +101,11 @@ class FreewayModel:
     included: the curves' pieces (``_demand_slope``, ``_demand_dropped``,
     ``_supply_max``) and whether any cell drops (``_drops``), ``_dt`` (dt
     as a 0-d array), ``_dt_over_length`` =
-    dt / length and ``_length_over_dt`` = length / dt, and the density box
+    dt / length and ``_length_over_dt`` = length / dt, the density box
     widened by its tolerance ``_rho_tol`` to [``_rho_floor``,
-    ``_rho_ceil``]. Each is the value the step would compute, so folding
-    changes no bit of a result.
+    ``_rho_ceil``], and the queue box widened by ``_q_tol`` to
+    [``_q_floor``, ``_q_ceil``]. Each is the value the step would compute,
+    so folding changes no bit of a result.
     """
 
     runs: int | None = None
@@ -178,15 +179,18 @@ class FreewayModel:
         self._drops = bool(np.any(self.capacity_drop != 0.0))
         self._supply_max = frozen(self.w_back * (self.rho_jam - self.rho_crit))
         # constant pieces of the step: dt / length for the density update,
-        # length / dt for the greedy law, the density box with its tolerance,
-        # and dt as a 0-d array, which numpy takes as is where it converts
-        # the float anew on every call
+        # length / dt for the greedy law, the state boxes with their
+        # tolerances, and dt as a 0-d array, which numpy takes as is where it
+        # converts the float anew on every call
         self._dt = frozen(self.dt)
         self._dt_over_length = frozen(self.dt / self.length)
         self._length_over_dt = frozen(self.length / self.dt)
         self._rho_tol = frozen(_BOX_TOL * np.maximum(1.0, self.rho_jam))
         self._rho_floor = frozen(-self._rho_tol)
         self._rho_ceil = frozen(self.rho_jam + self._rho_tol)
+        self._q_tol = frozen(_BOX_TOL * np.maximum(1.0, self.queue_max))
+        self._q_floor = frozen(-self._q_tol)
+        self._q_ceil = frozen(self.queue_max + self._q_tol)
 
     @property
     def has_capacity_drop(self) -> bool:

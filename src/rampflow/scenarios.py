@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .controllers import make_controller, sample_controller_model
 from .model import CellParams, FreewayModel, validate_model
@@ -33,11 +32,6 @@ from .simulator import (
 
 class ScenarioError(ValueError):
     """A scenario file or builtin reference could not be turned into a model."""
-
-
-#: PyYAML's libyaml parser where the platform has it, its pure-python one
-#: otherwise; both feed the safe constructor, so they build the same objects
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 @dataclass
@@ -276,6 +270,14 @@ _CELL_FIELDS = {
 }
 
 
+def _yaml_loader():
+    """PyYAML's libyaml parser where the platform has it, its pure-python
+    one otherwise; both feed the safe constructor, so they build the same
+    objects."""
+    import yaml
+    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_scenario(ref: str | Path) -> Scenario:
     """Load ``builtin:<name>`` or a YAML scenario file."""
     ref = str(ref)
@@ -288,8 +290,10 @@ def load_scenario(ref: str | Path) -> Scenario:
     path = Path(ref)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
+    import yaml   # only a scenario file needs it, so import rampflow skips it
     try:
-        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        doc = yaml.load(path.read_text(encoding="utf-8"),
+                        Loader=_yaml_loader())
     except yaml.YAMLError as e:
         raise ScenarioError(f"{path}: not valid YAML: {e}") from e
     if not isinstance(doc, dict):

@@ -289,12 +289,17 @@ def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The state clipped onto [0, rho_jam] x [0, queue_max]; raise unless
     it lies there up to rounding. A stacked model checks it against every
-    member's boxes, and the clipped state has the stack's shape."""
-    _check_box(rho, 0.0, model.rho_jam, model._rho_tol,
-               "density outside its box")
-    _check_box(q, 0.0, model.queue_max,
-               _BOX_TOL * np.maximum(1.0, model.queue_max),
-               "queue outside its box")
+    member's boxes, and the clipped state has the stack's shape. Each box
+    is one count against the model's folded bounds; only a failure builds
+    the message."""
+    inside = (rho >= model._rho_floor) & (rho <= model._rho_ceil)
+    if np.count_nonzero(inside) != inside.size:   # NaN fails
+        _check_box(rho, 0.0, model.rho_jam, model._rho_tol,
+                   "density outside its box")
+    inside = (q >= model._q_floor) & (q <= model._q_ceil)
+    if np.count_nonzero(inside) != inside.size:
+        _check_box(q, 0.0, model.queue_max, model._q_tol,
+                   "queue outside its box")
     return _clip(rho, _ZERO, model.rho_jam), _clip(q, _ZERO, model.queue_max)
 
 

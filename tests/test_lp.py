@@ -18,9 +18,11 @@ import rampflow.lp
 from rampflow.controllers import make_controller
 from rampflow.cumulative import tts_bounds
 from rampflow.lp import (
+    Csr,
     VarMap,
     _greedy_basis,
     _greedy_point,
+    _matvec,
     build_lp,
     certify_relaxation,
     export_lp_text,
@@ -384,6 +386,11 @@ def _loop_build(model, demand, initial):
             ub.matrix(vm.size), np.asarray(ub.rhs), bounds)
 
 
+def _scipy(a):
+    """A scipy CSR matrix over the arrays of an instance's rows."""
+    return sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def _getrow_export(inst):
     """Renderer with one ``getrow`` per row, the loop form of
     ``export_lp_text`` kept as the reference."""
@@ -407,10 +414,11 @@ def _getrow_export(inst):
 
     out = ["Minimize", " obj: " + terms(sparse.csr_matrix(inst.c)),
            "Subject To"]
-    for i in range(inst.a_eq.shape[0]):
-        out.append(f" e{i}: {terms(inst.a_eq.getrow(i))} = {inst.b_eq[i]:.12g}")
-    for i in range(inst.a_ub.shape[0]):
-        out.append(f" u{i}: {terms(inst.a_ub.getrow(i))} <= {inst.b_ub[i]:.12g}")
+    a_eq, a_ub = _scipy(inst.a_eq), _scipy(inst.a_ub)
+    for i in range(a_eq.shape[0]):
+        out.append(f" e{i}: {terms(a_eq.getrow(i))} = {inst.b_eq[i]:.12g}")
+    for i in range(a_ub.shape[0]):
+        out.append(f" u{i}: {terms(a_ub.getrow(i))} <= {inst.b_ub[i]:.12g}")
     out.append("Bounds")
     for j, (lo, hi) in enumerate(zip(inst.lb.tolist(), inst.ub.tolist())):
         if hi == np.inf:
@@ -452,7 +460,7 @@ LP_CASES = {
 
 
 def _assert_same_csr(mine, ref):
-    assert mine.shape == ref.shape
+    assert mine.shape == ref.shape and mine.nnz == ref.nnz
     for part in ("indptr", "indices", "data"):
         a, b = getattr(mine, part), getattr(ref, part)
         assert a.dtype == b.dtype, part
@@ -476,6 +484,37 @@ def test_array_build_and_export_equal_the_row_loops(case):
     assert export_lp_text(inst) == _getrow_export(inst)
 
 
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_matvec_equals_scipys_product_bit_for_bit(case):
+    """``_matvec`` sums each row from 0 in its column order, as scipy's CSR
+    product does, so the residuals and the greedy basis keep scipy's bits.
+    Negative control: summed in reverse column order, some equality row
+    comes out different, so the comparison sees the order."""
+    inst = build_lp(*LP_CASES[case]())
+    x = np.random.default_rng(0).uniform(-1e3, 1e3, inst.varmap.size)
+    for a in (inst.a_eq, inst.a_ub):
+        mine, ref = _matvec(a, x), _scipy(a) @ x
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+
+    a = inst.a_eq
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    reverse = np.bincount(rows[::-1], (a.data * x[a.indices])[::-1],
+                          minlength=a.shape[0])
+    assert reverse.tobytes() != (_scipy(a) @ x).tobytes()
+
+
+def test_matvec_of_a_matrix_without_rows():
+    """A matrix without rows gives the empty product scipy gives; one
+    empty row (negative control) gives one 0."""
+    x = np.arange(5.0)
+    for m in (0, 1):
+        a = Csr(np.zeros(m + 1, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                np.zeros(0), (m, 5))
+        mine, ref = _matvec(a, x), _scipy(a) @ x
+        assert mine.dtype == ref.dtype and mine.tolist() == ref.tolist() \
+            == [0.0] * m
+
+
 def _flow_limits_as_rows(inst):
     """The instance with the constant flow limits moved from the column
     bounds to explicit single-variable rows appended to ``a_ub``, and the
@@ -488,7 +527,8 @@ def _flow_limits_as_rows(inst):
     limits = sparse.csr_matrix(
         (np.ones(cols.size), (np.arange(cols.size), cols)),
         shape=(cols.size, vm.size))
-    return replace(inst, a_ub=sparse.vstack((inst.a_ub, limits)).tocsr(),
+    return replace(inst,
+                   a_ub=sparse.vstack((_scipy(inst.a_ub), limits)).tocsr(),
                    b_ub=np.concatenate((inst.b_ub, inst.ub[cols])),
                    ub=free), free
 
@@ -899,19 +939,71 @@ def test_a_nan_residual_fails_the_row_check(residuals, monkeypatch):
     assert solve_lp(inst).status == "Optimal"
 
 
-def test_scipy_loads_only_where_the_lp_needs_it():
-    """A fresh ``import rampflow, rampflow.cli`` leaves scipy unloaded;
-    building an LP loads it (the negative control)."""
-    probe = ("import sys, rampflow, rampflow.cli\n"
-             "print('scipy' in sys.modules)\n"
-             "sc = rampflow.builtin_example1()\n"
-             "rampflow.build_lp(sc.model, sc.demand, sc.initial)\n"
-             "print('scipy' in sys.modules)\n")
+_IMPORT_PROBE = """\
+import sys, rampflow, rampflow.cli
+def seen():
+    print([name in sys.modules for name in ("scipy", "scipy.sparse", "yaml")])
+seen()
+sc = rampflow.builtin_example1()
+inst = rampflow.build_lp(sc.model, sc.demand, sc.initial)
+rampflow.export_lp_text(inst)
+seen()
+rampflow.certify_relaxation(inst, rampflow.solve_lp(inst))
+seen()
+rampflow.load_scenario(sys.argv[1])
+seen()
+"""
+
+
+def test_scipy_loads_only_where_the_lp_needs_it(tmp_path):
+    """In a fresh interpreter ``import rampflow, rampflow.cli`` loads
+    neither scipy nor yaml, and building and exporting an LP loads no
+    scipy. Solving it loads scipy (the negative control), without
+    ``scipy.sparse`` where HiGHS's bindings exist; ``linprog``, the solve
+    of a scipy without them, loads it. Loading a YAML scenario loads yaml
+    (the negative control)."""
+    scenario = tmp_path / "one_cell.yaml"
+    scenario.write_text("dt: 0.01\ncells:\n  - {length: 1, v_free: 100, "
+                        "rho_crit: 50, rho_jam: 250}\ndemand:\n  table: "
+                        "{w0: [1000]}\n", encoding="utf-8")
     src = Path(rampflow.lp.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(scenario)],
+                         check=True, capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.split() == ["False", "True"]
+    linprog = rampflow.lp._highs_bindings() is None
+    assert [json.loads(line.lower()) for line in out.stdout.splitlines()] \
+        == [[False, False, False], [False, False, False],
+            [True, linprog, False], [True, linprog, True]]
+
+
+_SPARSE_PROBE = """\
+import sys
+from rampflow import cli, lp
+if sys.argv[1] == "linprog":
+    lp._highs_bindings = lambda: None
+code = cli.main(["optimize", "--scenario", "builtin:example1",
+                 "--out", sys.argv[2]])
+print(code, "scipy.sparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("solver", ["highs", "linprog"])
+def test_optimize_leaves_scipy_sparse_unloaded(solver, tmp_path):
+    """In a fresh interpreter, ``rampflow optimize`` hands HiGHS the numpy
+    rows and never imports ``scipy.sparse``. Negative control: without
+    HiGHS's bindings the same run solves through ``linprog``, whose
+    ``scipy.optimize`` loads it."""
+    if solver == "highs" and rampflow.lp._highs_bindings() is None:
+        pytest.skip("this scipy ships no HiGHS bindings")
+    src = Path(rampflow.lp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _SPARSE_PROBE, solver,
+         str(tmp_path / "out.json")],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.split()[-2:] == ["0", str(solver == "linprog")]
+    assert json.loads((tmp_path / "out.json").read_text())["lp_warm"] \
+        is (solver == "highs")
 
 
 _OPTIMIZE_PROBE = """\

@@ -453,7 +453,7 @@ def test_both_yaml_loaders_build_the_same_scenario(text, tmp_path,
     p.write_text(text, encoding="utf-8")
     loaded = []
     for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        monkeypatch.setattr(scenarios, "_YAML_LOADER", loader)
+        monkeypatch.setattr(scenarios, "_yaml_loader", lambda: loader)
         loaded.append(load_scenario(p))
     py, c = loaded
     assert py.label == c.label and py.model.dt == c.model.dt
@@ -466,7 +466,7 @@ def test_both_yaml_loaders_build_the_same_scenario(text, tmp_path,
 
 
 def test_the_yaml_loader_is_chosen_by_the_platform():
-    assert scenarios._YAML_LOADER is (
+    assert scenarios._yaml_loader() is (
         yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
@@ -475,7 +475,8 @@ def test_the_yaml_loader_is_chosen_by_the_platform():
                                   "cells:\n  - {length: 1\n"])
 def test_broken_yaml_is_a_scenario_error_under_each_loader(
         loader, text, tmp_path, monkeypatch):
-    monkeypatch.setattr(scenarios, "_YAML_LOADER", getattr(yaml, loader))
+    monkeypatch.setattr(scenarios, "_yaml_loader",
+                        lambda: getattr(yaml, loader))
     p = tmp_path / "broken.yaml"
     p.write_text(text, encoding="utf-8")
     with pytest.raises(ScenarioError, match="not valid YAML"):

@@ -20,6 +20,7 @@ from rampflow.simulator import (
     DisturbanceSpec,
     SimState,
     _ZERO,
+    _check_state,
     _clip,
     _dot,
     _rate_bounds,
@@ -216,6 +217,51 @@ def test_step_and_compute_flows_refuse_a_state_outside_its_boxes():
     assert phi.tolist() == want_phi.tolist() == [0.0, 0.0, 5000.0]
     assert nxt.rho.tolist() == want.rho.tolist()
     assert compute_flows(m, over, 0.0).tolist() == want_phi.tolist()
+
+
+@pytest.mark.parametrize("what, bad, message", [
+    ("rho", np.nan, r"density outside its box at cell 2: value nan outside "
+                    r"\[0\.0, 250\.0\]"),
+    ("q", np.nan, r"queue outside its box at cell 2: value nan outside "
+                  r"\[0\.0, 50\.0\]"),
+    ("q", 50.001, r"queue outside its box at cell 2: value 50\.001 outside"),
+    ("q", -0.001, r"queue outside its box at cell 2: value -0\.001 outside"),
+])
+def test_the_state_check_refuses_nan_and_names_the_cell(what, bad, message):
+    """``_check_state`` counts each box against the model's folded bounds
+    and builds the message only on a failure: a NaN density or queue still
+    fails, and the message names the cell. Negative control: a state over
+    both boxes by 1e-12 relative passes, clipped onto them bit for bit as
+    ``np.clip`` clips it."""
+    cell = CellParams(length=1.0, v_free=100.0, rho_crit=50.0,
+                      rho_jam=250.0, ramp_flow_max=1000.0, queue_max=50.0)
+    m = FreewayModel([cell, cell], dt=0.005)
+    state = {"rho": np.array([100.0, 200.0]), "q": np.array([0.0, 10.0])}
+    state[what][1] = bad
+    with pytest.raises(ContractViolationError, match=message):
+        step(m, SimState._of(state["rho"], state["q"]), np.zeros(2),
+             np.zeros(3))
+
+    over = 1.0 + 1e-12
+    rho, q = np.array([0.0, 250.0 * over]), np.array([0.0, 50.0 * over])
+    got = _check_state(m, rho, q)
+    assert [a.tobytes() for a in got] == [
+        np.clip(rho, 0.0, 250.0).tobytes(), np.clip(q, 0.0, 50.0).tobytes()]
+
+
+def test_a_stacked_state_check_names_the_run():
+    """A stack checks one state against each member's boxes; the density
+    that fits run 0's box but not run 1's is refused with run 1 named.
+    Negative control: the stack of two equal members takes it."""
+    cell = CellParams(length=1.0, v_free=100.0, rho_crit=50.0, rho_jam=250.0)
+    m = FreewayModel([cell, cell], dt=0.005)
+    tight = FreewayModel([cell, replace(cell, rho_jam=190.0)], dt=0.005)
+    rho, q = np.array([100.0, 200.0]), np.zeros(2)
+    with pytest.raises(ContractViolationError, match=r"density outside its "
+                       r"box at cell 2 of run 1: value 200\.0 outside"):
+        _check_state(FreewayModel.stack([m, tight]), rho, q)
+    got, _ = _check_state(FreewayModel.stack([m, m]), rho, q)
+    assert got.tolist() == [[100.0, 200.0]] * 2
 
 
 def test_demand_profile_validation():
