@@ -253,11 +253,10 @@ class LpSolution:
     x: np.ndarray = field(repr=False)
 
 
-_TOLERANCES = {"primal_feasibility_tolerance": 1e-9,
-               "dual_feasibility_tolerance": 1e-9}
 #: Devex dual pricing, because the default dual steepest edge pays for
 #: initial edge weights on any start that is not all slack.
-_HIGHS_OPTIONS = {**_TOLERANCES, "output_flag": False,
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
+                  "dual_feasibility_tolerance": 1e-9, "output_flag": False,
                   "simplex_dual_edge_weight_strategy": 1}
 
 # HighsBasisStatus codes, and the relative gap below which a bound or a
@@ -272,26 +271,34 @@ _RESIDUAL_TOL = 1e-7
 #: the greedy point's objective
 _CERTIFY_TOL = 1e-6
 
-#: the full name of HiGHS's bindings in scipy
+#: the full name of HiGHS's bindings in scipy, and the first scipy that
+#: ships them, the floor pyproject.toml declares
 _CORE = "scipy.optimize._highspy._core"
+_SCIPY_FLOOR = "1.15"
 
 
 def _highs_bindings():
-    """HiGHS's own python bindings as scipy ships them, or None on a scipy
-    too old to have them or where their import is blocked.
+    """HiGHS's own python bindings as scipy ships them; ``ImportError`` on a
+    scipy too old to have them or where their import is blocked.
 
     Importing them through their package runs all of
     ``scipy/optimize/__init__.py`` for the one module the solve calls, so
     the extension is loaded from its file. It is registered under its full
     name once it has loaded, and a later ``import scipy.optimize`` reuses
     it. A file that fails to load raises, and nothing is registered."""
-    if _CORE in sys.modules:
-        return sys.modules[_CORE]       # None marks a blocked import
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
     import scipy
-    found = PathFinder.find_spec("_core", [os.path.join(
-        os.path.dirname(scipy.__file__), "optimize", "_highspy")])
+    # a None entry marks a blocked import
+    found = None if _CORE in sys.modules else PathFinder.find_spec(
+        "_core", [os.path.join(os.path.dirname(scipy.__file__), "optimize",
+                               "_highspy")])
     if found is None:
-        return None
+        raise ImportError(
+            f"the LP solve needs HiGHS's bindings, which ship with "
+            f"scipy>={_SCIPY_FLOOR}; scipy {scipy.__version__} has none, or "
+            f"their import is blocked", name=_CORE)
     spec = spec_from_file_location(
         _CORE, found.origin, loader=ExtensionFileLoader(_CORE, found.origin))
     core = module_from_spec(spec)
@@ -308,22 +315,19 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     edited to cut it off starts cold, without that bound. HiGHS can call a
     point optimal that misses a row by more than ``_RESIDUAL_TOL`` or lies
     above the greedy point, so a warm answer that fails a check is solved
-    again, once, cold. A scipy without HiGHS's bindings solves cold
-    through ``linprog``. All reach the same optimal value; on a degenerate
+    again, once, cold. Both reach the same optimal value; on a degenerate
     LP they may return different optimal plans. An answer that still fails
     a check raises ``LpError``: a non-finite objective or point (HiGHS
-    calls a NaN cost optimal; ``linprog`` refuses one), a NaN or too large
-    residual, or an objective above the greedy point's.
+    calls a NaN cost optimal), a NaN or too large residual, or an
+    objective above the greedy point's. A scipy without HiGHS's bindings
+    raises ``ImportError``.
     """
-    core = _highs_bindings()
     point = _greedy_point(inst)
     greedy = np.inf if point is None \
         else float(inst.c @ point) + inst.objective_constant
-    basis = None if core is None or point is None \
-        else _greedy_basis(inst, point)
+    basis = None if point is None else _greedy_basis(inst, point)
     for start in (None,) if basis is None else (basis, None):
-        x, fun, status, iterations = (_solve_linprog(inst) if core is None
-                                      else _solve_highs(core, inst, start))
+        x, fun, status, iterations = _solve_highs(inst, start)
         residuals = _residuals(inst, x)
         fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
         if not fault:
@@ -395,29 +399,7 @@ def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
     return residual_eq, residual_ub
 
 
-def _solve_linprog(inst: LpInstance) -> tuple[np.ndarray, float, str, int]:
-    """Solve cold through ``linprog``, the path of a scipy without HiGHS's
-    bindings; its ``scipy.optimize`` loads ``scipy.sparse`` anyway, so the
-    rows go over as scipy matrices."""
-    from scipy import sparse
-    from scipy.optimize import linprog
-    a_eq, a_ub = (sparse.csr_matrix((a.data, a.indices, a.indptr),
-                                    shape=a.shape)
-                  for a in (inst.a_eq, inst.a_ub))
-    try:
-        res = linprog(inst.c, A_ub=a_ub, b_ub=inst.b_ub,
-                      A_eq=a_eq, b_eq=inst.b_eq,
-                      bounds=np.column_stack((inst.lb, inst.ub)),
-                      method="highs", options=_TOLERANCES)
-    except ValueError as e:   # linprog refuses a non-finite coefficient
-        raise LpError(f"solver refused the model: {e}") from e
-    if not res.success:
-        raise LpError(f"solver failed: {res.message}")
-    # linprog succeeds only on HiGHS's "Optimal" model status
-    return res.x, float(res.fun), "Optimal", int(res.nit)
-
-
-def _solve_highs(core, inst: LpInstance,
+def _solve_highs(inst: LpInstance,
                  basis: tuple[np.ndarray, np.ndarray] | None,
                  ) -> tuple[np.ndarray, float, str, int]:
     """Solve through HiGHS's bindings, from ``basis`` (column and row
@@ -425,6 +407,7 @@ def _solve_highs(core, inst: LpInstance,
     the ``passModel`` overload that takes the matrix, here the equality
     rows stacked over the inequality rows, row-wise; its integrality array
     must hold one 0 per column, as an empty one is refused."""
+    core = _highs_bindings()
     a_eq, a_ub = inst.a_eq, inst.a_ub
     indptr = np.concatenate((a_eq.indptr, a_ub.indptr[1:] + a_eq.indptr[-1]))
     indices = np.concatenate((a_eq.indices, a_ub.indices))

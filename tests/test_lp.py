@@ -3,14 +3,15 @@ oracles on tiny instances, and the structure of known optima."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
@@ -55,7 +56,12 @@ from conftest import (
     random_state,
     safe_one_step_instance,
 )
-from oracles import brute_force_max_next_flows, brute_force_min_tts
+from oracles import (
+    _time_spent,
+    brute_force_max_next_flows,
+    brute_force_min_tts,
+    dfs_min_tts,
+)
 
 
 def one_ramp_cell(dt=0.002):
@@ -197,8 +203,69 @@ def test_lp_lower_bounds_every_gridded_policy():
 def test_exhaustive_search_refuses_oversized_instances():
     m = one_ramp_cell()
     d = DemandProfile(w0=np.zeros(40), w_ramp=np.zeros((40, 1)))
-    with pytest.raises(ValueError):
-        brute_force_min_tts(m, d, points=9)
+    for search in (brute_force_min_tts, dfs_min_tts):
+        with pytest.raises(ValueError):
+            search(m, d, points=9)
+
+
+def _plan_tts(model, demand, initial, plan):
+    """A plan's time spent, accumulated step by step as both searches do."""
+    state, acc = initial, 0.0
+    for t, rates in enumerate(plan):
+        acc += float(_time_spent(model, state.rho, state.q))
+        state, _ = step(model, state, rates, demand.row(t))
+    return acc + float(_time_spent(model, state.rho, state.q))
+
+
+def _tied_instance():
+    """Two unit-length cells whose every number is a binary fraction, so a
+    step's rates only move cars between queue and cell and every choice
+    of the last step's rates ties exactly."""
+    cell = CellParams(length=1.0, v_free=64.0, rho_crit=32.0, rho_jam=160.0,
+                      ramp_flow_max=512.0, queue_max=64.0)
+    model = FreewayModel([cell, cell], dt=1 / 512)
+    demand = DemandProfile(w0=np.full(3, 256.0), w_ramp=np.array(
+        [[256.0, 128.0], [256.0, 0.0], [0.0, 0.0]]))
+    return model, demand, SimState([8.0, 16.0], [16.0, 8.0])
+
+
+def _emptying_instance():
+    """One ramp whose queue the first step's top rate empties; with no
+    ramp demand after it, that state's interval is one rate, and the other
+    states' intervals are wide."""
+    model = one_ramp_cell()
+    demand = DemandProfile(w0=np.full(3, 1000.0),
+                           w_ramp=np.array([[500.0], [0.0], [0.0]]))
+    return model, demand, zero_state(model)
+
+
+def test_batched_exhaustive_search_equals_the_depth_first_one():
+    """The level-batched search returns the DFS's minimum and plan bit for
+    bit: on random tiny instances; on one where a ramp's interval is one
+    rate in some states of a level and wide in others; and on one with
+    ties, where both return the first minimal plan in grid order."""
+    rng = np.random.default_rng(1106)
+    cases = [_tied_instance() + (3,), _emptying_instance() + (5,)]
+    for _ in range(20):
+        model = random_model(rng, n_max=2)
+        horizon = int(rng.integers(1, 4))
+        demand = random_demand(rng, model, horizon,
+                               load=float(rng.uniform(0.3, 1.0)))
+        initial = SimState(rng.uniform(0.0, 0.5) * model.rho_jam,
+                           rng.uniform(0.0, 1.0) * model.queue_max)
+        cases.append((model, demand, initial, int(rng.integers(2, 5))))
+    for model, demand, initial, points in cases:
+        batched = brute_force_min_tts(model, demand, initial, points)
+        dfs = dfs_min_tts(model, demand, initial, points)
+        assert batched[0] == dfs[0]
+        np.testing.assert_array_equal(batched[1], dfs[1])
+
+    model, demand, initial = _tied_instance()
+    best, plan = brute_force_min_tts(model, demand, initial, 3)
+    assert plan[-1].tolist() == [0.0, 0.0]
+    tied = plan.copy()
+    tied[-1] = [512.0, 0.0]
+    assert _plan_tts(model, demand, initial, tied) == best
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +654,6 @@ def test_export_equals_the_row_loop_off_the_step_layout(case):
     assert export_lp_text(inst) == _getrow_export(inst)
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
 @pytest.mark.parametrize("case", ["example1", "random31", "random34"])
 def test_an_lp_reader_reaches_the_optimum_from_the_export(case, tmp_path):
     """HiGHS's own LP-file reader, solving the exported text cold, reaches
@@ -643,31 +708,24 @@ def test_solution_arrays_follow_the_column_layout(case):
 
 
 # ---------------------------------------------------------------------------
-# the warm start against the linprog fallback
+# the warm start against the cold solve
 
-def _solve_without_bindings(inst, monkeypatch):
-    """``solve_lp`` as on a scipy that ships no HiGHS bindings."""
+def _solve_cold(inst, monkeypatch):
+    """``solve_lp`` without the greedy basis: HiGHS's cold solve, under the
+    same checks."""
     with monkeypatch.context() as m:
-        m.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        m.setattr(rampflow.lp, "_greedy_basis", lambda inst, x: None)
         return solve_lp(inst)
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
 @pytest.mark.parametrize("case", sorted(LP_CASES))
-def test_warm_start_matches_the_linprog_fallback(case, monkeypatch):
-    """The cold ``linprog`` fallback is the reference: the warm solve
-    reaches its optimum within rel 1e-9 without calling ``linprog``, from a
-    basis with one basic per row, and is certified exact."""
+def test_warm_start_matches_the_cold_solve(case, monkeypatch):
+    """The cold solve is the reference: the warm solve reaches its optimum
+    within rel 1e-9, from a basis with one basic per row, and is certified
+    exact."""
     inst = build_lp(*LP_CASES[case]())
-    calls = []
-    real = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog",
-                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
     warm = solve_lp(inst)
-    assert calls == []
-    cold = _solve_without_bindings(inst, monkeypatch)
-    assert calls == [1]
+    cold = _solve_cold(inst, monkeypatch)
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
     assert warm.status == cold.status == "Optimal"
     assert warm.warm is True and cold.warm is False
@@ -709,8 +767,6 @@ class _SetBasisLog:
         return getattr(self._highs, name)
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
 def test_a_basis_one_basic_short_goes_through_the_alien_hand_off(
         monkeypatch):
     """HiGHS takes the greedy basis as it is. Negative control: with one
@@ -749,8 +805,6 @@ _MPC_RHO_616 = [
 _MPC_Q_616 = [0.0] * 18 + [169.61508411737196, 0.0, 0.0]
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
 def test_a_warm_point_that_misses_a_row_is_solved_again_cold(monkeypatch):
     """On this window the greedy basis leads HiGHS to a point it calls
     optimal while an equality row misses by 2e-7, over the row tolerance;
@@ -767,9 +821,9 @@ def test_a_warm_point_that_misses_a_row_is_solved_again_cold(monkeypatch):
 
     real, solved = rampflow.lp._solve_highs, []
 
-    def warm_only(core, inst, basis):
+    def warm_only(inst, basis):
         if not solved:
-            solved.append(real(core, inst, basis))
+            solved.append(real(inst, basis))
         return solved[0]
 
     monkeypatch.setattr(rampflow.lp, "_solve_highs", warm_only)
@@ -788,8 +842,6 @@ def _unmetered_point(inst):
     return x
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
 def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
         monkeypatch):
     """HiGHS can call a feasible point optimal that lies above the greedy
@@ -806,9 +858,9 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
 
     real, calls = rampflow.lp._solve_highs, []
 
-    def warm_unmetered(core, inst, basis):
+    def warm_unmetered(inst, basis):
         calls.append("warm" if basis is not None else "cold")
-        return point if basis is not None else real(core, inst, basis)
+        return point if basis is not None else real(inst, basis)
 
     monkeypatch.setattr(rampflow.lp, "_solve_highs", warm_unmetered)
     sol = solve_lp(inst)
@@ -816,42 +868,21 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
     assert sol.warm is False and sol.status == "Optimal"
     assert sol.objective <= greedy
     assert sol.objective == pytest.approx(
-        _solve_without_bindings(inst, monkeypatch).objective, rel=1e-9)
+        _solve_cold(inst, monkeypatch).objective, rel=1e-9)
     assert certify_relaxation(inst, sol).exact
 
     monkeypatch.setattr(rampflow.lp, "_solve_highs",
-                        lambda core, inst, basis: point)
+                        lambda inst, basis: point)
     with pytest.raises(rampflow.lp.LpError,
                        match="lies above the greedy point's"):
         solve_lp(inst)
-
-
-def test_a_linprog_answer_above_the_greedy_point_is_an_lp_error(
-        monkeypatch):
-    """Without HiGHS's bindings the greedy point bounds the cold
-    ``linprog`` answer too. Patched to return the unmetered run's point,
-    which meets every row but lies above greedy on example1, ``solve_lp``
-    refuses it. Negative control: the real ``linprog`` answer passes."""
-    inst = build_lp(*LP_CASES["example1"]())
-    x = _unmetered_point(inst)
-    greedy = float(inst.c @ _greedy_point(inst)) + inst.objective_constant
-    assert float(inst.c @ x) + inst.objective_constant > 1.01 * greedy
-    sol = _solve_without_bindings(inst, monkeypatch)
-    assert sol.warm is False and sol.objective <= greedy
-
-    monkeypatch.setattr(rampflow.lp, "_solve_linprog",
-                        lambda inst: (x, float(inst.c @ x), "Optimal", 0))
-    with pytest.raises(rampflow.lp.LpError,
-                       match="lies above the greedy point's"):
-        _solve_without_bindings(inst, monkeypatch)
 
 
 def test_a_cap_below_the_greedy_rate_still_solves(monkeypatch):
     """The greedy point bounds the optimum only where it is feasible. Capped
     below the rate the greedy run meters at step 6, the instance cuts that
     point off, so there is no warm basis and no bound: its optimum lies
-    above the greedy point's objective, and ``solve_lp`` returns it, cold,
-    as the ``linprog`` fallback does."""
+    above the greedy point's objective, and ``solve_lp`` returns it, cold."""
     inst = build_lp(*LP_CASES["random34"]())
     col = inst.varmap.r(6, 1)
     point = _greedy_point(inst)
@@ -865,14 +896,14 @@ def test_a_cap_below_the_greedy_rate_still_solves(monkeypatch):
     greedy = float(inst.c @ point) + inst.objective_constant
     assert sol.objective > 1.001 * greedy
     assert sol.objective == pytest.approx(
-        _solve_without_bindings(capped, monkeypatch).objective, rel=1e-9)
+        _solve_cold(capped, monkeypatch).objective, rel=1e-9)
 
 
 def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     """Mainline arrivals above the cell's discharge overfill it, so the
     greedy run aborts and there is no warm basis. The LP caps no density
-    of the first cell, so it still solves, cold, to the fallback's optimum;
-    the replay of its plan aborts like the greedy run did."""
+    of the first cell, so it still solves, cold; the replay of its plan
+    aborts like the greedy run did."""
     m = one_ramp_cell()
     d = DemandProfile(w0=np.full(60, 8000.0), w_ramp=np.zeros((60, 1)))
     inst = build_lp(m, d)
@@ -880,7 +911,7 @@ def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     sol = solve_lp(inst)
     assert sol.warm is False
     assert sol.objective == pytest.approx(
-        _solve_without_bindings(inst, monkeypatch).objective, rel=1e-9)
+        _solve_cold(inst, monkeypatch).objective, rel=1e-9)
     assert certify_relaxation(inst, sol).failure
 
 
@@ -903,23 +934,15 @@ def test_a_replay_leaving_its_boxes_fails_the_certificate(monkeypatch):
         certify_relaxation(inst, sol)
 
 
-@pytest.mark.parametrize("bindings, message", [
-    (True, "non-finite solution"), (False, "refused the model")],
-    ids=["highs", "linprog"])
-def test_a_nan_cost_is_an_lp_error(bindings, message, monkeypatch):
+def test_a_nan_cost_is_an_lp_error():
     """HiGHS calls an LP with a NaN cost optimal at a NaN objective, and
-    solve_lp refuses that solution; linprog, the fallback on a scipy
-    without HiGHS's bindings, refuses the cost itself. The same instance
-    with a finite cost solves (negative control)."""
-    if bindings and rampflow.lp._highs_bindings() is None:
-        pytest.skip("this scipy ships no HiGHS bindings")
-    if not bindings:
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    solve_lp refuses that solution. The same instance with a finite cost
+    solves (negative control)."""
     sc = builtin_example1()
     inst = build_lp(sc.model, sc.demand, sc.initial)
     c = inst.c.copy()
     c[0] = np.nan
-    with pytest.raises(rampflow.lp.LpError, match=message):
+    with pytest.raises(rampflow.lp.LpError, match="non-finite solution"):
         solve_lp(replace(inst, c=c))
     c[0] = inst.c[0]
     assert np.isfinite(solve_lp(replace(inst, c=c)).objective)
@@ -959,9 +982,8 @@ def test_scipy_loads_only_where_the_lp_needs_it(tmp_path):
     """In a fresh interpreter ``import rampflow, rampflow.cli`` loads
     neither scipy nor yaml, and building and exporting an LP loads no
     scipy. Solving it loads scipy (the negative control), without
-    ``scipy.sparse`` where HiGHS's bindings exist; ``linprog``, the solve
-    of a scipy without them, loads it. Loading a YAML scenario loads yaml
-    (the negative control)."""
+    ``scipy.sparse``. Loading a YAML scenario loads yaml (the negative
+    control)."""
     scenario = tmp_path / "one_cell.yaml"
     scenario.write_text("dt: 0.01\ncells:\n  - {length: 1, v_free: 100, "
                         "rho_crit: 50, rho_jam: 250}\ndemand:\n  table: "
@@ -970,40 +992,35 @@ def test_scipy_loads_only_where_the_lp_needs_it(tmp_path):
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(scenario)],
                          check=True, capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    linprog = rampflow.lp._highs_bindings() is None
     assert [json.loads(line.lower()) for line in out.stdout.splitlines()] \
         == [[False, False, False], [False, False, False],
-            [True, linprog, False], [True, linprog, True]]
+            [True, False, False], [True, False, True]]
 
 
 _SPARSE_PROBE = """\
 import sys
-from rampflow import cli, lp
-if sys.argv[1] == "linprog":
-    lp._highs_bindings = lambda: None
+from rampflow import cli
 code = cli.main(["optimize", "--scenario", "builtin:example1",
-                 "--out", sys.argv[2]])
+                 "--out", sys.argv[1]])
 print(code, "scipy.sparse" in sys.modules)
+import scipy.optimize
+print("scipy.sparse" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("solver", ["highs", "linprog"])
-def test_optimize_leaves_scipy_sparse_unloaded(solver, tmp_path):
+def test_optimize_leaves_scipy_sparse_unloaded(tmp_path):
     """In a fresh interpreter, ``rampflow optimize`` hands HiGHS the numpy
-    rows and never imports ``scipy.sparse``. Negative control: without
-    HiGHS's bindings the same run solves through ``linprog``, whose
-    ``scipy.optimize`` loads it."""
-    if solver == "highs" and rampflow.lp._highs_bindings() is None:
-        pytest.skip("this scipy ships no HiGHS bindings")
+    rows, solves warm and never imports ``scipy.sparse``. Negative control:
+    the probe sees ``scipy.sparse`` once ``scipy.optimize``, which imports
+    it, has loaded."""
     src = Path(rampflow.lp.__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, "-c", _SPARSE_PROBE, solver,
-         str(tmp_path / "out.json")],
+        [sys.executable, "-c", _SPARSE_PROBE, str(tmp_path / "out.json")],
         check=True, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.split()[-2:] == ["0", str(solver == "linprog")]
+    assert out.stdout.split()[-3:] == ["0", "False", "True"]
     assert json.loads((tmp_path / "out.json").read_text())["lp_warm"] \
-        is (solver == "highs")
+        is True
 
 
 _OPTIMIZE_PROBE = """\
@@ -1013,32 +1030,36 @@ blocked = sys.argv[1] == "blocked"
 if blocked:
     import scipy.optimize
     sys.modules["scipy.optimize._highspy._core"] = None
+    try:
+        cli.main(["optimize", "--scenario", "builtin:example1",
+                  "--out", sys.argv[2]])
+    except ImportError as e:
+        print(json.dumps({"ImportError": str(e)}))
+    sys.exit()
 code = cli.main(["optimize", "--scenario", "builtin:example1",
                  "--out", sys.argv[2]])
 with open(sys.argv[2]) as f:
     warm = json.load(f)["lp_warm"]
 probe = {"code": code, "lp_warm": warm,
          "scipy.optimize": "scipy.optimize" in sys.modules}
-if not blocked:
-    import scipy.optimize
-    from scipy.optimize._highspy import _core
-    probe["same_core"] = (_core is lp._highs_bindings()
-                          is sys.modules["scipy.optimize._highspy._core"])
-    probe["linprog"] = scipy.optimize.linprog(
-        [1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun
+import scipy.optimize
+from scipy.optimize._highspy import _core
+probe["same_core"] = (_core is lp._highs_bindings()
+                      is sys.modules["scipy.optimize._highspy._core"])
+probe["linprog"] = scipy.optimize.linprog(
+    [1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun
 print(json.dumps(probe))
 """
 
 
-@pytest.mark.skipif(rampflow.lp._highs_bindings() is None,
-                    reason="this scipy ships no HiGHS bindings")
 @pytest.mark.parametrize("blocked", [False, True], ids=["file", "blocked"])
 def test_optimize_loads_highs_without_scipy_optimize(blocked, tmp_path):
     """In a fresh interpreter, ``rampflow optimize`` solves warm with
     HiGHS's bindings loaded from their file, and ``scipy.optimize`` stays
     unimported; importing it afterwards reuses the loaded bindings, and
-    ``linprog`` works. Negative control: with the bindings' import blocked
-    the same run goes through ``linprog``, cold."""
+    scipy's own ``linprog`` works. Negative control: with the bindings'
+    import blocked the same run fails with an ``ImportError`` that names
+    the scipy floor, and writes nothing."""
     src = Path(rampflow.lp.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", _OPTIMIZE_PROBE,
@@ -1047,7 +1068,42 @@ def test_optimize_loads_highs_without_scipy_optimize(blocked, tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)))
     probe = json.loads(out.stdout.splitlines()[-1])
     if blocked:
-        assert probe == {"code": 0, "lp_warm": False, "scipy.optimize": True}
+        assert list(probe) == ["ImportError"]
+        assert f"scipy>={_declared_scipy_floor()};" in probe["ImportError"]
+        assert not (tmp_path / "out.json").exists()
     else:
         assert probe == {"code": 0, "lp_warm": True, "scipy.optimize": False,
                          "same_core": True, "linprog": 1.0}
+
+
+def _declared_scipy_floor():
+    """The scipy floor pyproject.toml declares, such as ``1.15``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    return re.search(r'"scipy>=([0-9.]+)"', text).group(1)
+
+
+@pytest.mark.parametrize("how", ["blocked", "missing"])
+def test_without_the_bindings_the_solve_names_the_scipy_floor(how,
+                                                              monkeypatch):
+    """With the bindings' import blocked, or with no bindings file in
+    scipy, ``solve_lp`` raises an ``ImportError`` that names the scipy
+    floor pyproject.toml declares, and registers nothing. Negative control:
+    unblocked, the same call returns the loaded module and solves warm."""
+    inst = build_lp(*LP_CASES["example1"]())
+    core, name = rampflow.lp._highs_bindings(), rampflow.lp._CORE
+    floor = _declared_scipy_floor()
+    with monkeypatch.context() as m:
+        if how == "blocked":
+            m.setitem(sys.modules, name, None)
+        else:
+            m.delitem(sys.modules, name)
+            m.setattr(rampflow.lp, "PathFinder",
+                      SimpleNamespace(find_spec=lambda name, path: None))
+        with pytest.raises(ImportError,
+                           match=re.escape(f"scipy>={floor};")) as e:
+            solve_lp(inst)
+        assert e.value.name == name
+        assert sys.modules.get(name) is None
+    assert rampflow.lp._highs_bindings() is core is sys.modules[name]
+    assert solve_lp(inst).warm is True
