@@ -38,7 +38,6 @@ from .cumulative import (
     CumulativeState,
     RestrictivenessReport,
     cctm_step,
-    classify_cell,
     cumulative_from_state,
     monotonicity_probe,
     reconstruct_densities,

@@ -258,14 +258,6 @@ def _reason_codes(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     return np.where(supply, 1, np.where(demand, 2, 0))
 
 
-def classify_cell(model: FreewayModel, state: SimState,
-                  flows: np.ndarray, k: int) -> str:
-    """Restrictiveness of cell k (1-based) at a step with the given flows;
-    the rule of :func:`restrictiveness_report` read at one cell."""
-    codes = _reason_codes(model, state.rho, state.q, np.asarray(flows))
-    return _REASONS[codes[k - 1]]
-
-
 @dataclass
 class RestrictivenessReport:
     reasons: list[list[str]]          # [t][cell-1] classification reason

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import statistics
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,10 +265,9 @@ _BUILTINS = {
     "grenoble": builtin_grenoble,
 }
 
-_CELL_FIELDS = {
-    "length", "v_free", "rho_crit", "rho_jam", "w_back", "capacity",
-    "beta", "ramp_flow_max", "queue_max", "capacity_drop",
-}
+_CELL_FIELDS = tuple(f.name for f in fields(CellParams))
+_SEGMENT_KEYS = ("from_min", "to_min", "value")
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthDemandSpec)) + ("seed",)
 
 
 def _yaml_loader():
@@ -276,6 +276,40 @@ def _yaml_loader():
     objects."""
     import yaml
     return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+@contextmanager
+def _section(path: Path, name: str):
+    """Read the section ``name`` of the file ``path``: a ValueError,
+    TypeError, KeyError, IndexError or ContractViolationError raised inside
+    is one ScenarioError ``<file>: <name>: <what>``. A ScenarioError (a
+    nested section's, or read_demand_csv's) passes through unchanged."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except KeyError as e:
+        raise ScenarioError(f"{path}: {name}: missing {e}") from e
+    except ContractViolationError as e:   # only the initial state's check
+        raise ScenarioError(
+            f"{path}: {name}: state outside the model boxes: {e}") from e
+    except (ValueError, TypeError, IndexError) as e:
+        raise ScenarioError(f"{path}: {name}: {e}") from e
+
+
+def _mapping(value, allowed: tuple = (), keys: str = "keys") -> dict:
+    """``value`` if it is a mapping whose keys (named ``keys`` in the
+    error) all are in ``allowed``, or any keys if it is empty; a
+    ValueError if not."""
+    # "a", "a and b", "a, b and c"
+    have = " and ".join(filter(None, (", ".join(allowed[:-1]), *allowed[-1:])))
+    if not isinstance(value, dict):
+        raise ValueError("need a mapping" + (f" with {have}" if have else ""))
+    unknown = set(value) - set(allowed) if allowed else ()
+    if unknown:
+        raise ValueError(
+            f"unknown {keys} {sorted(unknown, key=str)}; have {have}")
+    return value
 
 
 def load_scenario(ref: str | Path) -> Scenario:
@@ -291,123 +325,100 @@ def load_scenario(ref: str | Path) -> Scenario:
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     import yaml   # only a scenario file needs it, so import rampflow skips it
+    with _section(path, "encoding"):
+        text = path.read_text(encoding="utf-8")
     try:
-        doc = yaml.load(path.read_text(encoding="utf-8"),
-                        Loader=_yaml_loader())
+        doc = yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as e:
         raise ScenarioError(f"{path}: not valid YAML: {e}") from e
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: top level must be a mapping")
     return _scenario_from_dict(doc, path)
 
 
-def _scenario_from_dict(doc: dict, path: Path) -> Scenario:
-    def fail(msg: str):
-        raise ScenarioError(f"{path}: {msg}")
-
+def _scenario_from_dict(doc, path: Path) -> Scenario:
+    """The scenario the parsed file ``doc`` describes, each section read
+    through :func:`_section`. The top level's keys are checked last, so a
+    malformed section is refused under its own name first."""
+    with _section(path, "top level"):
+        _mapping(doc)
     label = str(doc.get("label", path.stem))
-    if "dt" in doc:
-        dt = float(doc["dt"])
-    elif "dt_seconds" in doc:
-        dt = float(doc["dt_seconds"]) / 3600.0
-    else:
-        fail("missing dt (hours) or dt_seconds")
-    raw_cells = doc.get("cells")
-    if not isinstance(raw_cells, list) or not raw_cells:
-        fail("cells: need a non-empty list")
+    dt_key = "dt_seconds" if "dt" not in doc and "dt_seconds" in doc else "dt"
+    with _section(path, dt_key):
+        if dt_key not in doc:
+            raise ValueError("missing dt (hours) or dt_seconds")
+        dt = float(doc[dt_key]) / (3600.0 if dt_key == "dt_seconds" else 1.0)
+    with _section(path, "cells"):
+        raw_cells = doc.get("cells")
+        if not isinstance(raw_cells, list) or not raw_cells:
+            raise ValueError("need a non-empty list")
     cells = []
     for i, entry in enumerate(raw_cells):
-        if not isinstance(entry, dict):
-            fail(f"cells[{i}]: must be a mapping")
-        unknown = set(entry) - _CELL_FIELDS
-        if unknown:
-            fail(f"cells[{i}]: unknown fields {sorted(unknown)}")
-        try:
+        with _section(path, f"cells[{i}]"):
+            entry = _mapping(entry, _CELL_FIELDS, "fields")
             cells.append(CellParams(**{k: float(v) for k, v in entry.items()}))
-        except TypeError as e:
-            fail(f"cells[{i}]: {e}")
-    try:
+    with _section(path, "model"):
         model = FreewayModel(cells, dt=dt)
-    except ValueError as e:
-        fail(str(e))
-    violations = validate_model(model)
-    if violations:
-        fail("invalid model: " + "; ".join(str(v) for v in violations))
-
-    demand = _demand_from_dict(doc.get("demand"), model, path, fail)
-    try:
+        if violations := validate_model(model):
+            raise ValueError("invalid model: "
+                             + "; ".join(str(v) for v in violations))
+    with _section(path, "demand"):
+        demand = _demand_from_dict(doc.get("demand"), model, path)
         demand.check_against(model)
-    except ValueError as e:
-        fail(f"demand: {e}")
-
-    initial = zero_state(model)
-    if "initial" in doc:
-        init = doc["initial"]
-        if not isinstance(init, dict):
-            fail("initial: need a mapping with rho and q")
-        unknown = set(init) - {"rho", "q"}
-        if unknown:
-            fail(f"initial: unknown keys {sorted(unknown, key=str)}; "
-                 f"have rho and q")
-        try:
-            rho = np.asarray(init.get("rho", np.zeros(model.n)), dtype=float)
-            q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
-        except (TypeError, ValueError) as e:
-            fail(f"initial: {e}")
+    with _section(path, "initial"):
+        init = _mapping(doc.get("initial", {}), ("rho", "q"))
+        rho = np.asarray(init.get("rho", np.zeros(model.n)), dtype=float)
+        q = np.asarray(init.get("q", np.zeros(model.n)), dtype=float)
         if rho.shape != (model.n,) or q.shape != (model.n,):
-            fail(f"initial: rho and q must have length {model.n}")
-        try:
-            initial = SimState(*_check_state(model, rho, q))  # NaN fails too
-        except ContractViolationError as e:
-            fail(f"initial: state outside the model boxes: {e}")
+            raise ValueError(f"rho and q must have length {model.n}")
+        initial = SimState(*_check_state(model, rho, q))  # NaN fails too
+    with _section(path, "top level"):
+        _mapping(doc, ("label", "dt", "dt_seconds", "cells", "demand",
+                       "initial"))
     return Scenario(label, model, demand, initial)
 
 
-def _column(key, n: int, first: int, section: str, fail) -> int:
+def _column(key, n: int, first: int) -> int:
     """The demand column ``key`` names, w0 (or 0) the mainline and wk (or
-    k) the ramp of cell k; refused outside w<first>..w<n>."""
-    digits = str(key).lstrip("w")
+    k) the ramp of cell k; a ValueError outside w<first>..w<n>."""
+    digits = str(key).removeprefix("w")
     if not (digits.isdigit() and first <= int(digits) <= n):
-        fail(f"{section}: column {key!r} is not one of w{first}..w{n}")
+        raise ValueError(f"column {key!r} is not one of w{first}..w{n}")
     return int(digits)
 
 
-def _demand_from_dict(spec, model: FreewayModel, path: Path, fail) -> DemandProfile:
-    """The demand section's profile; a malformed section is a
-    :class:`ScenarioError` that names it."""
-    if not isinstance(spec, dict):
-        fail("demand: need a mapping with one of csv|table|piecewise|synth")
-    kinds = [k for k in ("csv", "table", "piecewise", "synth") if k in spec]
+def _demand_from_dict(spec, model: FreewayModel, path: Path) -> DemandProfile:
+    """The profile of the demand section ``spec``, read inside it; its one
+    kind is read in the section ``demand.<kind>``."""
+    kinds = [k for k in ("csv", "table", "piecewise", "synth")
+             if k in _mapping(spec)]
     if len(kinds) != 1:
-        fail("demand: give exactly one of csv|table|piecewise|synth")
+        raise ValueError("give exactly one of csv|table|piecewise|synth")
     kind = kinds[0]
-    body, section = spec[kind], f"demand.{kind}"
-    if kind == "csv":
-        return read_demand_csv(path.parent / str(body), model.n)
-    if not isinstance(body, dict):
-        fail(f"{section}: need a mapping")
-    try:
+    _mapping(spec, (kind, "steps") if kind == "piecewise" else (kind,))
+    steps = int(spec.get("steps", 0))
+    if kind == "piecewise" and steps <= 0:
+        raise ValueError("piecewise needs a positive 'steps'")
+    body = spec[kind]
+    with _section(path, f"demand.{kind}"):
+        if kind == "csv":
+            return read_demand_csv(path.parent / str(body), model.n)
         if kind == "table":
-            w0 = np.asarray(body["w0"], dtype=float)
+            w0 = np.asarray(_mapping(body)["w0"], dtype=float)
             w_ramp = np.zeros((w0.shape[0], model.n))
             for key, col in body.items():
                 if key != "w0":
-                    k = _column(key, model.n, 1, section, fail)
-                    w_ramp[:, k - 1] = np.asarray(col, dtype=float)
+                    w_ramp[:, _column(key, model.n, 1) - 1] = np.asarray(
+                        col, dtype=float)
             return DemandProfile(w0=w0, w_ramp=w_ramp)
         if kind == "piecewise":
-            steps = int(spec.get("steps", 0))
-            if steps <= 0:
-                fail("demand: piecewise needs a positive 'steps'")
             pieces = {}
-            for key, segs in body.items():
-                pieces[_column(key, model.n, 0, section, fail)] = [
-                    (float(s["from_min"]), float(s["to_min"]),
-                     float(s["value"])) for s in segs]
+            for key, segs in _mapping(body).items():
+                pieces[_column(key, model.n, 0)] = [
+                    [float(s[k]) for k in _SEGMENT_KEYS]
+                    for s in (_mapping(s, _SEGMENT_KEYS) for s in segs)]
             return _piecewise_profile(model, steps, pieces)
-        syn = dict(body)
+        syn = dict(_mapping(body, _SYNTH_KEYS))
         seed = int(syn.pop("seed", 0))
-        ramp_peaks = {_column(k, model.n, 1, section, fail): float(v)
+        ramp_peaks = {_column(k, model.n, 1): float(v)
                       for k, v in dict(syn.pop("ramp_peaks", {})).items()}
         windows = tuple(tuple(float(x) for x in w)
                         for w in syn.pop("windows", ((1.0, 2.5),)))
@@ -415,11 +426,6 @@ def _demand_from_dict(spec, model: FreewayModel, path: Path, fail) -> DemandProf
                                 **{k: (int(v) if k == "horizon_steps" else float(v))
                                    for k, v in syn.items()})
         return synth_demand(model, sspec, seed=seed)
-    except ScenarioError:
-        raise
-    except (IndexError, KeyError, TypeError, ValueError) as e:
-        fail(f"{section}: "
-             + (f"missing {e}" if isinstance(e, KeyError) else str(e)))
 
 
 def write_demand_csv(path: str | Path, demand: DemandProfile) -> None:

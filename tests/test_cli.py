@@ -597,6 +597,41 @@ def test_validate_a_malformed_section_exits_2(tmp_path, capsys):
     assert "initial: need a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("dt_seconds: 15", "dt: [1]"),
+    ("dt_seconds: 15", "dt_seconds: {a: 1}"),
+    ("dt_seconds: 15", "dt: abc"),
+    ("length: 0.5", "length: abc"),
+    (_DROP_YAML[_DROP_YAML.index("  piecewise:"):], "  csv: ragged.csv\n"),
+    ("label: droptoy", "label: droptoy\udcff"),   # the byte 0xff
+    ("label: droptoy\n", "label: droptoy\nintial: {rho: [1.0]}\n"),
+    ("  steps: 120\n", "  steps: 120\n  stpes: 120\n"),
+    ("value: 600}", "value: 600, vlaue: 600}"),
+], ids=["dt-a-list", "dt_seconds-a-mapping", "dt-not-a-number",
+        "cell-length-not-a-number", "csv-ragged-row", "not-utf-8",
+        "top-level-typo", "demand-typo", "segment-typo"])
+def test_a_malformed_scenario_file_exits_2_naming_file_and_section(
+        old, new, tmp_path, capsys):
+    """Each of these once exited 1 with a traceback, printed ``error:``
+    from validate without the file's name, or loaded silently. Negative
+    control: the well-formed file validates."""
+    (tmp_path / "ragged.csv").write_text("t,w0,w1\n0,100,0\n1,100\n",
+                                         encoding="utf-8")
+    p = tmp_path / "drop.yaml"
+    assert old in _DROP_YAML
+    p.write_text(_DROP_YAML, encoding="utf-8")
+    assert main(["validate", "--scenario", str(p)]) == EXIT_OK
+    p.write_bytes(_DROP_YAML.replace(old, new).encode("utf-8",
+                                                      "surrogateescape"))
+    capsys.readouterr()
+    assert main(["validate", "--scenario", str(p)]) == EXIT_SCENARIO
+    assert capsys.readouterr().err.startswith(f"invalid: {p}: ")
+    assert main(["simulate", "--scenario", str(p)]) == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: simulate: {p}: ")
+    assert captured.out == ""
+
+
 def test_validate_bad_scenario_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("dt: 0.01\ncells: []\n", encoding="utf-8")

@@ -16,8 +16,9 @@ from rampflow.cumulative import (
     InconsistentStateError,
     NONRESTRICTIVE,
     SUPPLY_LIMITED,
+    _REASONS,
+    _reason_codes,
     cctm_step,
-    classify_cell,
     cumulative_from_state,
     monotonicity_probe,
     reconstruct_densities,
@@ -306,10 +307,12 @@ def test_classify_supply_limited_cell_with_queue_space():
     state = SimState(rho=np.array([60.0, 150.0]), q=np.array([0.0, 10.0]))
     flows = compute_flows(model, state, w0=0.0)
     assert flows[1] == pytest.approx(25.0 * 100.0)     # supply of cell 2
-    assert classify_cell(model, state, flows, 2) == SUPPLY_LIMITED
+    assert _REASONS[_reason_codes(model, state.rho, state.q, flows)[1]] \
+        == SUPPLY_LIMITED
     # a full queue removes the trade: nothing left to hold back
     full = SimState(rho=state.rho, q=np.array([0.0, 100.0]))
-    assert classify_cell(model, full, compute_flows(model, full, 0.0), 2) \
+    flows = compute_flows(model, full, 0.0)
+    assert _REASONS[_reason_codes(model, full.rho, full.q, flows)[1]] \
         == NONRESTRICTIVE
 
 
@@ -318,9 +321,11 @@ def test_classify_demand_limited_cell_with_waiting_queue():
     state = SimState(rho=np.array([20.0]), q=np.array([5.0]))
     flows = compute_flows(model, state, w0=0.0)
     assert flows[1] == pytest.approx(2000.0)
-    assert classify_cell(model, state, flows, 1) == DEMAND_LIMITED
+    assert _REASONS[_reason_codes(model, state.rho, state.q, flows)[0]] \
+        == DEMAND_LIMITED
     drained = SimState(rho=state.rho, q=np.array([0.0]))
-    assert classify_cell(model, drained, flows, 1) == NONRESTRICTIVE
+    assert _REASONS[_reason_codes(model, drained.rho, drained.q, flows)[0]] \
+        == NONRESTRICTIVE
 
 
 def test_classify_skips_supply_condition_on_first_cell():
@@ -330,7 +335,8 @@ def test_classify_skips_supply_condition_on_first_cell():
     flows = compute_flows(model, state, w0=2500.0)
     # outflow runs at full demand = capacity, so neither condition fires
     assert flows[1] == pytest.approx(5000.0)
-    assert classify_cell(model, state, flows, 1) == NONRESTRICTIVE
+    assert _REASONS[_reason_codes(model, state.rho, state.q, flows)[0]] \
+        == NONRESTRICTIVE
 
 
 def test_cells_without_queue_storage_are_never_restrictive():
@@ -342,7 +348,8 @@ def test_cells_without_queue_storage_are_never_restrictive():
     model = FreewayModel(cells, dt=0.002)
     state = SimState(rho=np.array([60.0, 150.0]), q=np.array([0.0, 0.0]))
     flows = compute_flows(model, state, w0=0.0)
-    assert classify_cell(model, state, flows, 2) == NONRESTRICTIVE
+    assert _REASONS[_reason_codes(model, state.rho, state.q, flows)[1]] \
+        == NONRESTRICTIVE
 
 
 def test_report_summarizes_flags_consistently():
@@ -397,6 +404,8 @@ def _restrictiveness_cases():
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 @pytest.mark.parametrize("kind", ["best_effort", "alinea", "none"])
 def test_report_equals_a_loop_over_classify_cell(kind, sigma, drop):
+    """The report equals the rule written out cell by cell, and its
+    summary fields follow from those reasons."""
     seen = set()
     for label, model, demand, initial in _restrictiveness_cases():
         plant = with_capacity_drop(model, drop)
@@ -406,20 +415,19 @@ def test_report_equals_a_loop_over_classify_cell(kind, sigma, drop):
                         initial_state=initial)
         report = restrictiveness_report(plant, traj)
         T, n = traj.horizon, plant.n
-        loop = [[classify_cell(plant, traj.state(t), traj.flows[t], k)
-                 for k in range(1, n + 1)] for t in range(T)]
         oracle = [[_scalar_reason(plant, traj.rho[t], traj.q[t],
                                   traj.flows[t], k)
                    for k in range(1, n + 1)] for t in range(T)]
-        assert report.reasons == loop == oracle, label
-        flags = np.array([[r != NONRESTRICTIVE for r in row] for row in loop])
+        assert report.reasons == oracle, label
+        flags = np.array([[r != NONRESTRICTIVE for r in row]
+                          for row in oracle])
         np.testing.assert_array_equal(report.restrictive, flags)
         metered = plant.queue_max > 0.0
         pairs = T * int(metered.sum())
         want = float(flags[:, metered].sum()) / pairs if pairs else 0.0
         assert report.restrictive_fraction == want, label
         assert report.interior_clean == (not flags[1:].any()), label
-        seen.update(r for row in loop for r in row)
+        seen.update(r for row in oracle for r in row)
     assert seen == {NONRESTRICTIVE, SUPPLY_LIMITED, DEMAND_LIMITED}
 
 

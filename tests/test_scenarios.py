@@ -342,20 +342,77 @@ _PIECEWISE = """\
      "ramp_peaks: {3: 100}}\n",
      r"demand\.synth: column 3 is not one of w1\.\.w2"),
     (_PIECEWISE, "  table: 5\n", r"demand\.table: need a mapping"),
+    ("dt_seconds: 15", "dt: [1]",
+     r"toy\.yaml: dt: float\(\) argument must be .*, not 'list'"),
+    ("dt_seconds: 15", "dt_seconds: {a: 1}",
+     r"toy\.yaml: dt_seconds: float\(\) argument must be .*, not 'dict'"),
+    ("dt_seconds: 15", "dt: abc",
+     r"toy\.yaml: dt: could not convert string to float: 'abc'"),
+    ("{length: 0.5, v_free: 90, rho_crit: 50, rho_jam: 350, beta",
+     "{length: abc, v_free: 90, rho_crit: 50, rho_jam: 350, beta",
+     r"toy\.yaml: cells\[1\]: could not convert string to float: 'abc'"),
+    (_PIECEWISE, "  csv: ragged.csv\n", r"toy\.yaml: demand\.csv: "),
+    # surrogateescape writes the lone surrogate as the byte 0xff
+    ("label: toy", "label: toy\udcff",
+     r"toy\.yaml: encoding: 'utf-8' codec can't decode byte 0xff"),
+    ("initial:", "intial:",
+     r"toy\.yaml: top level: unknown keys \['intial'\]; have label, dt, "
+     r"dt_seconds, cells, demand and initial"),
+    ("  steps: 90\n", "  steps: 90\n  stpes: 90\n",
+     r"toy\.yaml: demand: unknown keys \['stpes'\]; have piecewise and "
+     r"steps"),
+    ("value: 600}", "value: 600, vlaue: 600}",
+     r"toy\.yaml: demand\.piecewise: unknown keys \['vlaue'\]; have "
+     r"from_min, to_min and value"),
 ], ids=["initial-not-a-mapping", "initial-not-numbers",
         "segment-without-to_min", "column-past-the-cells",
         "synth-not-a-mapping", "synth-ramp-past-the-cells",
-        "table-not-a-mapping"])
+        "table-not-a-mapping", "dt-a-list", "dt_seconds-a-mapping",
+        "dt-not-a-number", "cell-length-not-a-number", "csv-ragged-row",
+        "not-utf-8", "top-level-typo", "demand-typo", "segment-typo"])
 def test_malformed_sections_are_scenario_errors(old, new, message, tmp_path):
-    """A malformed section is a ScenarioError naming it (exit 2), not an
-    AttributeError, KeyError, TypeError or IndexError from the parser.
+    """A malformed section is a ScenarioError naming the file and the
+    section once each (exit 2), not an AttributeError, KeyError, TypeError
+    or IndexError from the parser, nor a misspelled key read as absent.
     Negative control: the same scenario, well formed, loads."""
+    (tmp_path / "ragged.csv").write_text("t,w0,w1,w2\n0,100,0,0\n1,100\n",
+                                         encoding="utf-8")
     p = tmp_path / "toy.yaml"
     assert old in _YAML_OK
     p.write_text(_YAML_OK, encoding="utf-8")
     assert load_scenario(p).horizon == 90
-    p.write_text(_YAML_OK.replace(old, new), encoding="utf-8")
-    with pytest.raises(ScenarioError, match=message):
+    p.write_bytes(_YAML_OK.replace(old, new).encode("utf-8",
+                                                    "surrogateescape"))
+    with pytest.raises(ScenarioError, match=message) as err:
+        load_scenario(p)
+    what = str(err.value).removeprefix(f"{p}: ")
+    section = what.split(": ")[0]
+    assert what != str(err.value) and str(p) not in what
+    assert f"{section}: " not in what.removeprefix(f"{section}: ")
+
+
+@pytest.mark.parametrize("key", ["ww1", "w", "w-1"])
+def test_a_demand_column_takes_at_most_one_w(key, tmp_path):
+    """A table column ``ww1`` once loaded as ramp 1. Negative control:
+    ``w1`` and ``1`` load, as the same column."""
+    text = """\
+dt: 0.01
+cells:
+  - {length: 1.0, v_free: 100, rho_crit: 50, rho_jam: 250, ramp_flow_max: 900, queue_max: 40}
+  - {length: 1.0, v_free: 100, rho_crit: 50, rho_jam: 250}
+demand:
+  table:
+    w0: [1000, 2000]
+    COLUMN: [100, 200]
+"""
+    p = tmp_path / "table.yaml"
+    for good in ("w1", "1"):
+        p.write_text(text.replace("COLUMN", good), encoding="utf-8")
+        np.testing.assert_array_equal(load_scenario(p).demand.w_ramp,
+                                      [[100, 0], [200, 0]])
+    p.write_text(text.replace("COLUMN", key), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=rf"table\.yaml: demand\.table: "
+                       rf"column '{key}' is not one of w1\.\.w2"):
         load_scenario(p)
 
 
