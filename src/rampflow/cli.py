@@ -13,6 +13,7 @@ error types to these codes in one place; a failing command prints
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -169,6 +170,8 @@ def _cmd_optimize(args) -> int:
         "lp_iterations": sol.iterations,
         "lp_warm": sol.warm,
     }
+    if math.isfinite(sol.dual_bound):   # proved optimal without HiGHS
+        doc["lp_dual_bound"] = sol.dual_bound
     if args.rates:
         _emit(rates_csv_text(sol.rates), args.rates)
     _emit(dumps_json(doc), args.out)

@@ -13,8 +13,10 @@ so a horizon T over n cells yields T * (4n + 1) variables.
 
 The solve starts from the greedy law's run. The paper's point is that
 greedy metering is optimal, or nearly so, on monotone models, so its
-trajectory sits at or next to an optimal vertex: its active set, turned
-into a simplex basis, leaves HiGHS few or no pivots to make.
+trajectory sits at or next to an optimal vertex. Its active set, turned
+into a simplex basis, has row duals whose weak-duality bound proves the
+greedy point optimal where it is; elsewhere the basis leaves HiGHS few
+pivots to make.
 """
 
 from __future__ import annotations
@@ -124,14 +126,25 @@ def _csr(triplets, shape: tuple[int, int]) -> Csr:
     return Csr(indptr, cols[order].astype(np.int32), vals[order], shape)
 
 
-def _matvec(a: Csr, x: np.ndarray) -> np.ndarray:
-    """``a @ x``, each row summed from 0 in its stored column order, as
-    scipy's CSR product sums it, so the two agree bit for bit. Without
-    entries ``bincount`` counts in ints, hence the cast."""
-    m = a.shape[0]
-    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+def _row_ids(a: Csr) -> np.ndarray:
+    """The row of each stored entry, built once for all the products one
+    solve makes over the record."""
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+
+def _matvec(a: Csr, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a @ x`` given ``rows = _row_ids(a)``, each row summed from 0 in
+    its stored column order, as scipy's CSR product sums it, so the two
+    agree bit for bit. Without entries ``bincount`` counts in ints, hence
+    the cast."""
     return np.bincount(rows, a.data * np.take(x, a.indices),
-                       minlength=m).astype(float, copy=False)
+                       minlength=a.shape[0]).astype(float, copy=False)
+
+
+def _rmatvec(a: Csr, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a.T @ y`` given ``rows = _row_ids(a)``."""
+    return np.bincount(a.indices, a.data * np.take(y, rows),
+                       minlength=a.shape[1]).astype(float, copy=False)
 
 
 @dataclass
@@ -240,6 +253,16 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
 
 @dataclass
 class LpSolution:
+    """An optimal point and how it was found.
+
+    ``solve_lp`` answers on one of two paths. On the certified path the
+    answer is the greedy point, proved optimal by the weak-duality bound
+    ``dual_bound`` (finite, within ``_CERTIFY_TOL`` of ``objective``), and
+    HiGHS never runs: ``status`` is "Optimal", ``iterations`` 0 and
+    ``warm`` true, as HiGHS reports a warm start that is already optimal.
+    On HiGHS's path ``dual_bound`` is NaN and the other three are HiGHS's
+    record."""
+
     objective: float          # total time spent, t = 0 state included
     rho: np.ndarray           # (T+1, n)
     q: np.ndarray             # (T+1, n)
@@ -250,6 +273,7 @@ class LpSolution:
     status: str               # HiGHS model status, "Optimal" once solved
     iterations: int           # simplex iterations
     warm: bool                # solved from the greedy basis
+    dual_bound: float         # the bound that proved the greedy point optimal
     x: np.ndarray = field(repr=False)
 
 
@@ -308,50 +332,68 @@ def _highs_bindings():
 
 
 def solve_lp(inst: LpInstance) -> LpSolution:
-    """Solve the instance with HiGHS, warm-started from the greedy run.
+    """Solve the instance: prove the greedy point optimal, or else solve it
+    with HiGHS, warm-started from the greedy run.
 
     The greedy point bounds the optimum where it meets the instance's rows
     and column bounds, as on every ``build_lp`` instance; an instance
-    edited to cut it off starts cold, without that bound. HiGHS can call a
-    point optimal that misses a row by more than ``_RESIDUAL_TOL`` or lies
-    above the greedy point, so a warm answer that fails a check is solved
-    again, once, cold. Both reach the same optimal value; on a degenerate
-    LP they may return different optimal plans. An answer that still fails
-    a check raises ``LpError``: a non-finite objective or point (HiGHS
-    calls a NaN cost optimal), a NaN or too large residual, or an
-    objective above the greedy point's. A scipy without HiGHS's bindings
-    raises ``ImportError``.
+    edited to cut it off starts cold, without that bound. Where it meets
+    them, the row duals of its basis give a weak-duality lower bound
+    (:func:`_dual_bound`), and a bound within ``_CERTIFY_TOL`` of the
+    greedy objective proves the greedy point optimal: it is the answer,
+    and HiGHS is neither loaded nor run. Otherwise HiGHS solves from that
+    basis. HiGHS can call a point optimal that misses a row by more than
+    ``_RESIDUAL_TOL`` or lies above the greedy point, so a warm answer that
+    fails a check is solved again, once, cold. Both reach the same optimal
+    value; on a degenerate LP they may return different optimal plans. An
+    answer that still fails a check raises ``LpError``: a non-finite
+    objective or point (HiGHS calls a NaN cost optimal), a NaN or too
+    large residual, or an objective above the greedy point's. A scipy
+    without HiGHS's bindings raises ``ImportError`` once HiGHS is needed.
+    :class:`LpSolution` says which path answered.
     """
-    point = _greedy_point(inst)
+    ids = _row_ids(inst.a_eq), _row_ids(inst.a_ub)
+    point, point_residuals = _greedy_point(inst, ids) or (None, None)
+    # a numpy sum, not a BLAS dot, as in _dual_bound
     greedy = np.inf if point is None \
-        else float(inst.c @ point) + inst.objective_constant
-    basis = None if point is None else _greedy_basis(inst, point)
+        else float(np.sum(inst.c * point)) + inst.objective_constant
+    basis = None if point is None else _greedy_basis(inst, point, ids)
+    if basis is not None:
+        bound = _dual_bound(inst, _greedy_duals(inst, basis), ids)
+        if greedy - bound <= _CERTIFY_TOL * max(1.0, abs(greedy)):
+            return _solution(inst, point, greedy, point_residuals,
+                             "Optimal", 0, True, bound)
     for start in (None,) if basis is None else (basis, None):
         x, fun, status, iterations = _solve_highs(inst, start)
-        residuals = _residuals(inst, x)
+        residuals = _residuals(inst, x, ids)
         fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
         if not fault:
             break
     else:
         raise LpError(fault)
+    return _solution(inst, x, fun + inst.objective_constant, residuals,
+                     status, iterations, start is not None, np.nan)
 
-    residual_eq, residual_ub = residuals
-    objective = fun + inst.objective_constant
+
+def _solution(inst: LpInstance, x: np.ndarray, objective: float,
+              residuals: tuple[float, float], status: str, iterations: int,
+              warm: bool, dual_bound: float) -> LpSolution:
     flows, rates, rho, qs = inst.varmap.split(x)
     return LpSolution(objective=objective,
                       rho=np.vstack((inst.initial.rho, rho)),
                       q=np.vstack((inst.initial.q, qs)),
                       flows=flows.copy(), rates=rates.copy(),
-                      residual_eq=residual_eq, residual_ub=residual_ub,
-                      status=status, iterations=iterations,
-                      warm=start is not None, x=x)
+                      residual_eq=residuals[0], residual_ub=residuals[1],
+                      status=status, iterations=iterations, warm=warm,
+                      dual_bound=dual_bound, x=x)
 
 
-def _greedy_point(inst: LpInstance) -> np.ndarray | None:
+def _greedy_point(inst: LpInstance, ids: tuple[np.ndarray, np.ndarray],
+                  ) -> tuple[np.ndarray, tuple[float, float]] | None:
     """The greedy run's point in the column layout, which bounds the
-    optimum; None when that run leaves the state boxes, or when the point
-    misses a row or a column bound of this instance, as it may once the
-    instance's arrays are edited after ``build_lp``."""
+    optimum, and its residuals; None when that run leaves the state boxes,
+    or when the point misses a row or a column bound of this instance, as
+    it may once the instance's arrays are edited after ``build_lp``."""
     try:
         greedy = simulate(
             inst.model, inst.demand,
@@ -363,11 +405,12 @@ def _greedy_point(inst: LpInstance) -> np.ndarray | None:
     for part, run in zip(inst.varmap.split(x), (
             greedy.flows, greedy.rates, greedy.rho[1:], greedy.q[1:])):
         part[:] = run
+    residuals = _residuals(inst, x, ids)
     gap = _RESIDUAL_TOL * np.maximum(1.0, np.abs(x))
-    if max(_residuals(inst, x)) > _RESIDUAL_TOL or not np.all(
+    if max(residuals) > _RESIDUAL_TOL or not np.all(
             (inst.lb - gap <= x) & (x <= inst.ub + gap)):
         return None
-    return x
+    return x, residuals
 
 
 def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],
@@ -385,16 +428,17 @@ def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],
     return ""
 
 
-def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
+def _residuals(inst: LpInstance, x: np.ndarray,
+               ids: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
     """Largest relative violation of the equality and of the inequality
-    rows."""
+    rows, given the records' ``_row_ids``."""
     scale_eq = np.maximum(1.0, np.abs(inst.b_eq))
     residual_eq = float(np.max(
-        np.abs(_matvec(inst.a_eq, x) - inst.b_eq) / scale_eq)) \
+        np.abs(_matvec(inst.a_eq, x, ids[0]) - inst.b_eq) / scale_eq)) \
         if inst.b_eq.size else 0.0
     scale_ub = np.maximum(1.0, np.abs(inst.b_ub))
     residual_ub = float(np.max(
-        (_matvec(inst.a_ub, x) - inst.b_ub) / scale_ub)) \
+        (_matvec(inst.a_ub, x, ids[1]) - inst.b_ub) / scale_ub)) \
         if inst.b_ub.size else 0.0
     return residual_eq, residual_ub
 
@@ -449,10 +493,12 @@ def _solve_highs(inst: LpInstance,
 
 
 def _greedy_basis(inst: LpInstance, x: np.ndarray,
+                  ids: tuple[np.ndarray, np.ndarray],
                   ) -> tuple[np.ndarray, np.ndarray] | None:
-    """HiGHS column and row statuses of a basis at the greedy point ``x``;
-    None when the rows are not ``build_lp``'s layout, and the solve starts
-    cold.
+    """HiGHS column and row statuses of a basis at the greedy point ``x``,
+    given the records' ``_row_ids``; None when the rows are not
+    ``build_lp``'s layout, and the solve starts cold. The statuses are the
+    active set both HiGHS's warm start and :func:`_greedy_duals` read.
 
     Each equality row owns one basic: the inflow row phi(t, 0), the
     density row rho(t+1, k), and the queue row q(t+1, k), or r(t, k) when
@@ -468,7 +514,8 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     """
     model, vm = inst.model, inst.varmap
     T, n = vm.horizon, vm.n
-    if inst.a_ub.shape[0] != T * (2 * n - 1):
+    if (inst.a_eq.shape[0], inst.a_ub.shape[0]) != (
+            T * (2 * n + 1), T * (2 * n - 1)):
         return None
     gap = _TIGHT * np.maximum(1.0, np.abs(x))
     at_lo, at_hi = x <= inst.lb + gap, x >= inst.ub - gap
@@ -479,9 +526,9 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
 
     # hypograph rows as (T, n, 2): demand row, supply row (none at cell n)
     a = inst.a_ub
-    slack = inst.b_ub - _matvec(a, x)
+    slack = inst.b_ub - _matvec(a, x, ids[1])
     scale = _matvec(Csr(a.indptr, a.indices, np.abs(a.data), a.shape),
-                    np.abs(x))
+                    np.abs(x), ids[1])
     tight = np.zeros((T, 2 * n), dtype=bool)
     tight[:, :-1] = (slack <= _TIGHT * np.maximum(1.0, scale)).reshape(
         T, 2 * n - 1)
@@ -511,6 +558,140 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     rows = np.concatenate((np.full(inst.b_eq.size, _LOWER, dtype=np.int8),
                            row.reshape(T, 2 * n)[:, :-1].ravel()))
     return col, rows
+
+
+def _greedy_duals(inst: LpInstance,
+                  basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Row duals of :func:`_greedy_basis`'s basis, in HiGHS's row order
+    and signs (an inequality row's dual is <= 0 where the basis is dual
+    feasible): the ``y`` that zeroes the reduced cost ``c_j - a_j . y`` of
+    every basic column.
+
+    Every density column is basic, so one backward pass over the steps,
+    vectorized over cells, solves for them. With lam, mu and pi the
+    density, queue and inflow rows' duals, and dem and sup the demand and
+    supply rows':
+    - rho(t+1, k) gives lam(t, k) = c + lam(t+1, k) + slope_k dem(t+1, k)
+      - w_k sup(t+1, k-1);
+    - mu(t, k) comes from r(t, k) where the rate is basic, else from
+      q(t+1, k): mu(t, k) = c + mu(t+1, k);
+    - a basic flow phi(t, k) puts its reduced cost at zero duals on the
+      hypograph row the basis leaves nonbasic; the other row's dual is 0;
+    - where the basis keeps r(t, k) and q(t+1, k) both basic and
+      phi(t+1, k) nonbasic at its cap, the two fix lam(t, k), and the
+      nonbasic demand row of phi(t+1, k) takes the rest of rho's cost;
+    - phi(t, 0) gives pi(t).
+    """
+    model, vm = inst.model, inst.varmap
+    T, n = vm.horizon, vm.n
+    dt = model.dt
+    col, rows = basis
+    cost_phi, cost_r, cost_rho, cost_q = vm.split(inst.c)
+    s_phi, s_r, _, _ = vm.split(col)
+    out = np.zeros((T, 2 * n), dtype=bool)   # hypograph rows left nonbasic
+    out[:, :-1] = (rows[inst.b_eq.size:] == _UPPER).reshape(T, 2 * n - 1)
+    dem_out, sup_out = out.reshape(T, n, 2).transpose(2, 0, 1)
+    phi_basic = s_phi[:, 1:] == _BASIC
+    dem_on, sup_on = phi_basic & dem_out, phi_basic & sup_out
+    r_basic = s_r == _BASIC
+    take = (s_phi[1:, 1:] == _UPPER) & dem_out[1:]
+    # the rows' coefficients, as build_lp writes them
+    inflow = dt / model.length
+    outflow = dt / (model.length * model.beta_bar)
+    slope, wb = model.beta_bar * model.v_free, model.w_back[1:]
+
+    lam, mu = np.empty((T, n)), np.empty((T, n))
+    dem, sup = np.zeros((T, n)), np.zeros((T, n))
+    lam_next = mu_next = np.zeros(n)
+    for t in range(T - 1, -1, -1):
+        lam_t = cost_rho[t] + lam_next
+        if t + 1 < T:
+            lam_t += slope * dem[t + 1]
+            lam_t[1:] -= wb * sup[t + 1, :-1]
+            k = take[t]
+            if k.any():
+                held = (dt * (cost_q[t, k] + mu_next[k]) - cost_r[t, k]) \
+                    / inflow[k]
+                dem[t + 1, k] = (held - lam_t[k]) / slope[k]
+                lam_t[k] = held
+        mu_t = np.where(r_basic[t], (cost_r[t] + inflow * lam_t) / dt,
+                        cost_q[t] + mu_next)
+        g = cost_phi[t, 1:] - outflow * lam_t
+        g[:-1] += inflow[1:] * lam_t[1:]
+        dem[t] = np.where(dem_on[t], g, 0.0)
+        sup[t] = np.where(sup_on[t], g, 0.0)
+        lam[t], mu[t] = lam_t, mu_t
+        lam_next, mu_next = lam_t, mu_t
+
+    y_eq = np.empty((T, 2 * n + 1))
+    y_eq[:, 0] = cost_phi[:, 0] + inflow[0] * lam[:, 0]
+    y_eq[:, 1::2] = lam
+    y_eq[:, 2::2] = mu
+    y_ub = np.stack((dem, sup), axis=2).reshape(T, 2 * n)[:, :-1]
+    return np.concatenate((y_eq.ravel(), y_ub.ravel()))
+
+
+def _dual_bound(inst: LpInstance, y: np.ndarray,
+                ids: tuple[np.ndarray, np.ndarray]) -> float:
+    """The Lagrangian lower bound on the instance's optimum at the row
+    duals ``y`` (HiGHS's row order, equality rows first), given the
+    records' ``_row_ids``: ``b . y + sum_j min(d_j lb_j, d_j ub_j)`` with
+    ``d = c - A^T y``, plus the objective constant.
+
+    It holds for any ``y`` by weak duality, once the inequality duals are
+    clipped to HiGHS's sign (<= 0), and with the column bounds of
+    :func:`_implied_ub` in place of ``ub``; a column with a reduced cost
+    of the wrong sign and no finite bound makes it -inf, and a NaN makes it
+    NaN. Its dot products are numpy sums: an OpenBLAS dot this long wakes
+    the library's threads, about 7 ms a call on a 2-core host when they
+    are not pinned to one."""
+    m = inst.b_eq.size
+    y_eq, y_ub = y[:m], np.minimum(y[m:], 0.0)
+    d = inst.c - _rmatvec(inst.a_eq, y_eq, ids[0]) \
+        - _rmatvec(inst.a_ub, y_ub, ids[1])
+    with np.errstate(invalid="ignore"):
+        low = np.minimum(d * inst.lb, d * _implied_ub(inst))
+    low[d == 0.0] = 0.0
+    return float(np.sum(inst.b_eq * y_eq) + np.sum(inst.b_ub * y_ub)
+                 + np.sum(low)) + inst.objective_constant
+
+
+def _implied_ub(inst: LpInstance) -> np.ndarray:
+    """``ub`` with a finite bound, implied by the instance's own rows, on
+    each column ``build_lp`` leaves unbounded above; rounding leaves some
+    of their reduced costs slightly negative at the greedy duals.
+
+    - phi(t, 0) equals its inflow row's right-hand side.
+    - rho(t, k) <= b / w_k for k >= 2 and t < T, from the supply row
+      phi(t, k-1) + w_k rho(t, k) <= b with phi >= 0.
+    - l_k rho(t, k) is at most the cars that ever enter: the density rows
+      times l and the queue rows, summed over the steps before t, put
+      l . rho(t) + sum q(t) (all >= 0) below the cars that entered, the
+      inflow rows' dt w0 plus the right-hand sides, less the cars that
+      left (>= 0, as beta_bar <= 1).
+
+    The right-hand sides come from ``b_eq`` and ``b_ub``, and the
+    coefficients are those of ``build_lp``'s rows, whose layout
+    :func:`_greedy_basis` checks. The last two need every lower bound at 0
+    or above, as ``build_lp`` sets them, and are left out otherwise.
+    """
+    model, vm = inst.model, inst.varmap
+    T, n = vm.horizon, vm.n
+    hi = inst.ub.copy()
+    hi_phi, _, hi_rho, _ = vm.split(hi)
+    b_eq = inst.b_eq.reshape(T, 2 * n + 1)
+    np.minimum(hi_phi[:, 0], b_eq[:, 0], out=hi_phi[:, 0])
+    if np.all(inst.lb >= 0.0):
+        cars = (np.sum(np.maximum(0.0, model.dt * b_eq[:, 0]))
+                + np.sum(np.maximum(0.0, model.length * b_eq[:, 1::2]))
+                + np.sum(np.maximum(0.0, b_eq[:, 2::2])))
+        np.minimum(hi_rho, cars / model.length, out=hi_rho)
+        b_ub = np.zeros((T, 2 * n))
+        b_ub[:, :-1] = inst.b_ub.reshape(T, 2 * n - 1)
+        b_sup = b_ub.reshape(T, n, 2)[1:, :-1, 1]   # bounds rho(t, 2..n)
+        np.minimum(hi_rho[:-1, 1:], b_sup / model.w_back[1:],
+                   out=hi_rho[:-1, 1:])
+    return hi
 
 
 @dataclass(frozen=True)

@@ -278,23 +278,28 @@ def _yaml_loader():
     return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+class _SectionError(ScenarioError):
+    """A ScenarioError that already names its file and section."""
+
+
 @contextmanager
 def _section(path: Path, name: str):
-    """Read the section ``name`` of the file ``path``: a ValueError,
-    TypeError, KeyError, IndexError or ContractViolationError raised inside
-    is one ScenarioError ``<file>: <name>: <what>``. A ScenarioError (a
-    nested section's, or read_demand_csv's) passes through unchanged."""
+    """Read the section ``name`` of the file ``path``: a ValueError (a
+    ScenarioError from synth_demand or read_demand_csv too), TypeError,
+    KeyError, IndexError or ContractViolationError raised inside is one
+    ScenarioError ``<file>: <name>: <what>``. A nested section's error
+    passes through unchanged."""
     try:
         yield
-    except ScenarioError:
+    except _SectionError:
         raise
     except KeyError as e:
-        raise ScenarioError(f"{path}: {name}: missing {e}") from e
+        raise _SectionError(f"{path}: {name}: missing {e}") from e
     except ContractViolationError as e:   # only the initial state's check
-        raise ScenarioError(
+        raise _SectionError(
             f"{path}: {name}: state outside the model boxes: {e}") from e
     except (ValueError, TypeError, IndexError) as e:
-        raise ScenarioError(f"{path}: {name}: {e}") from e
+        raise _SectionError(f"{path}: {name}: {e}") from e
 
 
 def _mapping(value, allowed: tuple = (), keys: str = "keys") -> dict:
@@ -341,11 +346,13 @@ def _scenario_from_dict(doc, path: Path) -> Scenario:
     with _section(path, "top level"):
         _mapping(doc)
     label = str(doc.get("label", path.stem))
-    dt_key = "dt_seconds" if "dt" not in doc and "dt_seconds" in doc else "dt"
-    with _section(path, dt_key):
-        if dt_key not in doc:
-            raise ValueError("missing dt (hours) or dt_seconds")
-        dt = float(doc[dt_key]) / (3600.0 if dt_key == "dt_seconds" else 1.0)
+    given = [key for key in ("dt", "dt_seconds") if key in doc]
+    with _section(path, " and ".join(given) or "dt"):
+        if len(given) != 1:
+            raise ValueError("give one of them, not both" if given
+                             else "missing dt (hours) or dt_seconds")
+        dt = float(doc[given[0]]) / (3600.0 if given == ["dt_seconds"]
+                                     else 1.0)
     with _section(path, "cells"):
         raw_cells = doc.get("cells")
         if not isinstance(raw_cells, list) or not raw_cells:

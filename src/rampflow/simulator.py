@@ -117,11 +117,15 @@ class DisturbanceSpec:
         """Each run's (T, n+1) flow factors N(1, sigma_phi), drawn at once
         from the run's own generator: one per seed, or one seed for each
         of the ``runs`` runs (one run if None). Row t is step t's factors,
-        as the generator gives them drawing n+1 per step."""
+        as the generator gives them drawing n+1 per step. Runs that share
+        a seed share its block, drawn once; the caller copies it."""
         seeds = [self.seed] * (runs or 1) if self.runs is None else self.seed
+        drawn = {}
         for s in seeds:
-            yield np.random.default_rng(s).normal(
-                1.0, self.sigma_phi, size=(T, n + 1))
+            if s not in drawn:
+                drawn[s] = np.random.default_rng(s).normal(
+                    1.0, self.sigma_phi, size=(T, n + 1))
+            yield drawn[s]
 
 
 class DemandProfile:

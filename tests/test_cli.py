@@ -238,6 +238,7 @@ def test_optimize_writes_solution_and_exports(tmp_path):
     assert doc["lp_status"] == "Optimal"
     assert isinstance(doc["lp_iterations"], int) and doc["lp_iterations"] >= 0
     assert doc["lp_warm"] is True
+    assert "lp_dual_bound" not in doc    # HiGHS answered
     rate_lines = _read(rates).decode().splitlines()
     assert rate_lines[0] == "t,r1,r2"
     assert len(rate_lines) == 1 + 180
@@ -245,6 +246,23 @@ def test_optimize_writes_solution_and_exports(tmp_path):
     lp_text = _read(lp).decode()
     assert lp_text.startswith("Minimize")
     assert lp_text.rstrip().endswith("End")
+
+
+def test_optimize_reports_the_bound_that_proved_greedy_optimal(tmp_path):
+    """On a free-flow cell the greedy point's duals prove it optimal, and
+    the JSON gains the bound, with no simplex iteration run; on example1
+    (the negative control above) HiGHS answers and the key is absent."""
+    scenario = tmp_path / "free.yaml"
+    scenario.write_text("dt: 0.01\ncells:\n  - {length: 1, v_free: 100, "
+                        "rho_crit: 50, rho_jam: 250}\ndemand:\n  table: "
+                        "{w0: [1000, 1000, 1000]}\n", encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["optimize", "--scenario", str(scenario), "--out",
+                 str(out)]) == EXIT_OK
+    doc = json.loads(_read(out))
+    assert doc["lp_dual_bound"] == pytest.approx(doc["objective"], rel=1e-9)
+    assert doc["exact"] is True and doc["lp_status"] == "Optimal"
+    assert doc["lp_iterations"] == 0 and doc["lp_warm"] is True
 
 
 def test_optimize_capacity_drop_unsupported(drop_yaml, capsys):

@@ -24,6 +24,7 @@ from rampflow.lp import (
     _greedy_basis,
     _greedy_point,
     _matvec,
+    _row_ids,
     build_lp,
     certify_relaxation,
     export_lp_text,
@@ -560,7 +561,7 @@ def test_matvec_equals_scipys_product_bit_for_bit(case):
     inst = build_lp(*LP_CASES[case]())
     x = np.random.default_rng(0).uniform(-1e3, 1e3, inst.varmap.size)
     for a in (inst.a_eq, inst.a_ub):
-        mine, ref = _matvec(a, x), _scipy(a) @ x
+        mine, ref = _matvec(a, x, _row_ids(a)), _scipy(a) @ x
         assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
 
     a = inst.a_eq
@@ -577,7 +578,7 @@ def test_matvec_of_a_matrix_without_rows():
     for m in (0, 1):
         a = Csr(np.zeros(m + 1, dtype=np.int32), np.zeros(0, dtype=np.int32),
                 np.zeros(0), (m, 5))
-        mine, ref = _matvec(a, x), _scipy(a) @ x
+        mine, ref = _matvec(a, x, _row_ids(a)), _scipy(a) @ x
         assert mine.dtype == ref.dtype and mine.tolist() == ref.tolist() \
             == [0.0] * m
 
@@ -710,11 +711,25 @@ def test_solution_arrays_follow_the_column_layout(case):
 # ---------------------------------------------------------------------------
 # the warm start against the cold solve
 
+def _ids(inst):
+    return _row_ids(inst.a_eq), _row_ids(inst.a_ub)
+
+
+def _point(inst):
+    """The greedy point, or None where ``solve_lp`` has none."""
+    found = _greedy_point(inst, _ids(inst))
+    return None if found is None else found[0]
+
+
+def _basis(inst, x):
+    return _greedy_basis(inst, x, _ids(inst))
+
+
 def _solve_cold(inst, monkeypatch):
     """``solve_lp`` without the greedy basis: HiGHS's cold solve, under the
     same checks."""
     with monkeypatch.context() as m:
-        m.setattr(rampflow.lp, "_greedy_basis", lambda inst, x: None)
+        m.setattr(rampflow.lp, "_greedy_basis", lambda inst, x, ids: None)
         return solve_lp(inst)
 
 
@@ -730,10 +745,10 @@ def test_warm_start_matches_the_cold_solve(case, monkeypatch):
     assert warm.status == cold.status == "Optimal"
     assert warm.warm is True and cold.warm is False
     assert certify_relaxation(inst, warm).exact
-    point = _greedy_point(inst)
+    point = _point(inst)
     assert warm.objective <= float(inst.c @ point) \
         + inst.objective_constant + 1e-9 * warm.objective
-    cols, rows = _greedy_basis(inst, point)
+    cols, rows = _basis(inst, point)
     assert np.sum(cols == 1) + np.sum(rows == 1) == rows.size
     if case == "grenoble240":
         # greedy is optimal here, so its basis is an optimal one
@@ -747,9 +762,157 @@ BASIS_CASES = {**LP_CASES, "grenoble": lambda: _builtin(builtin_grenoble)}
 def test_the_greedy_basis_has_one_basic_per_row(case):
     """So HiGHS can take it as it is, without its alien repair."""
     inst = build_lp(*BASIS_CASES[case]())
-    cols, rows = _greedy_basis(inst, _greedy_point(inst))
+    cols, rows = _basis(inst, _point(inst))
     assert np.count_nonzero(cols == 1) + np.count_nonzero(rows == 1) \
         == rows.size
+
+
+# ---------------------------------------------------------------------------
+# the greedy point proved optimal by its own duals
+
+#: the instances whose greedy point its duals prove optimal
+CERTIFIED = {"grenoble240", "random31"}
+
+
+def _greedy_bound(inst, y=None):
+    """The weak-duality bound at the greedy basis's duals, or at ``y``."""
+    if y is None:
+        y = rampflow.lp._greedy_duals(inst, _basis(inst, _point(inst)))
+    return rampflow.lp._dual_bound(inst, y, _ids(inst))
+
+
+def _certifies(inst, bound):
+    greedy = float(inst.c @ _point(inst)) + inst.objective_constant
+    return greedy - bound <= rampflow.lp._CERTIFY_TOL * max(1.0, abs(greedy))
+
+
+def _count_highs(monkeypatch):
+    """Patch ``_solve_highs`` to log each call's start, warm or cold."""
+    real, calls = rampflow.lp._solve_highs, []
+
+    def logged(inst, basis):
+        calls.append("cold" if basis is None else "warm")
+        return real(inst, basis)
+    monkeypatch.setattr(rampflow.lp, "_solve_highs", logged)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+def test_the_greedy_duals_bound_the_optimum_from_below(case, monkeypatch):
+    """Weak duality: the bound at the greedy basis's duals lies at or below
+    HiGHS's optimum (rel 1e-9), a cold solve's on the ``LP_CASES`` and the
+    warm solve's on the 960-step Grenoble LP, which a cold solve takes
+    about 25 s to reach. It proves the greedy point optimal on
+    ``CERTIFIED`` only; there ``solve_lp`` answers without HiGHS, with the
+    cold optimum (rel 1e-9) and an exact certificate. Negative control:
+    elsewhere the bound lies below the optimum by more than the tolerance,
+    and HiGHS answers."""
+    inst = build_lp(*BASIS_CASES[case]())
+    bound = _greedy_bound(inst)
+    if case in LP_CASES:
+        optimum = _solve_cold(inst, monkeypatch).objective
+    calls = _count_highs(monkeypatch)
+    sol = solve_lp(inst)
+    if case not in LP_CASES:
+        optimum = sol.objective
+    assert bound <= optimum + 1e-9 * abs(optimum)
+    assert _certifies(inst, bound) is (case in CERTIFIED)
+    if case in CERTIFIED:
+        assert calls == [] and sol.dual_bound == bound
+        assert sol.objective == pytest.approx(optimum, rel=1e-9)
+        assert certify_relaxation(inst, sol).exact
+    else:
+        assert calls == ["warm"] and np.isnan(sol.dual_bound)
+        assert bound < optimum - rampflow.lp._CERTIFY_TOL * optimum
+
+
+def test_a_perturbed_dual_vector_is_refused(monkeypatch):
+    """One density row's dual moved by 1e-3 gives a bound below the
+    optimum by more than the tolerance, so ``solve_lp`` hands the
+    instance to HiGHS, which reaches the cold optimum. Negative control:
+    the greedy duals as they are prove it without HiGHS."""
+    inst = build_lp(*LP_CASES["random31"]())
+    y = rampflow.lp._greedy_duals(inst, _basis(inst, _point(inst)))
+    moved = y.copy()
+    moved[2 * inst.varmap.n + 2] += 1e-3   # lam(1, 1)
+    assert not _certifies(inst, _greedy_bound(inst, moved))
+
+    calls = _count_highs(monkeypatch)
+    assert solve_lp(inst).dual_bound == _greedy_bound(inst, y)
+    assert calls == []
+    monkeypatch.setattr(rampflow.lp, "_greedy_duals",
+                        lambda inst, basis: moved)
+    sol = solve_lp(inst)
+    assert calls == ["warm"] and np.isnan(sol.dual_bound)
+    assert sol.objective == pytest.approx(
+        _solve_cold(inst, monkeypatch).objective, rel=1e-9)
+
+
+def _paid_queues(inst):
+    """The instance with a reward of 1 per car-hour queued at any ramp:
+    its optimum holds cars that greedy lets through."""
+    c = inst.c.copy()
+    inst.varmap.split(c)[3][:] = -1.0
+    return replace(inst, c=c)
+
+
+def _negative_flows(inst):
+    """The instance with every flow but the inflow allowed down to -1,
+    which leaves the greedy point feasible but the density columns without
+    the bounds ``_implied_ub`` derives from flows >= 0."""
+    lb = inst.lb.copy()
+    inst.varmap.split(lb)[0][:, 1:] = -1.0
+    return replace(inst, lb=lb)
+
+
+@pytest.mark.parametrize("edit", [_paid_queues, _negative_flows],
+                         ids=["c", "lb"])
+def test_an_edited_instance_is_not_certified_by_the_greedy_duals(
+        edit, monkeypatch):
+    """With a reward for queued cars the greedy point is not optimal, and
+    with flows allowed below 0 the bound no longer holds the densities
+    below jam: either way ``solve_lp`` asks HiGHS, and its answer is the
+    edited instance's cold optimum. Negative control: the instance as
+    built is proved optimal without HiGHS."""
+    inst = build_lp(*LP_CASES["random31"]())
+    calls = _count_highs(monkeypatch)
+    solve_lp(inst)
+    assert calls == []
+    edited = edit(inst)
+    assert _point(edited) is not None
+    assert not _certifies(edited, _greedy_bound(edited))
+    sol = solve_lp(edited)
+    assert calls == ["warm"] and np.isnan(sol.dual_bound)
+    assert sol.objective == pytest.approx(
+        _solve_cold(edited, monkeypatch).objective, rel=1e-9)
+
+
+def test_the_implied_bounds_follow_the_right_hand_sides():
+    """``_implied_ub`` reads the instance's own rows: the inflow columns
+    follow an edited ``b_eq``, the densities behind a supply row follow an
+    edited ``b_ub``, and every density lies below the cars that ever
+    enter. Negative control: with a lower bound below 0 only the inflow
+    columns keep a bound."""
+    inst = build_lp(*LP_CASES["grenoble240"]())
+    vm, model = inst.varmap, inst.model
+    hi_phi, _, hi_rho, _ = vm.split(rampflow.lp._implied_ub(inst))
+    np.testing.assert_array_equal(hi_phi[:, 0], inst.demand.w0)
+    np.testing.assert_allclose(hi_rho[:-1, 1:],
+                               np.broadcast_to(model.rho_jam[1:], (239, 20)),
+                               rtol=1e-15)
+    assert np.all(np.isfinite(hi_rho)) and np.all(hi_rho[-1] > 1e3)
+
+    b_eq, b_ub = inst.b_eq.copy(), inst.b_ub.copy()
+    b_eq[5 * (2 * vm.n + 1)] += 100.0              # inflow row of step 5
+    b_ub[7 * (2 * vm.n - 1) + 1] *= 2.0            # supply row (7, 1)
+    hi_phi, _, hi_rho, _ = vm.split(
+        rampflow.lp._implied_ub(replace(inst, b_eq=b_eq, b_ub=b_ub)))
+    assert hi_phi[5, 0] == inst.demand.w0[5] + 100.0
+    assert hi_rho[6, 1] == pytest.approx(2.0 * model.rho_jam[1], rel=1e-15)
+
+    hi = rampflow.lp._implied_ub(_negative_flows(inst))
+    hi_phi, _, hi_rho, _ = vm.split(hi)
+    assert np.all(np.isinf(hi_rho)) and np.all(np.isfinite(hi_phi[:, 0]))
 
 
 class _SetBasisLog:
@@ -780,10 +943,10 @@ def test_a_basis_one_basic_short_goes_through_the_alien_hand_off(
     assert log == [(False, core.HighsStatus.kOk)]
     assert sol.warm is True
 
-    cols, rows = _greedy_basis(inst, _greedy_point(inst))
+    cols, rows = _basis(inst, _point(inst))
     cols[np.flatnonzero(cols == 1)[0]] = 0
     monkeypatch.setattr(rampflow.lp, "_greedy_basis",
-                        lambda inst, x: (cols, rows))
+                        lambda inst, x, ids: (cols, rows))
     log.clear()
     short = solve_lp(inst)
     assert log == [(False, core.HighsStatus.kError),
@@ -814,7 +977,7 @@ def test_a_warm_point_that_misses_a_row_is_solved_again_cold(monkeypatch):
     sc = builtin_grenoble(0)
     window = DemandProfile(sc.demand.w0[616:696], sc.demand.w_ramp[616:696])
     inst = build_lp(sc.model, window, SimState(_MPC_RHO_616, _MPC_Q_616))
-    assert _greedy_basis(inst, _greedy_point(inst)) is not None
+    assert _basis(inst, _point(inst)) is not None
     sol = solve_lp(inst)
     assert sol.warm is False and sol.status == "Optimal"
     assert max(sol.residual_eq, sol.residual_ub) <= rampflow.lp._RESIDUAL_TOL
@@ -852,8 +1015,8 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
     inst = build_lp(*LP_CASES["example1"]())
     x = _unmetered_point(inst)
     point = (x, float(inst.c @ x), "Optimal", 0)
-    assert max(rampflow.lp._residuals(inst, x)) <= rampflow.lp._RESIDUAL_TOL
-    greedy = float(inst.c @ _greedy_point(inst)) + inst.objective_constant
+    assert max(rampflow.lp._residuals(inst, x, _ids(inst))) <= rampflow.lp._RESIDUAL_TOL
+    greedy = float(inst.c @ _point(inst)) + inst.objective_constant
     assert point[1] + inst.objective_constant > 1.01 * greedy
 
     real, calls = rampflow.lp._solve_highs, []
@@ -885,12 +1048,12 @@ def test_a_cap_below_the_greedy_rate_still_solves(monkeypatch):
     above the greedy point's objective, and ``solve_lp`` returns it, cold."""
     inst = build_lp(*LP_CASES["random34"]())
     col = inst.varmap.r(6, 1)
-    point = _greedy_point(inst)
+    point = _point(inst)
     assert point[col] > 0
     ub = inst.ub.copy()
     ub[col] = 0.0
     capped = replace(inst, ub=ub)
-    assert _greedy_point(capped) is None
+    assert _point(capped) is None
     sol = solve_lp(capped)
     assert sol.warm is False
     greedy = float(inst.c @ point) + inst.objective_constant
@@ -907,7 +1070,7 @@ def test_greedy_run_leaving_its_boxes_means_a_cold_start(monkeypatch):
     m = one_ramp_cell()
     d = DemandProfile(w0=np.full(60, 8000.0), w_ramp=np.zeros((60, 1)))
     inst = build_lp(m, d)
-    assert _greedy_point(inst) is None
+    assert _point(inst) is None
     sol = solve_lp(inst)
     assert sol.warm is False
     assert sol.objective == pytest.approx(
@@ -954,22 +1117,32 @@ def test_a_nan_residual_fails_the_row_check(residuals, monkeypatch):
     within the tolerance passes (negative control)."""
     sc = builtin_example1()
     inst = build_lp(sc.model, sc.demand, sc.initial)
-    monkeypatch.setattr(rampflow.lp, "_residuals", lambda inst, x: residuals)
+    monkeypatch.setattr(rampflow.lp, "_residuals",
+                        lambda inst, x, ids: residuals)
     with pytest.raises(rampflow.lp.LpError, match="violates rows: eq"):
         solve_lp(inst)
     monkeypatch.setattr(rampflow.lp, "_residuals",
-                        lambda inst, x: (0.0, 0.0))
+                        lambda inst, x, ids: (0.0, 0.0))
     assert solve_lp(inst).status == "Optimal"
 
 
 _IMPORT_PROBE = """\
 import sys, rampflow, rampflow.cli
+from dataclasses import replace
+from rampflow.scenarios import GRENOBLE_PRESET, grenoble_model, synth_demand
 def seen():
-    print([name in sys.modules for name in ("scipy", "scipy.sparse", "yaml")])
+    print([name in sys.modules for name in ("scipy", "scipy.sparse", "yaml",
+                                            "scipy.optimize._highspy._core")])
 seen()
 sc = rampflow.builtin_example1()
 inst = rampflow.build_lp(sc.model, sc.demand, sc.initial)
 rampflow.export_lp_text(inst)
+seen()
+model = grenoble_model()
+grenoble240 = rampflow.build_lp(model, synth_demand(model, replace(
+    GRENOBLE_PRESET, horizon_steps=240, windows=((0.25, 0.625),),
+    shoulder=0.125), 0))
+assert rampflow.solve_lp(grenoble240).dual_bound > 0.0
 seen()
 rampflow.certify_relaxation(inst, rampflow.solve_lp(inst))
 seen()
@@ -981,7 +1154,9 @@ seen()
 def test_scipy_loads_only_where_the_lp_needs_it(tmp_path):
     """In a fresh interpreter ``import rampflow, rampflow.cli`` loads
     neither scipy nor yaml, and building and exporting an LP loads no
-    scipy. Solving it loads scipy (the negative control), without
+    scipy. Solving the 240-step Grenoble LP, which the greedy point's
+    duals prove optimal, loads no scipy either. Solving example1, which
+    they do not, loads HiGHS's bindings (the negative control), without
     ``scipy.sparse``. Loading a YAML scenario loads yaml (the negative
     control)."""
     scenario = tmp_path / "one_cell.yaml"
@@ -993,8 +1168,9 @@ def test_scipy_loads_only_where_the_lp_needs_it(tmp_path):
                          check=True, capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert [json.loads(line.lower()) for line in out.stdout.splitlines()] \
-        == [[False, False, False], [False, False, False],
-            [True, False, False], [True, False, True]]
+        == [[False, False, False, False], [False, False, False, False],
+            [False, False, False, False], [True, False, False, True],
+            [True, False, True, True]]
 
 
 _SPARSE_PROBE = """\

@@ -352,6 +352,18 @@ _PIECEWISE = """\
      "{length: abc, v_free: 90, rho_crit: 50, rho_jam: 350, beta",
      r"toy\.yaml: cells\[1\]: could not convert string to float: 'abc'"),
     (_PIECEWISE, "  csv: ragged.csv\n", r"toy\.yaml: demand\.csv: "),
+    (_PIECEWISE, "  csv: ghost.csv\n",
+     r"toy\.yaml: demand\.csv: demand csv not found: .*ghost\.csv$"),
+    (_PIECEWISE, "  csv: header.csv\n",
+     r"toy\.yaml: demand\.csv: .*header\.csv: bad header \['t', 'w0'\]"),
+    (_PIECEWISE, "  csv: empty.csv\n",
+     r"toy\.yaml: demand\.csv: .*empty\.csv: no demand rows"),
+    (_PIECEWISE, "  synth: {horizon_steps: 9, mainline_peak: 1, "
+     "ramp_peaks: {1: 5000}}\n",
+     r"toy\.yaml: demand\.synth: ramp peak 5000 at cell 1 exceeds "
+     r"ramp_flow_max 1200"),
+    ("dt_seconds: 15", "dt_seconds: 15\ndt: 0.001",
+     r"toy\.yaml: dt and dt_seconds: give one of them, not both"),
     # surrogateescape writes the lone surrogate as the byte 0xff
     ("label: toy", "label: toy\udcff",
      r"toy\.yaml: encoding: 'utf-8' codec can't decode byte 0xff"),
@@ -369,7 +381,8 @@ _PIECEWISE = """\
         "synth-not-a-mapping", "synth-ramp-past-the-cells",
         "table-not-a-mapping", "dt-a-list", "dt_seconds-a-mapping",
         "dt-not-a-number", "cell-length-not-a-number", "csv-ragged-row",
-        "not-utf-8", "top-level-typo", "demand-typo", "segment-typo"])
+        "csv-not-found", "csv-bad-header", "csv-without-rows",
+        "synth-peak-over-the-cap", "dt-and-dt_seconds", "not-utf-8", "top-level-typo", "demand-typo", "segment-typo"])
 def test_malformed_sections_are_scenario_errors(old, new, message, tmp_path):
     """A malformed section is a ScenarioError naming the file and the
     section once each (exit 2), not an AttributeError, KeyError, TypeError
@@ -377,6 +390,8 @@ def test_malformed_sections_are_scenario_errors(old, new, message, tmp_path):
     Negative control: the same scenario, well formed, loads."""
     (tmp_path / "ragged.csv").write_text("t,w0,w1,w2\n0,100,0,0\n1,100\n",
                                          encoding="utf-8")
+    (tmp_path / "header.csv").write_text("t,w0\n0,100\n", encoding="utf-8")
+    (tmp_path / "empty.csv").write_text("t,w0,w1,w2\n", encoding="utf-8")
     p = tmp_path / "toy.yaml"
     assert old in _YAML_OK
     p.write_text(_YAML_OK, encoding="utf-8")

@@ -346,6 +346,24 @@ def test_noisy_simulation_deterministic_per_seed():
     assert np.all(a.rho >= 0.0) and np.all(a.rho <= m.rho_jam[0])
 
 
+def test_runs_that_share_a_seed_share_one_draw(monkeypatch):
+    """A batch whose runs repeat two seeds draws two blocks, and each
+    run's block has the bits of its seed's own generator, as a batch of
+    one run per seed gives it. Negative control: the two seeds' blocks
+    differ."""
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(seed) or real(seed))
+    seeds = [3, 5, 3, 3, 5]
+    blocks = list(DisturbanceSpec(0.05, seed=seeds).factors(None, 7, 2))
+    assert made == [3, 5]
+    for seed, block in zip(seeds, blocks):
+        assert block.tobytes() == real(seed).normal(
+            1.0, 0.05, size=(7, 3)).tobytes()
+    assert blocks[0].tobytes() != blocks[1].tobytes()
+
+
 def test_sigma_zero_disturbance_matches_noiseless():
     m = one_cell(dt=0.005)
     T = 30
