@@ -91,6 +91,26 @@ class VarMap:
         return (xs[:, :n + 1], xs[:, n + 1:2 * n + 1],
                 xs[:, 2 * n + 1:3 * n + 1], xs[:, 3 * n + 1:])
 
+    @property
+    def rows(self) -> tuple[int, int]:
+        """Counts of the equality and of the hypograph rows."""
+        return self.horizon * (2 * self.n + 1), self.horizon * (2 * self.n - 1)
+
+    def eq(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (inflow, density, queue) of a vector over the equality
+        rows, shaped (T,), (T, n) and (T, n): per step t the inflow row,
+        then cell by cell the balance of rho(t+1, k) and of q(t+1, k)."""
+        vs = v.reshape(self.horizon, 2 * self.n + 1)
+        return vs[:, 0], vs[:, 1::2], vs[:, 2::2]
+
+    def ub(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (demand, supply) of a vector over the hypograph rows,
+        shaped (T, n) and (T, n-1): per step t, cell by cell, the row that
+        puts phi(t, k) below cell k's demand, then (but for cell n) the one
+        that puts it below cell k+1's supply."""
+        vs = v.reshape(self.horizon, 2 * self.n - 1)
+        return vs[:, 0::2], vs[:, 1::2]
+
 
 class Csr(NamedTuple):
     """A sparse matrix in compressed-row form, with the four fields a scipy
@@ -191,14 +211,12 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
     t = steps[:, None]
     k = np.arange(1, n + 1)
     phi = vm.phi(t, k)
+    m_eq, m_ub = vm.rows
 
     # per step: inflow, then per cell density balance
     # rho(t+1) - rho(t) = dt/l * (in + ramp - out/bb) and queue balance
     # q(t+1) - q(t) = dt * (w - r)
-    eq_rows = 2 * n + 1
-    row_in = steps * eq_rows
-    row_rho = t * eq_rows + 2 * k - 1
-    row_q = row_rho + 1
+    row_in, row_rho, row_q = vm.eq(np.arange(m_eq))
     a_eq = _csr([
         (row_in, vm.phi(steps, 0), 1.0),
         (row_rho, vm.rho(t + 1, k), 1.0),
@@ -209,29 +227,29 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
         (row_q, vm.q(t + 1, k), 1.0),
         (row_q, vm.r(t, k), dt),
         (row_q[1:], vm.q(t[1:], k), -1.0),
-    ], (T * eq_rows, vm.size))
-    b_eq = np.zeros((T, eq_rows))
-    b_eq[:, 0] = demand.w0
-    b_eq[0, 1::2] += rho0
-    b_eq[:, 2::2] = dt * demand.w_ramp
-    b_eq[0, 2::2] += q0
+    ], (m_eq, vm.size))
+    b_eq = np.zeros(m_eq)
+    b_in, b_rho, b_q = vm.eq(b_eq)
+    b_in[:] = demand.w0
+    b_rho[0] += rho0
+    b_q[:] = dt * demand.w_ramp
+    b_q[0] += q0
 
     # per step and cell, the flow phi(t, k) lies below the demand slope and
-    # (except at the exit) the next cell's supply slope: two rows per cell,
-    # the second dropped for cell n
-    ub_rows = 2 * n - 1
-    row_dem = t * ub_rows + 2 * (k - 1)
+    # (except at the exit) the next cell's supply slope
+    row_dem, row_sup = vm.ub(np.arange(m_ub))
     dem_slope = model.beta_bar * model.v_free
     wb = model.w_back[1:]
     a_ub = _csr([(row_dem, phi, 1.0),
-                 (row_dem[:, :-1] + 1, phi[:, :-1], 1.0),
+                 (row_sup, phi[:, :-1], 1.0),
                  (row_dem[1:], vm.rho(t[1:], k), -dem_slope),
-                 (row_dem[1:, :-1] + 1, vm.rho(t[1:], k[1:]), wb)],
-                (T * ub_rows, vm.size))
-    b_ub = np.zeros((T, n, 2))
-    b_ub[0, :, 0] = dem_slope * rho0
-    b_ub[:, :-1, 1] = wb * model.rho_jam[1:]
-    b_ub[0, :-1, 1] = wb * (model.rho_jam[1:] - rho0[1:])
+                 (row_sup[1:], vm.rho(t[1:], k[1:]), wb)],
+                (m_ub, vm.size))
+    b_ub = np.zeros(m_ub)
+    b_dem, b_sup = vm.ub(b_ub)
+    b_dem[0] = dem_slope * rho0
+    b_sup[:] = wb * model.rho_jam[1:]
+    b_sup[0] = wb * (model.rho_jam[1:] - rho0[1:])
 
     # the constant pieces, demand plateau, cap and the next cell's supply
     # plateau, bound each flow column
@@ -245,8 +263,7 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
     ub_q[:] = model.queue_max
 
     return LpInstance(model=model, demand=demand, initial=initial, varmap=vm,
-                      c=c, a_eq=a_eq, b_eq=b_eq.ravel(), a_ub=a_ub,
-                      b_ub=b_ub.reshape(T, 2 * n)[:, :ub_rows].ravel(),
+                      c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                       lb=np.zeros(vm.size), ub=ub,
                       objective_constant=constant)
 
@@ -359,11 +376,11 @@ def solve_lp(inst: LpInstance) -> LpSolution:
         else float(np.sum(inst.c * point)) + inst.objective_constant
     basis = None if point is None else _greedy_basis(inst, point, ids)
     if basis is not None:
-        bound = _dual_bound(inst, _greedy_duals(inst, basis), ids)
+        bound = _dual_bound(inst, basis[2], ids)
         if greedy - bound <= _CERTIFY_TOL * max(1.0, abs(greedy)):
             return _solution(inst, point, greedy, point_residuals,
                              "Optimal", 0, True, bound)
-    for start in (None,) if basis is None else (basis, None):
+    for start in (None,) if basis is None else (basis[:2], None):
         x, fun, status, iterations = _solve_highs(inst, start)
         residuals = _residuals(inst, x, ids)
         fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
@@ -494,11 +511,10 @@ def _solve_highs(inst: LpInstance,
 
 def _greedy_basis(inst: LpInstance, x: np.ndarray,
                   ids: tuple[np.ndarray, np.ndarray],
-                  ) -> tuple[np.ndarray, np.ndarray] | None:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """HiGHS column and row statuses of a basis at the greedy point ``x``,
-    given the records' ``_row_ids``; None when the rows are not
-    ``build_lp``'s layout, and the solve starts cold. The statuses are the
-    active set both HiGHS's warm start and :func:`_greedy_duals` read.
+    and that basis's row duals, given the records' ``_row_ids``; None when
+    the rows are not ``build_lp``'s layout, and the solve starts cold.
 
     Each equality row owns one basic: the inflow row phi(t, 0), the
     density row rho(t+1, k), and the queue row q(t+1, k), or r(t, k) when
@@ -511,12 +527,29 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     takes that flow's slot and the flow goes nonbasic at its cap.
     Otherwise the queue goes nonbasic at its nearer bound and HiGHS
     absorbs the shift.
+
+    The duals ``y`` are in HiGHS's row order and signs (an inequality
+    row's dual is <= 0 where the basis is dual feasible) and zero the
+    reduced cost ``c_j - a_j . y`` of every basic column. Every density
+    column is basic, so one backward pass over the steps, vectorized over
+    cells, solves for them. With lam, mu and pi the density, queue and
+    inflow rows' duals, and dem and sup the demand and supply rows':
+    - rho(t+1, k) gives lam(t, k) = c + lam(t+1, k) + slope_k dem(t+1, k)
+      - w_k sup(t+1, k-1);
+    - mu(t, k) comes from r(t, k) where the rate is basic, else from
+      q(t+1, k): mu(t, k) = c + mu(t+1, k);
+    - a basic flow phi(t, k) puts its reduced cost at zero duals on the
+      hypograph row the basis leaves nonbasic; the other row's dual is 0;
+    - where the pair takes the slot of phi(t+1, k), r(t, k) and q(t+1, k)
+      fix lam(t, k), and the nonbasic demand row of phi(t+1, k) takes the
+      rest of rho's cost;
+    - phi(t, 0) gives pi(t).
     """
     model, vm = inst.model, inst.varmap
     T, n = vm.horizon, vm.n
-    if (inst.a_eq.shape[0], inst.a_ub.shape[0]) != (
-            T * (2 * n + 1), T * (2 * n - 1)):
+    if (inst.a_eq.shape[0], inst.a_ub.shape[0]) != vm.rows:
         return None
+    m_eq, m_ub = vm.rows
     gap = _TIGHT * np.maximum(1.0, np.abs(x))
     at_lo, at_hi = x <= inst.lb + gap, x >= inst.ub - gap
     col = np.where(at_hi & ~at_lo, _UPPER, _LOWER).astype(np.int8)
@@ -524,16 +557,15 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     lo_phi, lo_r, _, lo_q = vm.split(at_lo)
     hi_phi, hi_r, _, hi_q = vm.split(at_hi)
 
-    # hypograph rows as (T, n, 2): demand row, supply row (none at cell n)
+    # the hypograph rows tight at x, as (T, n) masks; cell n has no
+    # supply row
     a = inst.a_ub
     slack = inst.b_ub - _matvec(a, x, ids[1])
     scale = _matvec(Csr(a.indptr, a.indices, np.abs(a.data), a.shape),
                     np.abs(x), ids[1])
-    tight = np.zeros((T, 2 * n), dtype=bool)
-    tight[:, :-1] = (slack <= _TIGHT * np.maximum(1.0, scale)).reshape(
-        T, 2 * n - 1)
-    dem_tight, sup_tight = tight.reshape(T, n, 2).transpose(2, 0, 1)
-    row = np.full((T, n, 2), _BASIC, dtype=np.int8)
+    dem_tight, sup_row = vm.ub(slack <= _TIGHT * np.maximum(1.0, scale))
+    sup_tight = np.zeros((T, n), dtype=bool)
+    sup_tight[:, :-1] = sup_row
 
     c_phi[:, 0] = _BASIC
     c_rho[:] = _BASIC
@@ -541,8 +573,6 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     dem_out = phi_basic & (dem_tight | ~sup_tight)
     sup_out = phi_basic & ~dem_out
     c_phi[:, 1:][phi_basic] = _BASIC
-    row[..., 0][dem_out] = _UPPER
-    row[..., 1][sup_out] = _UPPER
 
     r_free, q_free = ~(lo_r | hi_r), ~(lo_q | hi_q)
     pair = r_free & q_free
@@ -555,80 +585,48 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     c_r[r_free] = _BASIC
     c_q[~r_free | (q_free & ~stuck)] = _BASIC
 
-    rows = np.concatenate((np.full(inst.b_eq.size, _LOWER, dtype=np.int8),
-                           row.reshape(T, 2 * n)[:, :-1].ravel()))
-    return col, rows
+    rows = np.full(m_eq + m_ub, _BASIC, dtype=np.int8)
+    rows[:m_eq] = _LOWER
+    row_dem, row_sup = vm.ub(rows[m_eq:])
+    row_dem[dem_out] = _UPPER
+    row_sup[sup_out[:, :-1]] = _UPPER
 
-
-def _greedy_duals(inst: LpInstance,
-                  basis: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Row duals of :func:`_greedy_basis`'s basis, in HiGHS's row order
-    and signs (an inequality row's dual is <= 0 where the basis is dual
-    feasible): the ``y`` that zeroes the reduced cost ``c_j - a_j . y`` of
-    every basic column.
-
-    Every density column is basic, so one backward pass over the steps,
-    vectorized over cells, solves for them. With lam, mu and pi the
-    density, queue and inflow rows' duals, and dem and sup the demand and
-    supply rows':
-    - rho(t+1, k) gives lam(t, k) = c + lam(t+1, k) + slope_k dem(t+1, k)
-      - w_k sup(t+1, k-1);
-    - mu(t, k) comes from r(t, k) where the rate is basic, else from
-      q(t+1, k): mu(t, k) = c + mu(t+1, k);
-    - a basic flow phi(t, k) puts its reduced cost at zero duals on the
-      hypograph row the basis leaves nonbasic; the other row's dual is 0;
-    - where the basis keeps r(t, k) and q(t+1, k) both basic and
-      phi(t+1, k) nonbasic at its cap, the two fix lam(t, k), and the
-      nonbasic demand row of phi(t+1, k) takes the rest of rho's cost;
-    - phi(t, 0) gives pi(t).
-    """
-    model, vm = inst.model, inst.varmap
-    T, n = vm.horizon, vm.n
+    # a taken flow is nonbasic, so its demand row's dual comes from the
+    # pair, not from the flow's reduced cost
+    dem_on = dem_out.copy()
+    dem_on[1:] &= ~take[:-1]
     dt = model.dt
-    col, rows = basis
     cost_phi, cost_r, cost_rho, cost_q = vm.split(inst.c)
-    s_phi, s_r, _, _ = vm.split(col)
-    out = np.zeros((T, 2 * n), dtype=bool)   # hypograph rows left nonbasic
-    out[:, :-1] = (rows[inst.b_eq.size:] == _UPPER).reshape(T, 2 * n - 1)
-    dem_out, sup_out = out.reshape(T, n, 2).transpose(2, 0, 1)
-    phi_basic = s_phi[:, 1:] == _BASIC
-    dem_on, sup_on = phi_basic & dem_out, phi_basic & sup_out
-    r_basic = s_r == _BASIC
-    take = (s_phi[1:, 1:] == _UPPER) & dem_out[1:]
     # the rows' coefficients, as build_lp writes them
     inflow = dt / model.length
     outflow = dt / (model.length * model.beta_bar)
     slope, wb = model.beta_bar * model.v_free, model.w_back[1:]
 
-    lam, mu = np.empty((T, n)), np.empty((T, n))
-    dem, sup = np.zeros((T, n)), np.zeros((T, n))
+    y = np.zeros(m_eq + m_ub)
+    pi, lam, mu = vm.eq(y[:m_eq])
+    dem, sup = vm.ub(y[m_eq:])
     lam_next = mu_next = np.zeros(n)
     for t in range(T - 1, -1, -1):
         lam_t = cost_rho[t] + lam_next
         if t + 1 < T:
             lam_t += slope * dem[t + 1]
-            lam_t[1:] -= wb * sup[t + 1, :-1]
+            lam_t[1:] -= wb * sup[t + 1]
             k = take[t]
             if k.any():
                 held = (dt * (cost_q[t, k] + mu_next[k]) - cost_r[t, k]) \
                     / inflow[k]
                 dem[t + 1, k] = (held - lam_t[k]) / slope[k]
                 lam_t[k] = held
-        mu_t = np.where(r_basic[t], (cost_r[t] + inflow * lam_t) / dt,
+        mu_t = np.where(r_free[t], (cost_r[t] + inflow * lam_t) / dt,
                         cost_q[t] + mu_next)
         g = cost_phi[t, 1:] - outflow * lam_t
         g[:-1] += inflow[1:] * lam_t[1:]
         dem[t] = np.where(dem_on[t], g, 0.0)
-        sup[t] = np.where(sup_on[t], g, 0.0)
+        sup[t] = np.where(sup_out[t, :-1], g[:-1], 0.0)
         lam[t], mu[t] = lam_t, mu_t
         lam_next, mu_next = lam_t, mu_t
-
-    y_eq = np.empty((T, 2 * n + 1))
-    y_eq[:, 0] = cost_phi[:, 0] + inflow[0] * lam[:, 0]
-    y_eq[:, 1::2] = lam
-    y_eq[:, 2::2] = mu
-    y_ub = np.stack((dem, sup), axis=2).reshape(T, 2 * n)[:, :-1]
-    return np.concatenate((y_eq.ravel(), y_ub.ravel()))
+    pi[:] = cost_phi[:, 0] + inflow[0] * lam[:, 0]
+    return col, rows, y
 
 
 def _dual_bound(inst: LpInstance, y: np.ndarray,
@@ -676,19 +674,16 @@ def _implied_ub(inst: LpInstance) -> np.ndarray:
     or above, as ``build_lp`` sets them, and are left out otherwise.
     """
     model, vm = inst.model, inst.varmap
-    T, n = vm.horizon, vm.n
     hi = inst.ub.copy()
     hi_phi, _, hi_rho, _ = vm.split(hi)
-    b_eq = inst.b_eq.reshape(T, 2 * n + 1)
-    np.minimum(hi_phi[:, 0], b_eq[:, 0], out=hi_phi[:, 0])
+    b_in, b_rho, b_q = vm.eq(inst.b_eq)
+    np.minimum(hi_phi[:, 0], b_in, out=hi_phi[:, 0])
     if np.all(inst.lb >= 0.0):
-        cars = (np.sum(np.maximum(0.0, model.dt * b_eq[:, 0]))
-                + np.sum(np.maximum(0.0, model.length * b_eq[:, 1::2]))
-                + np.sum(np.maximum(0.0, b_eq[:, 2::2])))
+        cars = (np.sum(np.maximum(0.0, model.dt * b_in))
+                + np.sum(np.maximum(0.0, model.length * b_rho))
+                + np.sum(np.maximum(0.0, b_q)))
         np.minimum(hi_rho, cars / model.length, out=hi_rho)
-        b_ub = np.zeros((T, 2 * n))
-        b_ub[:, :-1] = inst.b_ub.reshape(T, 2 * n - 1)
-        b_sup = b_ub.reshape(T, n, 2)[1:, :-1, 1]   # bounds rho(t, 2..n)
+        b_sup = vm.ub(inst.b_ub)[1][1:]   # bounds rho(t, 2..n)
         np.minimum(hi_rho[:-1, 1:], b_sup / model.w_back[1:],
                    out=hi_rho[:-1, 1:])
     return hi

@@ -231,8 +231,12 @@ def validate_model(model: FreewayModel) -> list[Violation]:
     Returns an empty list for a usable model; violations are data, not
     exceptions, so callers can report all of them at once. Every range
     rule is written so that a non-finite value (NaN or an infinity)
-    breaks it.
+    breaks it. A stack (:meth:`FreewayModel.stack`) has no cells to check
+    and is refused with a ``ValueError``.
     """
+    if model.runs is not None:
+        raise ValueError(f"validate_model checks one model, not a stack of "
+                         f"R = {model.runs}")
     out: list[Violation] = []
     for i, c in enumerate(model.cells):
         k = i + 1
@@ -278,7 +282,12 @@ def require_monotone(model: FreewayModel) -> None:
     makes the dynamics non-monotone, and a parameter outside its range
     (any rule of :func:`validate_model`, a NaN included) leaves the
     theory altogether. The constructor accepts such models, so the
-    monotonicity probe can show them failing."""
+    monotonicity probe can show them failing. A stack of models is
+    refused too: the LP and the bounds are built for one model."""
+    if model.runs is not None:
+        raise UnsupportedModelError(
+            f"a stack of R = {model.runs} models; the LP relaxation and the "
+            f"bound sandwich take one model")
     if model.has_capacity_drop:
         raise UnsupportedModelError(
             "capacity drop breaks monotonicity; neither the LP relaxation "

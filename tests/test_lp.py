@@ -24,13 +24,19 @@ from rampflow.lp import (
     _greedy_basis,
     _greedy_point,
     _matvec,
+    _rmatvec,
     _row_ids,
     build_lp,
     certify_relaxation,
     export_lp_text,
     solve_lp,
 )
-from rampflow.model import CellParams, FreewayModel, UnsupportedModelError
+from rampflow.model import (
+    CellParams,
+    FreewayModel,
+    UnsupportedModelError,
+    validate_model,
+)
 from rampflow.simulator import (
     DemandProfile,
     SimState,
@@ -136,6 +142,24 @@ def test_step_sizes_outside_the_conditions_are_rejected():
     b = tts_bounds(m, d)
     assert solve_lp(build_lp(m, d)).objective == pytest.approx(b.tts_be,
                                                              rel=1e-9)
+
+
+def test_a_stack_of_models_is_refused():
+    """The LP and the bound sandwich refuse a stack of models through
+    ``require_monotone``, with an ``UnsupportedModelError`` that names R,
+    and ``validate_model`` refuses it with a ``ValueError``; none of them
+    reaches the stack's missing ``cells``. Negative control: the model
+    unstacked builds, bounds and validates."""
+    sc = builtin_example2()
+    stack = FreewayModel.stack([sc.model, sc.model])
+    for refuse in (build_lp, tts_bounds):
+        with pytest.raises(UnsupportedModelError, match="R = 2"):
+            refuse(stack, sc.demand, sc.initial)
+    with pytest.raises(ValueError, match="R = 2"):
+        validate_model(stack)
+    assert build_lp(sc.model, sc.demand, sc.initial).varmap.n == sc.model.n
+    assert np.isfinite(tts_bounds(sc.model, sc.demand, sc.initial).tts_lb)
+    assert validate_model(sc.model) == []
 
 
 def test_export_renders_cplex_lp_text():
@@ -555,13 +579,19 @@ def test_array_build_and_export_equal_the_row_loops(case):
 @pytest.mark.parametrize("case", sorted(LP_CASES))
 def test_matvec_equals_scipys_product_bit_for_bit(case):
     """``_matvec`` sums each row from 0 in its column order, as scipy's CSR
-    product does, so the residuals and the greedy basis keep scipy's bits.
-    Negative control: summed in reverse column order, some equality row
-    comes out different, so the comparison sees the order."""
+    product does, so the residuals and the greedy basis keep scipy's bits;
+    ``_rmatvec`` sums each column in the stored order of the entries, as
+    scipy's product with the transpose does. Negative control: summed in
+    reverse column order, some equality row comes out different, so the
+    comparison sees the order."""
     inst = build_lp(*LP_CASES[case]())
-    x = np.random.default_rng(0).uniform(-1e3, 1e3, inst.varmap.size)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1e3, 1e3, inst.varmap.size)
     for a in (inst.a_eq, inst.a_ub):
         mine, ref = _matvec(a, x, _row_ids(a)), _scipy(a) @ x
+        assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+        y = rng.uniform(-1e3, 1e3, a.shape[0])
+        mine, ref = _rmatvec(a, y, _row_ids(a)), _scipy(a).T @ y
         assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
 
     a = inst.a_eq
@@ -748,7 +778,7 @@ def test_warm_start_matches_the_cold_solve(case, monkeypatch):
     point = _point(inst)
     assert warm.objective <= float(inst.c @ point) \
         + inst.objective_constant + 1e-9 * warm.objective
-    cols, rows = _basis(inst, point)
+    cols, rows, _ = _basis(inst, point)
     assert np.sum(cols == 1) + np.sum(rows == 1) == rows.size
     if case == "grenoble240":
         # greedy is optimal here, so its basis is an optimal one
@@ -762,9 +792,53 @@ BASIS_CASES = {**LP_CASES, "grenoble": lambda: _builtin(builtin_grenoble)}
 def test_the_greedy_basis_has_one_basic_per_row(case):
     """So HiGHS can take it as it is, without its alien repair."""
     inst = build_lp(*BASIS_CASES[case]())
-    cols, rows = _basis(inst, _point(inst))
+    cols, rows, _ = _basis(inst, _point(inst))
     assert np.count_nonzero(cols == 1) + np.count_nonzero(rows == 1) \
         == rows.size
+
+
+DUAL_CASES = {**{case: (lambda case=case: build_lp(*BASIS_CASES[case]()))
+                 for case in BASIS_CASES},
+              "one-step": _one_step_instance}
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_CASES))
+def test_the_greedy_duals_zero_every_basic_reduced_cost(case):
+    """What makes ``y`` the duals of the greedy basis: the reduced cost
+    d = c - A^T y is 0 on every basic column, up to 1e-12 of the largest
+    cost, and every basic hypograph row has a dual of exactly 0. A flow
+    whose slot a rate and a queue take is nonbasic at its cap; its demand
+    row's dual comes from the pair, and read off the row's status alone it
+    leaves basic columns with reduced costs of order max|c|."""
+    inst = DUAL_CASES[case]()
+    ids, m = _ids(inst), inst.b_eq.size
+    cols, rows, y = _basis(inst, _point(inst))
+    d = inst.c - _rmatvec(inst.a_eq, y[:m], ids[0]) \
+        - _rmatvec(inst.a_ub, y[m:], ids[1])
+    assert np.max(np.abs(d[cols == 1])) <= 1e-12 * np.max(np.abs(inst.c))
+    assert np.all(y[m:][rows[m:] == 1] == 0.0)
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_CASES))
+def test_the_row_views_name_each_row_once(case):
+    """``VarMap.eq`` and ``VarMap.ub`` over the row numbers name each row
+    of ``build_lp``'s instance once, and its right-hand sides read back
+    through them: the inflow rows carry w0, the density rows of step 0 the
+    initial density, and the supply rows after step 0 w_k rho_jam of the
+    next cell."""
+    inst = DUAL_CASES[case]()
+    vm, model = inst.varmap, inst.model
+    assert vm.rows == (inst.a_eq.shape[0], inst.a_ub.shape[0])
+    for views, m in ((vm.eq, vm.rows[0]), (vm.ub, vm.rows[1])):
+        named = np.concatenate([v.ravel() for v in views(np.arange(m))])
+        assert np.bincount(named, minlength=m).tolist() == [1] * m
+    b_in, b_rho, _ = vm.eq(inst.b_eq)
+    _, b_sup = vm.ub(inst.b_ub)
+    np.testing.assert_array_equal(b_in, inst.demand.w0)
+    np.testing.assert_array_equal(b_rho[0], inst.initial.rho)
+    np.testing.assert_array_equal(
+        b_sup[1:], np.broadcast_to(model.w_back[1:] * model.rho_jam[1:],
+                                   b_sup[1:].shape))
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +851,7 @@ CERTIFIED = {"grenoble240", "random31"}
 def _greedy_bound(inst, y=None):
     """The weak-duality bound at the greedy basis's duals, or at ``y``."""
     if y is None:
-        y = rampflow.lp._greedy_duals(inst, _basis(inst, _point(inst)))
+        y = _basis(inst, _point(inst))[2]
     return rampflow.lp._dual_bound(inst, y, _ids(inst))
 
 
@@ -832,16 +906,17 @@ def test_a_perturbed_dual_vector_is_refused(monkeypatch):
     instance to HiGHS, which reaches the cold optimum. Negative control:
     the greedy duals as they are prove it without HiGHS."""
     inst = build_lp(*LP_CASES["random31"]())
-    y = rampflow.lp._greedy_duals(inst, _basis(inst, _point(inst)))
+    cols, rows, y = _basis(inst, _point(inst))
     moved = y.copy()
-    moved[2 * inst.varmap.n + 2] += 1e-3   # lam(1, 1)
+    vm = inst.varmap
+    vm.eq(moved[:vm.rows[0]])[1][1, 0] += 1e-3   # lam(1, 1)
     assert not _certifies(inst, _greedy_bound(inst, moved))
 
     calls = _count_highs(monkeypatch)
     assert solve_lp(inst).dual_bound == _greedy_bound(inst, y)
     assert calls == []
-    monkeypatch.setattr(rampflow.lp, "_greedy_duals",
-                        lambda inst, basis: moved)
+    monkeypatch.setattr(rampflow.lp, "_greedy_basis",
+                        lambda inst, x, ids: (cols, rows, moved))
     sol = solve_lp(inst)
     assert calls == ["warm"] and np.isnan(sol.dual_bound)
     assert sol.objective == pytest.approx(
@@ -903,8 +978,8 @@ def test_the_implied_bounds_follow_the_right_hand_sides():
     assert np.all(np.isfinite(hi_rho)) and np.all(hi_rho[-1] > 1e3)
 
     b_eq, b_ub = inst.b_eq.copy(), inst.b_ub.copy()
-    b_eq[5 * (2 * vm.n + 1)] += 100.0              # inflow row of step 5
-    b_ub[7 * (2 * vm.n - 1) + 1] *= 2.0            # supply row (7, 1)
+    vm.eq(b_eq)[0][5] += 100.0                     # inflow row of step 5
+    vm.ub(b_ub)[1][7, 0] *= 2.0                    # supply row (7, 1)
     hi_phi, _, hi_rho, _ = vm.split(
         rampflow.lp._implied_ub(replace(inst, b_eq=b_eq, b_ub=b_ub)))
     assert hi_phi[5, 0] == inst.demand.w0[5] + 100.0
@@ -943,10 +1018,10 @@ def test_a_basis_one_basic_short_goes_through_the_alien_hand_off(
     assert log == [(False, core.HighsStatus.kOk)]
     assert sol.warm is True
 
-    cols, rows = _basis(inst, _point(inst))
+    cols, rows, y = _basis(inst, _point(inst))
     cols[np.flatnonzero(cols == 1)[0]] = 0
     monkeypatch.setattr(rampflow.lp, "_greedy_basis",
-                        lambda inst, x, ids: (cols, rows))
+                        lambda inst, x, ids: (cols, rows, y))
     log.clear()
     short = solve_lp(inst)
     assert log == [(False, core.HighsStatus.kError),
