@@ -99,7 +99,7 @@ def _load(args) -> Scenario:
 def _controller(args, model):
     kind = CONTROLLERS[args.controller]
     belief = model
-    if args.dv > 0.0 or args.drho > 0.0:
+    if args.dv != 0.0 or args.drho != 0.0:   # a bad width meets the refusal
         belief_seed = args.belief_seed
         if belief_seed is None:
             belief_seed = args.seed + 1000

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import CellParams, FreewayModel, validate_model
-from .simulator import _ZERO, SimState, _clip, _flows
+from .simulator import _ZERO, SimState, _clip, _flows, _require_nonnegative
 
 KINDS = ("none", "best_effort", "alinea")
 
@@ -58,6 +58,7 @@ class ControllerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
+        _require_nonnegative("ki", self.ki)
 
     @property
     def runs(self) -> int | None:
@@ -119,8 +120,11 @@ def sample_controller_model(nominal: FreewayModel, dv: float, drho: float,
     speed and outflow cap are re-derived from the perturbed values.
 
     Resamples, up to ``_MAX_DRAWS`` times, until the perturbed model
-    validates; identical seeds give identical models.
+    validates; identical seeds give identical models. A negative or
+    non-finite half-width is refused.
     """
+    _require_nonnegative("dv", dv)
+    _require_nonnegative("drho", drho)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         cells = []

@@ -26,25 +26,20 @@ import numpy as np
 from .controllers import internal_flows, make_controller
 from .model import FreewayModel, require_monotone
 from .simulator import (
+    _ZERO,
     DemandProfile,
     SimState,
     Trajectory,
-    _check_rates,
+    _check_box,
     _check_state,
-    _flows,
-    _rate_bounds,
-    _rate_caps,
+    _clip,
     evaluate_metrics,
     simulate,
+    step,
 )
 
-
-#: relative slack a decoded density may leave its box by
-_DECODE_TOL = 1e-6
-
-
-class InconsistentStateError(ValueError):
-    """Cumulative coordinates that do not decode to a physical state."""
+#: cars a probed count may move the wrong way without a report
+_PROBE_TOL = 1e-12
 
 
 @dataclass
@@ -85,14 +80,16 @@ def cumulative_from_state(model: FreewayModel, state: SimState,
     With no history given, ramp counters start at zero and arrivals are
     chosen so queues decode correctly (demand_cum = inflow_cum + q).
     ``virtual_cars`` is the count of cars that already left the last cell,
-    which becomes ``phi_cum[-1]``.
+    which becomes ``phi_cum[-1]``. The state is checked and clipped as
+    :func:`~rampflow.simulator.step` checks it.
     """
+    rho, q = _check_state(model, state.rho, state.q)
     if inflow_cum is None:
         inflow_cum = np.zeros(model.n)
     inflow_cum = np.asarray(inflow_cum, dtype=float)
-    phi = _phi_from_density(model, state.rho, inflow_cum, virtual_cars)
+    phi = _phi_from_density(model, rho, inflow_cum, virtual_cars)
     return CumulativeState(phi_cum=phi, inflow_cum=inflow_cum.copy(),
-                           demand_cum=inflow_cum + state.q)
+                           demand_cum=inflow_cum + q)
 
 
 def _decode(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
@@ -103,16 +100,12 @@ def _decode(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
 
 def reconstruct_densities(model: FreewayModel,
                           cum: CumulativeState) -> np.ndarray:
-    """Decode densities; raises if they land outside [0, rho_jam] by more
-    than rounding."""
+    """Decode densities, refused outside [0, rho_jam] and clipped onto it
+    as the state box of :func:`~rampflow.simulator.step` is."""
     rho = _decode(model, cum)
-    slack = _DECODE_TOL * np.maximum(1.0, model.rho_jam)
-    if np.any(rho < -slack) or np.any(rho > model.rho_jam + slack):
-        k = int(np.argmax(np.maximum(-rho, rho - model.rho_jam)))
-        raise InconsistentStateError(
-            f"decoded density {rho[k]:g} at cell {k + 1} outside "
-            f"[0, {model.rho_jam[k]:g}]")
-    return np.clip(rho, 0.0, model.rho_jam)
+    _check_box(rho, 0.0, model.rho_jam, model._rho_tol,
+               "density outside its box")
+    return _clip(rho, _ZERO, model.rho_jam)
 
 
 def reconstruct_queues(model: FreewayModel, cum: CumulativeState) -> np.ndarray:
@@ -137,21 +130,22 @@ def cctm_step(model: FreewayModel, cum: CumulativeState,
               relaxed: bool = False) -> CumulativeState:
     """Advance the cumulative dynamics one step under the metering ``rates``.
 
-    The rates are checked as :func:`~rampflow.simulator.step` checks them,
-    against the feasible interval of the decoded queues (``relaxed``
-    waives the constant rate bounds), and the ramp counters advance by
-    ``dt * rates`` and the arrival counters by ``dt * w``.
+    This is :func:`~rampflow.simulator.step` on the decoded state, so both
+    coordinate systems share one contract for the state, the rates
+    (``relaxed`` waives the constant rate bounds) and the next densities.
+    The counters advance by ``dt`` times the step's flow row, the rates
+    and the ramp arrivals ``w``.
     """
     dt = model.dt
     rates = np.asarray(rates, dtype=float)
-    w = np.asarray(w_row[1:], dtype=float)
-    _check_rates(rates, *_rate_bounds(model, reconstruct_queues(model, cum), w,
-                                      _rate_caps(model, relaxed)))
-    rho = reconstruct_densities(model, cum)
-    phi = _flows(model, rho, float(w_row[0]))
+    w_row = np.asarray(w_row, dtype=float)
+    # an unchecked state, so a NaN count meets step's box check
+    _, phi = step(model, SimState._of(_decode(model, cum),
+                                      reconstruct_queues(model, cum)),
+                  rates, w_row, relaxed=relaxed)
     return CumulativeState(phi_cum=cum.phi_cum + dt * phi,
                            inflow_cum=cum.inflow_cum + dt * rates,
-                           demand_cum=cum.demand_cum + dt * w)
+                           demand_cum=cum.demand_cum + dt * w_row[1:])
 
 
 def tts_from_cumulative(model: FreewayModel,
@@ -184,14 +178,18 @@ class ProbeViolation:
 
 def monotonicity_probe(model: FreewayModel, base: CumulativeState,
                        perturbed: CumulativeState, w0: float = 0.0,
-                       tol: float = 1e-12) -> list[ProbeViolation]:
+                       ) -> list[ProbeViolation]:
     """Check the one-step map against a perturbed state.
 
     Accepts either a flow probe (phi_cum raised somewhere, ramp counters
     equal: every advanced count must not drop) or an input probe (one
     ramp counter moved: its own boundary must move with it, the upstream
     boundary against it). Any reported violation falsifies monotonicity
-    of the model, up to ``tol`` cars.
+    of the model, up to ``_PROBE_TOL`` cars.
+
+    Perturbed counters may decode outside the state boxes, as a law's
+    measurements may, so the flows come from :func:`internal_flows`,
+    which clips them into [0, rho_jam], not from the checked ``step``.
     """
     dphi = perturbed.phi_cum - base.phi_cum
     dR = perturbed.inflow_cum - base.inflow_cum
@@ -213,13 +211,13 @@ def monotonicity_probe(model: FreewayModel, base: CumulativeState,
     if input_probe:
         k = int(np.nonzero(dR)[0][0])          # ramp of cell k+1
         sign = 1.0 if dR[k] > 0 else -1.0
-        if sign * df[k + 1] < -tol:            # own boundary moves along
+        if sign * df[k + 1] < -_PROBE_TOL:     # own boundary moves along
             out.append(ProbeViolation(k + 1, float(-sign * df[k + 1])))
-        if sign * df[k] > tol:                 # upstream boundary moves against
+        if sign * df[k] > _PROBE_TOL:          # upstream moves against
             out.append(ProbeViolation(k, float(sign * df[k])))
         return out
     for j in range(model.n + 1):
-        if df[j] < -tol:
+        if df[j] < -_PROBE_TOL:
             out.append(ProbeViolation(j, float(-df[j])))
     return out
 
@@ -247,13 +245,12 @@ def _reason_codes(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     """
     cap, q_max = model.capacity, model.queue_max
     eps = 1e-6 * cap
-    eps_q = 1e-9 * np.maximum(1.0, q_max)
     up, down = flows[..., :-1], flows[..., 1:]
     supply = np.zeros(np.shape(q), dtype=bool)
-    supply[..., 1:] = ((q < q_max - eps_q)[..., 1:]
+    supply[..., 1:] = ((q < q_max - model._q_tol)[..., 1:]
                        & (np.abs(up - model.supply(rho))[..., 1:] <= eps[:-1])
                        & (up[..., 1:] < (cap - eps)[:-1]))
-    demand = ((q > eps_q) & (np.abs(down - model.demand(rho)) <= eps)
+    demand = ((q > model._q_tol) & (np.abs(down - model.demand(rho)) <= eps)
               & (down < cap - eps))
     return np.where(supply, 1, np.where(demand, 2, 0))
 

@@ -561,10 +561,13 @@ def uncertainty_campaign(scenario: Scenario,
     greedy one by more than one run per cheap law and variant.
 
     Raises ValueError when ``runs`` is below 1, a noise level is negative
-    or not finite, or a variant is unknown.
+    or not finite, ``drop_alpha`` is outside [0, 1), or a variant is
+    unknown.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
+    if not 0.0 <= drop_alpha < 1.0:   # validate_model's rule; NaN fails
+        raise ValueError(f"drop_alpha must be in [0, 1), got {drop_alpha}")
     for sigma in sigmas:   # refuse a bad level before any run
         DisturbanceSpec(sigma_phi=sigma)
     nominal = scenario.model

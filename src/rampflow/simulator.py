@@ -54,6 +54,11 @@ def _require_finite(what: str, *arrays: np.ndarray) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _require_nonnegative(name: str, x: float) -> None:
+    if not (np.isfinite(x) and x >= 0.0):   # NaN fails
+        raise ValueError(f"{name} must be finite and >= 0, got {x}")
+
+
 @dataclass
 class SimState:
     """Densities and queues at one instant; arrays are copied on entry.
@@ -104,9 +109,7 @@ class DisturbanceSpec:
     seed: int | Sequence[int] = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_phi) and self.sigma_phi >= 0.0):
-            raise ValueError(f"sigma_phi must be finite and >= 0, got "
-                             f"{self.sigma_phi}")
+        _require_nonnegative("sigma_phi", self.sigma_phi)
 
     @property
     def runs(self) -> int | None:

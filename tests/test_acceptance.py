@@ -153,8 +153,7 @@ def test_bulk_monotonicity_probes_pass_and_negative_control_fails():
                 pert.inflow_cum[k] += (float(rng.uniform(-1.0, 1.0)) * 0.3
                                        * float(model.length[k]
                                                * model.rho_jam[k]))
-            violations += len(monotonicity_probe(model, base, pert,
-                                                 w0=w0, tol=1e-12))
+            violations += len(monotonicity_probe(model, base, pert, w0=w0))
             checked += 1
             if checked == 10_000:
                 break

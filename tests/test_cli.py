@@ -151,6 +151,33 @@ def test_simulate_refuses_noise_levels_outside_the_theory(sigma, code,
     assert ("sigma_phi" in err) == (code != EXIT_OK)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dv", "-0.05"), ("--drho", "-0.1"), ("--dv", "nan"), ("--drho", "inf"),
+    ("--ki", "nan"), ("--ki", "-5")])
+def test_simulate_refuses_bad_belief_widths_and_gains(flag, value, capsys):
+    """A bad half-width reaches the sampler's refusal, and a bad gain the
+    controller's, instead of running the nominal belief or ending in a
+    rate check."""
+    assert main(["simulate", "--scenario", "builtin:example2",
+                 "--controller", "alinea", f"{flag}={value}"]) == EXIT_SCENARIO
+    assert flag[2:] in capsys.readouterr().err
+
+
+def test_simulate_zero_widths_keep_the_nominal_belief(tmp_path):
+    """Negative control: dv = drho = 0 runs the nominal belief, byte for
+    byte, and gains 0 and 70 both run."""
+    outs = []
+    for extra in ([], ["--dv", "0", "--drho", "0"], ["--ki", "70"]):
+        out = tmp_path / f"run{len(outs)}.csv"
+        assert main(["simulate", "--scenario", "builtin:example2",
+                     "--controller", "alinea", "--out", str(out),
+                     *extra]) == EXIT_OK
+        outs.append(_read(out))
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert main(["simulate", "--scenario", "builtin:example2",
+                 "--controller", "alinea", "--ki", "0"]) == EXIT_OK
+
+
 def test_simulate_contract_violation_exits_3(overload_yaml, capsys):
     code = main(["simulate", "--scenario", overload_yaml])
     assert code == EXIT_CONTRACT
@@ -493,6 +520,9 @@ def test_campaign_prints_one_summary_line_per_grid_point(capsys):
 @pytest.mark.parametrize("argv, code", [
     (["--sigmas=-0.05"], EXIT_SCENARIO), (["--sigmas", "nan"], EXIT_SCENARIO),
     (["--sigmas", "0,-0.05"], EXIT_SCENARIO), (["--runs", "0"], EXIT_SCENARIO),
+    (["--drop-alpha=-0.1"], EXIT_SCENARIO), (["--drop-alpha", "1.5"],
+                                             EXIT_SCENARIO),
+    (["--drop-alpha", "nan"], EXIT_SCENARIO),
     (["--sigmas", "0"], EXIT_OK)])   # negative control: one noiseless run
 def test_campaign_refuses_grids_outside_the_theory(argv, code, capsys):
     assert main(["campaign", "--scenario", "builtin:example1",

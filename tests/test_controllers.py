@@ -150,6 +150,27 @@ def test_sample_controller_model_zero_mismatch_is_identity():
     assert a.capacity[0] == m.capacity[0]
 
 
+@pytest.mark.parametrize("dv, drho", [
+    (-0.05, 0.0), (0.0, -0.1), (float("nan"), 0.0), (0.0, float("inf"))])
+def test_sample_controller_model_refuses_bad_half_widths(dv, drho):
+    with pytest.raises(ValueError, match="dv|drho"):
+        sample_controller_model(ramp_cell_model(), dv=dv, drho=drho, seed=0)
+
+
+@pytest.mark.parametrize("ki", [-5.0, float("nan"), float("inf")])
+def test_controller_refuses_a_bad_integral_gain(ki):
+    with pytest.raises(ValueError, match="ki"):
+        make_controller("alinea", ramp_cell_model(), ki=ki)
+
+
+@pytest.mark.parametrize("ki", [0.0, 70.0])
+def test_a_zero_or_stock_integral_gain_runs(ki):
+    """Negative control for the gain refusal."""
+    m, dem = _steady_ramp_case()
+    traj = simulate(m, dem, make_controller("alinea", m, ki=ki))
+    assert np.all(np.isfinite(traj.rates))
+
+
 def _steady_ramp_case():
     """One metered cell under constant load: the alinea integrator and the
     replay cursor are both still moving at the end of the horizon."""

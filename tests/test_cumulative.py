@@ -3,6 +3,7 @@ restrictiveness classification, and the certified bounds."""
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from rampflow.controllers import make_controller
 from rampflow.cumulative import (
     BoundsReport,
     DEMAND_LIMITED,
-    InconsistentStateError,
     NONRESTRICTIVE,
     SUPPLY_LIMITED,
     _REASONS,
@@ -39,9 +39,12 @@ from rampflow.simulator import (
     ContractViolationError,
     DisturbanceSpec,
     SimState,
+    _rate_bounds,
+    _rate_caps,
     compute_flows,
     evaluate_metrics,
     simulate,
+    step,
     zero_state,
 )
 from rampflow.scenarios import (
@@ -128,7 +131,7 @@ def test_reconstruct_rejects_unphysical_counters():
     cum = cumulative_from_state(model, SimState(rho=np.array([100.0]),
                                                 q=np.array([0.0])))
     cum.phi_cum = cum.phi_cum + np.array([500.0, 0.0])  # decodes to rho = 600
-    with pytest.raises(InconsistentStateError):
+    with pytest.raises(ContractViolationError, match="density outside its box"):
         reconstruct_densities(model, cum)
 
 
@@ -178,11 +181,141 @@ def test_cumulative_step_rejects_bad_ramp_counters():
         cctm_step(model, cum, np.array([1200.0]), w_row)
     with pytest.raises(ContractViolationError, match="rate"):   # empties past 0
         cctm_step(model, cum, np.array([1100.0]), w_row, relaxed=True)
+    # a rate in the relaxed interval that drains the cell below empty is
+    # refused as step refuses it
+    with pytest.raises(ContractViolationError, match="density left its box"):
+        cctm_step(model, cum, np.array([-100.0]), w_row, relaxed=True)
     nxt = cctm_step(model, cum, np.array([500.0]), w_row)
     assert reconstruct_queues(model, nxt)[0] == pytest.approx(5.0)
-    # relaxed mode waives the rate cap but keeps the queue box
-    back = cctm_step(model, cum, np.array([-100.0]), w_row, relaxed=True)
-    assert reconstruct_queues(model, back)[0] == pytest.approx(11.0)
+    # relaxed mode waives both rate caps but keeps the queue box: from a
+    # cell whose outflow covers it, a negative rate pulls cars back into
+    # the queue, and a rate above the cap empties it
+    roomy = cumulative_from_state(model, SimState(rho=np.array([100.0]),
+                                                  q=np.array([15.0])))
+    back = cctm_step(model, roomy, np.array([-100.0]), w_row, relaxed=True)
+    assert reconstruct_queues(model, back)[0] == pytest.approx(16.0)
+    out = cctm_step(model, roomy, np.array([1500.0]), w_row, relaxed=True)
+    assert reconstruct_queues(model, out)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+# one ramp cell: jam 250, queue_max 50, dt 0.01 h; from 40 veh/km it
+# sends 4000 veh/h, so with no arrivals its next density is 0.01 * rate
+_CELL = _single_ramp_cell_model()
+_NO_ARRIVALS = np.zeros(2)
+
+
+def _counters(rho, q):
+    """The cell's counters that decode to (rho, q) wherever it lies,
+    lifted without the state check."""
+    zero = np.zeros(1)
+    return cumulative.CumulativeState(
+        cumulative._phi_from_density(_CELL, np.array([rho]), zero, 0.0),
+        zero, np.array([q]))
+
+
+def _step_on(rho, q, rate=0.0, relaxed=False):
+    """``step`` on an unchecked state, as ``cctm_step`` hands it one."""
+    return step(_CELL, SimState._of(np.array([rho]), np.array([q])),
+                np.array([rate]), _NO_ARRIVALS, relaxed=relaxed)
+
+
+def _cctm_on(rho, q, rate=0.0, relaxed=False):
+    return cctm_step(_CELL, _counters(rho, q), np.array([rate]),
+                     _NO_ARRIVALS, relaxed=relaxed)
+
+
+def _decode_on(rho, q):
+    return reconstruct_densities(_CELL, _counters(rho, q))
+
+
+def _lift_on(rho, q):
+    return cumulative_from_state(_CELL, SimState([rho], [q]))
+
+
+_EDGE = 1.0 + 1e-10
+# message, step's call, the cumulative calls, then the input refused, one
+# inside its box and one outside by 1e-10 relative (None: no box applies)
+_CONTRACT_ROWS = {
+    "queue": ("queue outside its box", _step_on, (_cctm_on,),
+              (40.0, -5.0), (40.0, 10.0), (40.0, -50.0 * 1e-10)),
+    "next_density": ("density left its box",
+                     partial(_step_on, 40.0, 10.0, relaxed=True),
+                     (partial(_cctm_on, 40.0, 10.0, relaxed=True),),
+                     (-100.0,), (500.0,), (-250.0 * 1e-10 / 0.01,)),
+    "density": ("density outside its box", _step_on, (_cctm_on, _decode_on),
+                (250.0 * (1.0 + 1e-7), 10.0), (250.0, 10.0),
+                (250.0 * _EDGE, 10.0)),
+    "nan_count": ("density outside its box", _step_on,
+                  (_cctm_on, _decode_on), (float("nan"), 10.0), (40.0, 10.0),
+                  None),
+    "lift": ("density outside its box", _step_on, (_lift_on,),
+             (300.0, 80.0), (250.0, 50.0), (250.0 * _EDGE, 50.0 * _EDGE)),
+}
+
+
+@pytest.mark.parametrize("row", list(_CONTRACT_ROWS))
+def test_the_cumulative_layer_refuses_what_step_refuses(row):
+    """Every input ``step`` refuses is refused in cumulative coordinates
+    with its error and message; the same input inside its box, or outside
+    by 1e-10 relative, is accepted (negative controls)."""
+    message, step_call, calls, bad, inside, near = _CONTRACT_ROWS[row]
+    with pytest.raises(ContractViolationError, match=message) as want:
+        step_call(*bad)
+    for call in calls:
+        with pytest.raises(ContractViolationError) as got:
+            call(*bad)
+        assert str(got.value) == str(want.value)
+        for ok in (inside, near):
+            if ok is not None:
+                step_call(*ok)
+                call(*ok)
+
+
+def _box_message(e):
+    """("<what> at cell k", [x, lo, hi]) of a box check's message."""
+    head, tail = str(e).split(": value ")
+    return head, [float(x) for x in
+                  tail.replace(" outside [", ", ").rstrip("]").split(", ")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_cctm_step_is_step_in_cumulative_coordinates(seed, relaxed, outside):
+    """On random models and in-box states lifted with random ramp
+    counters, with mainline inflow and rates inside or outside their
+    interval, ``cctm_step`` refuses exactly when ``step`` does, with its
+    message up to the rounding of the decode; otherwise its counters
+    decode to ``step``'s next state within 1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    m = random_model(rng)
+    state = random_state(rng, m)
+    cum = cumulative_from_state(m, state,
+                                inflow_cum=rng.uniform(0.0, 30.0, m.n))
+    w_row = np.concatenate(([rng.uniform(0.0, 1.2) * m.capacity[0]],
+                            rng.uniform(0.0, 1.2, m.n) * m.ramp_flow_max))
+    lo, hi = _rate_bounds(m, state.q, w_row[1:], _rate_caps(m, relaxed))
+    rates = lo + rng.uniform(0.0, 1.0, m.n) * (hi - lo)
+    if outside:   # one ramp well past an edge of its interval
+        k = int(rng.integers(0, m.n))
+        rates[k] = (hi[k] + 1.0 + 0.1 * abs(hi[k]) if rng.random() < 0.5
+                    else lo[k] - 1.0 - 0.1 * abs(lo[k]))
+    try:
+        want, _ = step(m, state, rates, w_row, relaxed=relaxed)
+    except ContractViolationError as e:
+        with pytest.raises(ContractViolationError) as got:
+            cctm_step(m, cum, rates, w_row, relaxed=relaxed)
+        head, values = _box_message(e)
+        got_head, got_values = _box_message(got.value)
+        assert got_head == head
+        np.testing.assert_allclose(got_values, values, rtol=1e-9,
+                                   atol=1e-9 * float(np.max(m.rho_jam)))
+        return
+    nxt = cctm_step(m, cum, rates, w_row, relaxed=relaxed)
+    for got, exact, box in ((reconstruct_densities(m, nxt), want.rho,
+                             m.rho_jam),
+                            (reconstruct_queues(m, nxt), want.q,
+                             m.queue_max)):
+        assert np.all(np.abs(got - exact) <= 1e-9 * np.maximum(1.0, box))
 
 
 # ---------------------------------------------------------------------------

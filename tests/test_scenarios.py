@@ -828,10 +828,25 @@ def test_campaign_refuses_bad_runs_and_noise_levels():
         with pytest.raises(ValueError, match="sigma_phi"):
             uncertainty_campaign(sc, runs=1, sigmas=(0.0, sigma),
                                  variants=("monotonic",))
+    # validate_model's rule 0 <= capacity_drop < 1
+    for alpha in (-0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="drop_alpha"):
+            uncertainty_campaign(sc, runs=1, sigmas=(0.0,), drop_alpha=alpha)
     # negative control: one run at sigma 0 is a valid grid
     rows = uncertainty_campaign(sc, runs=1, sigmas=(0.0,),
                                 variants=("monotonic",))
     assert len(rows) == 5 and all(r.runs == 1 for r in rows)
+
+
+def test_campaign_runs_without_a_capacity_drop():
+    """Negative control: alpha 0 is in the rule, and its drop plant is
+    the nominal one."""
+    rows = uncertainty_campaign(builtin_example1(), runs=1, sigmas=(0.0,),
+                                drop_alpha=0.0)
+    mono = [r for r in rows if r.variant == "monotonic"]
+    drop = [r for r in rows if r.variant == "capacity_drop"]
+    assert [r.mean_twt_improvement for r in drop] \
+        == [r.mean_twt_improvement for r in mono]
 
 
 def test_campaign_rejects_unknown_variant():
