@@ -127,8 +127,9 @@ def _add_controller_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    controller = None if args.controller == "none" \
-        else _controller(args, scenario.model)
+    # built for "none" too, so its flags meet the same refusals; that law
+    # returns inf, as simulate does without one
+    controller = _controller(args, scenario.model)
     disturbance = None if args.sigma_phi == 0.0 \
         else DisturbanceSpec(sigma_phi=args.sigma_phi, seed=args.seed)
     traj = simulate(scenario.model, scenario.demand, controller,

@@ -38,6 +38,7 @@ from .simulator import (
     DemandProfile,
     RateSchedule,
     SimState,
+    Trajectory,
     _check_state,
     evaluate_metrics,
     simulate,
@@ -277,8 +278,10 @@ class LpSolution:
     ``dual_bound`` (finite, within ``_CERTIFY_TOL`` of ``objective``), and
     HiGHS never runs: ``status`` is "Optimal", ``iterations`` 0 and
     ``warm`` true, as HiGHS reports a warm start that is already optimal.
-    On HiGHS's path ``dual_bound`` is NaN and the other three are HiGHS's
-    record."""
+    That answer also keeps, in ``_run``, the instance it was solved on and
+    the greedy run its point came from, which :func:`certify_relaxation`
+    evaluates in place of a replay. On HiGHS's path ``dual_bound`` is NaN,
+    ``_run`` is None and the other three are HiGHS's record."""
 
     objective: float          # total time spent, t = 0 state included
     rho: np.ndarray           # (T+1, n)
@@ -292,6 +295,8 @@ class LpSolution:
     warm: bool                # solved from the greedy basis
     dual_bound: float         # the bound that proved the greedy point optimal
     x: np.ndarray = field(repr=False)
+    _run: tuple[LpInstance, Trajectory] | None = field(
+        default=None, repr=False, compare=False)
 
 
 #: Devex dual pricing, because the default dual steepest edge pays for
@@ -370,7 +375,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     :class:`LpSolution` says which path answered.
     """
     ids = _row_ids(inst.a_eq), _row_ids(inst.a_ub)
-    point, point_residuals = _greedy_point(inst, ids) or (None, None)
+    point, point_residuals, run = _greedy_point(inst, ids) or (None,) * 3
     # a numpy sum, not a BLAS dot, as in _dual_bound
     greedy = np.inf if point is None \
         else float(np.sum(inst.c * point)) + inst.objective_constant
@@ -379,7 +384,7 @@ def solve_lp(inst: LpInstance) -> LpSolution:
         bound = _dual_bound(inst, basis[2], ids)
         if greedy - bound <= _CERTIFY_TOL * max(1.0, abs(greedy)):
             return _solution(inst, point, greedy, point_residuals,
-                             "Optimal", 0, True, bound)
+                             "Optimal", 0, True, bound, (inst, run))
     for start in (None,) if basis is None else (basis[:2], None):
         x, fun, status, iterations = _solve_highs(inst, start)
         residuals = _residuals(inst, x, ids)
@@ -394,7 +399,8 @@ def solve_lp(inst: LpInstance) -> LpSolution:
 
 def _solution(inst: LpInstance, x: np.ndarray, objective: float,
               residuals: tuple[float, float], status: str, iterations: int,
-              warm: bool, dual_bound: float) -> LpSolution:
+              warm: bool, dual_bound: float,
+              run: tuple[LpInstance, Trajectory] | None = None) -> LpSolution:
     flows, rates, rho, qs = inst.varmap.split(x)
     return LpSolution(objective=objective,
                       rho=np.vstack((inst.initial.rho, rho)),
@@ -402,15 +408,17 @@ def _solution(inst: LpInstance, x: np.ndarray, objective: float,
                       flows=flows.copy(), rates=rates.copy(),
                       residual_eq=residuals[0], residual_ub=residuals[1],
                       status=status, iterations=iterations, warm=warm,
-                      dual_bound=dual_bound, x=x)
+                      dual_bound=dual_bound, x=x, _run=run)
 
 
-def _greedy_point(inst: LpInstance, ids: tuple[np.ndarray, np.ndarray],
-                  ) -> tuple[np.ndarray, tuple[float, float]] | None:
+def _greedy_point(
+        inst: LpInstance, ids: tuple[np.ndarray, np.ndarray],
+        ) -> tuple[np.ndarray, tuple[float, float], Trajectory] | None:
     """The greedy run's point in the column layout, which bounds the
-    optimum, and its residuals; None when that run leaves the state boxes,
-    or when the point misses a row or a column bound of this instance, as
-    it may once the instance's arrays are edited after ``build_lp``."""
+    optimum, its residuals and the run itself; None when that run leaves
+    the state boxes, or when the point misses a row or a column bound of
+    this instance, as it may once the instance's arrays are edited after
+    ``build_lp``."""
     try:
         greedy = simulate(
             inst.model, inst.demand,
@@ -427,7 +435,7 @@ def _greedy_point(inst: LpInstance, ids: tuple[np.ndarray, np.ndarray],
     if max(residuals) > _RESIDUAL_TOL or not np.all(
             (inst.lb - gap <= x) & (x <= inst.ub + gap)):
         return None
-    return x, residuals
+    return x, residuals, greedy
 
 
 def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],
@@ -544,6 +552,10 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
       fix lam(t, k), and the nonbasic demand row of phi(t+1, k) takes the
       rest of rho's cost;
     - phi(t, 0) gives pi(t).
+
+    The pass writes each step's duals straight into their views of ``y``,
+    which starts at zero; mu's rate entries and the demand and supply
+    duals, 0 off their masks, are copied in where the masks hold.
     """
     model, vm = inst.model, inst.varmap
     T, n = vm.horizon, vm.n
@@ -605,25 +617,26 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     y = np.zeros(m_eq + m_ub)
     pi, lam, mu = vm.eq(y[:m_eq])
     dem, sup = vm.ub(y[m_eq:])
+    taken = take.any(axis=1).tolist()
     lam_next = mu_next = np.zeros(n)
     for t in range(T - 1, -1, -1):
-        lam_t = cost_rho[t] + lam_next
+        lam_t, mu_t = lam[t], mu[t]
+        np.add(cost_rho[t], lam_next, out=lam_t)
         if t + 1 < T:
             lam_t += slope * dem[t + 1]
             lam_t[1:] -= wb * sup[t + 1]
-            k = take[t]
-            if k.any():
+            if taken[t]:
+                k = take[t]
                 held = (dt * (cost_q[t, k] + mu_next[k]) - cost_r[t, k]) \
                     / inflow[k]
                 dem[t + 1, k] = (held - lam_t[k]) / slope[k]
                 lam_t[k] = held
-        mu_t = np.where(r_free[t], (cost_r[t] + inflow * lam_t) / dt,
-                        cost_q[t] + mu_next)
+        np.add(cost_q[t], mu_next, out=mu_t)
+        np.copyto(mu_t, (cost_r[t] + inflow * lam_t) / dt, where=r_free[t])
         g = cost_phi[t, 1:] - outflow * lam_t
         g[:-1] += inflow[1:] * lam_t[1:]
-        dem[t] = np.where(dem_on[t], g, 0.0)
-        sup[t] = np.where(sup_out[t, :-1], g[:-1], 0.0)
-        lam[t], mu[t] = lam_t, mu_t
+        np.copyto(dem[t], g, where=dem_on[t])
+        np.copyto(sup[t], g[:-1], where=sup_out[t, :-1])
         lam_next, mu_next = lam_t, mu_t
     pi[:] = cost_phi[:, 0] + inflow[0] * lam[:, 0]
     return col, rows, y
@@ -711,15 +724,28 @@ def certify_relaxation(inst: LpInstance,
     match certifies that the relaxation solved the original problem. A
     replay that leaves the state boxes is a failed certificate; any other
     error propagates.
+
+    A solution :func:`solve_lp` proved optimal holds the greedy run its
+    point came from. Certified against the instance it was solved on, with
+    ``rates`` still equal to that run's, the run is the replay, bit for
+    bit, and is evaluated without simulating again: the replay feeds each
+    applied rate back through the same clamp, and a clip returns its own
+    output unchanged, even on an interval empty by rounding. Every other
+    solution (HiGHS's, or one whose instance or rates differ) is replayed.
     """
-    try:
-        traj = simulate(inst.model, inst.demand,
-                        controller=RateSchedule(sol.rates),
-                        initial_state=inst.initial)
-    except ContractViolationError as e:  # replay left the state boxes
-        return RelaxationCertificate(
-            exact=False, lp_objective=sol.objective, simulated_tts=np.nan,
-            gap=np.nan, max_rate_adjustment=np.nan, failure=str(e))
+    kept = sol._run
+    if kept is not None and kept[0] is inst \
+            and np.array_equal(kept[1].rates, sol.rates):
+        traj = kept[1]
+    else:
+        try:
+            traj = simulate(inst.model, inst.demand,
+                            controller=RateSchedule(sol.rates),
+                            initial_state=inst.initial)
+        except ContractViolationError as e:  # replay left the state boxes
+            return RelaxationCertificate(
+                exact=False, lp_objective=sol.objective, simulated_tts=np.nan,
+                gap=np.nan, max_rate_adjustment=np.nan, failure=str(e))
     tts = evaluate_metrics(inst.model, traj).tts
     adjust = float(np.max(np.abs(traj.rates - sol.rates))) if sol.rates.size \
         else 0.0

@@ -1,11 +1,22 @@
 """Tiny exhaustive oracles: gridded searches over rate choices that the LP
-and the greedy law are checked against. Tiny instances only."""
+and the greedy law are checked against, on tiny instances only; and the
+allocating form of the greedy basis's dual pass, the reference for the
+in-place one."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from rampflow.lp import LpError
+from rampflow.lp import (
+    Csr,
+    LpError,
+    LpInstance,
+    _BASIC,
+    _LOWER,
+    _TIGHT,
+    _UPPER,
+    _matvec,
+)
 from rampflow.model import FreewayModel
 from rampflow.simulator import (
     DemandProfile,
@@ -139,3 +150,95 @@ def brute_force_max_next_flows(model: FreewayModel, state: SimState,
                      np.broadcast_to(state.q, grid.shape))
     nxt, _ = step(model, batch, grid, w_row)
     return compute_flows(model, nxt, w0_next).max(axis=0)
+
+
+def allocating_greedy_basis(inst: LpInstance, x: np.ndarray,
+                            ids: tuple[np.ndarray, np.ndarray],
+                            ) -> tuple[np.ndarray, np.ndarray,
+                                       np.ndarray] | None:
+    """:func:`rampflow.lp._greedy_basis` with the backward pass that
+    allocates each step's duals (``np.where`` results copied into ``y``),
+    kept as the reference the in-place pass is checked against bit for
+    bit."""
+    model, vm = inst.model, inst.varmap
+    T, n = vm.horizon, vm.n
+    if (inst.a_eq.shape[0], inst.a_ub.shape[0]) != vm.rows:
+        return None
+    m_eq, m_ub = vm.rows
+    gap = _TIGHT * np.maximum(1.0, np.abs(x))
+    at_lo, at_hi = x <= inst.lb + gap, x >= inst.ub - gap
+    col = np.where(at_hi & ~at_lo, _UPPER, _LOWER).astype(np.int8)
+    c_phi, c_r, c_rho, c_q = vm.split(col)
+    lo_phi, lo_r, _, lo_q = vm.split(at_lo)
+    hi_phi, hi_r, _, hi_q = vm.split(at_hi)
+
+    # the hypograph rows tight at x, as (T, n) masks; cell n has no
+    # supply row
+    a = inst.a_ub
+    slack = inst.b_ub - _matvec(a, x, ids[1])
+    scale = _matvec(Csr(a.indptr, a.indices, np.abs(a.data), a.shape),
+                    np.abs(x), ids[1])
+    dem_tight, sup_row = vm.ub(slack <= _TIGHT * np.maximum(1.0, scale))
+    sup_tight = np.zeros((T, n), dtype=bool)
+    sup_tight[:, :-1] = sup_row
+
+    c_phi[:, 0] = _BASIC
+    c_rho[:] = _BASIC
+    phi_basic = dem_tight | sup_tight | ~(lo_phi | hi_phi)[:, 1:]
+    dem_out = phi_basic & (dem_tight | ~sup_tight)
+    sup_out = phi_basic & ~dem_out
+    c_phi[:, 1:][phi_basic] = _BASIC
+
+    r_free, q_free = ~(lo_r | hi_r), ~(lo_q | hi_q)
+    pair = r_free & q_free
+    take = np.zeros((T, n), dtype=bool)
+    take[:-1] = pair[:-1] & dem_tight[1:] & hi_phi[1:, 1:]
+    c_phi[1:, 1:][take[:-1]] = _UPPER
+    stuck = pair & ~take
+    nearer = np.where(2.0 * vm.split(x)[3] > model.queue_max, _UPPER, _LOWER)
+    c_q[stuck] = nearer[stuck]
+    c_r[r_free] = _BASIC
+    c_q[~r_free | (q_free & ~stuck)] = _BASIC
+
+    rows = np.full(m_eq + m_ub, _BASIC, dtype=np.int8)
+    rows[:m_eq] = _LOWER
+    row_dem, row_sup = vm.ub(rows[m_eq:])
+    row_dem[dem_out] = _UPPER
+    row_sup[sup_out[:, :-1]] = _UPPER
+
+    # a taken flow is nonbasic, so its demand row's dual comes from the
+    # pair, not from the flow's reduced cost
+    dem_on = dem_out.copy()
+    dem_on[1:] &= ~take[:-1]
+    dt = model.dt
+    cost_phi, cost_r, cost_rho, cost_q = vm.split(inst.c)
+    # the rows' coefficients, as build_lp writes them
+    inflow = dt / model.length
+    outflow = dt / (model.length * model.beta_bar)
+    slope, wb = model.beta_bar * model.v_free, model.w_back[1:]
+
+    y = np.zeros(m_eq + m_ub)
+    pi, lam, mu = vm.eq(y[:m_eq])
+    dem, sup = vm.ub(y[m_eq:])
+    lam_next = mu_next = np.zeros(n)
+    for t in range(T - 1, -1, -1):
+        lam_t = cost_rho[t] + lam_next
+        if t + 1 < T:
+            lam_t += slope * dem[t + 1]
+            lam_t[1:] -= wb * sup[t + 1]
+            k = take[t]
+            if k.any():
+                held = (dt * (cost_q[t, k] + mu_next[k]) - cost_r[t, k]) \
+                    / inflow[k]
+                dem[t + 1, k] = (held - lam_t[k]) / slope[k]
+                lam_t[k] = held
+        mu_t = np.where(r_free[t], (cost_r[t] + inflow * lam_t) / dt,
+                        cost_q[t] + mu_next)
+        g = cost_phi[t, 1:] - outflow * lam_t
+        g[:-1] += inflow[1:] * lam_t[1:]
+        dem[t] = np.where(dem_on[t], g, 0.0)
+        sup[t] = np.where(sup_out[t, :-1], g[:-1], 0.0)
+        lam[t], mu[t] = lam_t, mu_t
+        lam_next, mu_next = lam_t, mu_t
+    pi[:] = cost_phi[:, 0] + inflow[0] * lam[:, 0]
+    return col, rows, y

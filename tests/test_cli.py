@@ -16,7 +16,9 @@ from rampflow.cli import (
     main,
 )
 from rampflow.model import FreewayModel
+from rampflow.reports import trajectory_csv_text
 from rampflow.scenarios import Scenario, builtin_example2
+from rampflow.simulator import evaluate_metrics, simulate
 
 # ---------------------------------------------------------------------------
 # fixture scenario files
@@ -176,6 +178,32 @@ def test_simulate_zero_widths_keep_the_nominal_belief(tmp_path):
     assert outs[1] == outs[0] and outs[2] == outs[0]
     assert main(["simulate", "--scenario", "builtin:example2",
                  "--controller", "alinea", "--ki", "0"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ki", "nan"), ("--dv", "-0.05"), ("--drho", "nan")])
+def test_simulate_without_metering_refuses_bad_law_flags(flag, value,
+                                                         capsys):
+    """``--controller none`` builds its law too, so a flag value outside
+    the theory meets the same refusal as under the other laws, though
+    that law ignores it."""
+    assert main(["simulate", "--scenario", "builtin:example2",
+                 "--controller", "none", f"{flag}={value}"]) == EXIT_SCENARIO
+    assert flag[2:] in capsys.readouterr().err
+
+
+def test_simulate_without_metering_runs_the_unmetered_loop(tmp_path,
+                                                           capsys):
+    """Negative control: the ``none`` law returns inf, so the run is the
+    one ``simulate`` makes without a controller, byte for byte."""
+    out = tmp_path / "none.csv"
+    assert main(["simulate", "--scenario", "builtin:example2",
+                 "--controller", "none", "--out", str(out)]) == EXIT_OK
+    sc = builtin_example2()
+    traj = simulate(sc.model, sc.demand, initial_state=sc.initial)
+    assert _read(out) == trajectory_csv_text(traj).encode()
+    tts = evaluate_metrics(sc.model, traj).tts
+    assert f"tts={tts:.9g} " in capsys.readouterr().err
 
 
 def test_simulate_contract_violation_exits_3(overload_yaml, capsys):

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,6 +39,7 @@ from rampflow.model import (
 )
 from rampflow.simulator import (
     DemandProfile,
+    RateSchedule,
     SimState,
     compute_flows,
     evaluate_metrics,
@@ -65,6 +66,7 @@ from conftest import (
 )
 from oracles import (
     _time_spent,
+    allocating_greedy_basis,
     brute_force_max_next_flows,
     brute_force_min_tts,
     dfs_min_tts,
@@ -841,6 +843,18 @@ def test_the_row_views_name_each_row_once(case):
                                    b_sup[1:].shape))
 
 
+@pytest.mark.parametrize("case", sorted(DUAL_CASES))
+def test_the_in_place_dual_pass_equals_the_allocating_one(case):
+    """The backward pass writes each step's duals straight into ``y``; the
+    statuses and the duals are the allocating pass's, bit for bit."""
+    inst = DUAL_CASES[case]()
+    x = _point(inst)
+    mine = _basis(inst, x)
+    ref = allocating_greedy_basis(inst, x, _ids(inst))
+    for a, b in zip(mine, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the greedy point proved optimal by its own duals
 
@@ -988,6 +1002,104 @@ def test_the_implied_bounds_follow_the_right_hand_sides():
     hi = rampflow.lp._implied_ub(_negative_flows(inst))
     hi_phi, _, hi_rho, _ = vm.split(hi)
     assert np.all(np.isinf(hi_rho)) and np.all(np.isfinite(hi_phi[:, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the certificate of a proved optimum evaluates its greedy run
+
+def _free_flow_cell():
+    """One free-flow cell fed 1000 veh/h for three steps: the scenario CI
+    optimizes as free.yaml."""
+    model = FreewayModel([CellParams(length=1.0, v_free=100.0, rho_crit=50.0,
+                                     rho_jam=250.0)], dt=0.01)
+    return model, DemandProfile(w0=np.full(3, 1000.0),
+                                w_ramp=np.zeros((3, 1))), zero_state(model)
+
+
+REUSE_CASES = {"grenoble240": LP_CASES["grenoble240"],
+               "random31": LP_CASES["random31"], "free-flow": _free_flow_cell}
+
+
+def _count_simulate(monkeypatch):
+    """Patch the LP module's ``simulate`` to count its calls."""
+    real, calls = rampflow.lp.simulate, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rampflow.lp, "simulate", counted)
+    return calls
+
+
+def _bits(cert):
+    """The certificate's fields, each float as its bytes."""
+    return [np.float64(v).tobytes() if isinstance(v, float) else v
+            for v in astuple(cert)]
+
+
+def _replay(inst, rates):
+    return simulate(inst.model, inst.demand, controller=RateSchedule(rates),
+                    initial_state=inst.initial)
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_a_proved_optimum_is_certified_from_its_greedy_run(case,
+                                                           monkeypatch):
+    """A solve proved optimal and its certificate simulate once: the
+    certificate evaluates the greedy run the solve kept. That run is the
+    replay of the solution's rates, bit for bit, so the certificate equals,
+    field for field and bit for bit, the one a forced replay gives."""
+    inst = build_lp(*REUSE_CASES[case]())
+    calls = _count_simulate(monkeypatch)
+    sol = solve_lp(inst)
+    cert = certify_relaxation(inst, sol)
+    assert len(calls) == 1 and np.isfinite(sol.dual_bound)
+    assert cert.exact and cert.max_rate_adjustment == 0.0
+    kept, run = sol._run
+    assert kept is inst
+    forced = certify_relaxation(inst, replace(sol, _run=None))
+    assert len(calls) == 2 and _bits(cert) == _bits(forced)
+    replayed = _replay(inst, sol.rates)
+    for part in ("rho", "q", "flows", "rates"):
+        assert getattr(run, part).tobytes() \
+            == getattr(replayed, part).tobytes(), part
+
+
+def test_other_solutions_are_replayed(monkeypatch):
+    """Negative controls. HiGHS's answer on example1 keeps no run and is
+    replayed. A proved solution whose rates are edited after the solve is
+    replayed, and its certificate follows the edited plan; so is one
+    certified against another instance, whose certificate follows that
+    instance's replay."""
+    ex1 = build_lp(*LP_CASES["example1"]())
+    calls = _count_simulate(monkeypatch)
+    sol = solve_lp(ex1)
+    assert sol._run is None and np.isnan(sol.dual_bound)
+    assert certify_relaxation(ex1, sol).exact and len(calls) == 2
+
+    inst = build_lp(*LP_CASES["random31"]())
+    sol = solve_lp(inst)
+    proved = certify_relaxation(inst, sol)
+    t, k = np.unravel_index(np.argmax(sol.rates), sol.rates.shape)
+    sol.rates[t, k] *= 0.5
+    calls.clear()
+    edited = certify_relaxation(inst, sol)
+    assert len(calls) == 1
+    tts = evaluate_metrics(inst.model, _replay(inst, sol.rates)).tts
+    assert edited.simulated_tts == tts != proved.simulated_tts
+    assert _bits(edited) == _bits(
+        certify_relaxation(inst, replace(sol, _run=None)))
+
+    sol = solve_lp(inst)
+    d = inst.demand
+    other = replace(inst, demand=DemandProfile(w0=0.5 * d.w0,
+                                               w_ramp=d.w_ramp))
+    calls.clear()
+    moved = certify_relaxation(other, sol)
+    assert len(calls) == 1
+    assert moved.simulated_tts \
+        == evaluate_metrics(other.model, _replay(other, sol.rates)).tts \
+        != proved.simulated_tts
 
 
 class _SetBasisLog:
