@@ -31,6 +31,7 @@ from .simulator import (
     SimState,
     Trajectory,
     _check_box,
+    _check_initial,
     _check_state,
     _clip,
     evaluate_metrics,
@@ -42,7 +43,7 @@ from .simulator import (
 _PROBE_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class CumulativeState:
     """Snapshot of all cumulative counters at one step. The cars past
     the last cell are ``phi_cum[-1]``."""
@@ -255,7 +256,7 @@ def _reason_codes(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
     return np.where(supply, 1, np.where(demand, 2, 0))
 
 
-@dataclass
+@dataclass(eq=False)
 class RestrictivenessReport:
     reasons: list[list[str]]          # [t][cell-1] classification reason
     restrictive: np.ndarray           # (T, n) bool
@@ -319,8 +320,7 @@ def tts_bounds(model: FreewayModel, demand: DemandProfile,
     require_monotone(model)
     # checked on ``model`` first, so a refusal names no run of the pair
     demand.check_against(model)
-    if initial_state is not None:
-        _check_state(model, initial_state.rho, initial_state.q)
+    _check_initial(model, initial_state)
     pair = FreewayModel.stack([model, model])
     both = simulate(pair, demand, make_controller("best_effort", pair),
                     initial_state=initial_state, relaxed=(False, True))

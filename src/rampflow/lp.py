@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +38,9 @@ from .simulator import (
     RateSchedule,
     SimState,
     Trajectory,
-    _check_state,
+    _check_initial,
     evaluate_metrics,
     simulate,
-    zero_state,
 )
 
 
@@ -113,13 +111,13 @@ class VarMap:
         return vs[:, 0::2], vs[:, 1::2]
 
 
-class Csr(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Csr:
     """A sparse matrix in compressed-row form, with the four fields a scipy
     ``csr_matrix`` has: row ``i``'s columns are ``indices[indptr[i]:
     indptr[i + 1]]``, sorted, and its values the same slice of ``data``.
-    The LP code reads only these fields, so a scipy CSR matrix serves in
-    its place; ``sparse.csr_matrix((a.data, a.indices, a.indptr),
-    shape=a.shape)`` turns a record into one."""
+    ``sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)``
+    turns a record into one."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -129,6 +127,11 @@ class Csr(NamedTuple):
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Each stored entry's row, built once for every product."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
 
 def _csr(triplets, shape: tuple[int, int]) -> Csr:
@@ -147,28 +150,21 @@ def _csr(triplets, shape: tuple[int, int]) -> Csr:
     return Csr(indptr, cols[order].astype(np.int32), vals[order], shape)
 
 
-def _row_ids(a: Csr) -> np.ndarray:
-    """The row of each stored entry, built once for all the products one
-    solve makes over the record."""
-    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-
-
-def _matvec(a: Csr, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``a @ x`` given ``rows = _row_ids(a)``, each row summed from 0 in
-    its stored column order, as scipy's CSR product sums it, so the two
-    agree bit for bit. Without entries ``bincount`` counts in ints, hence
-    the cast."""
-    return np.bincount(rows, a.data * np.take(x, a.indices),
+def _matvec(a: Csr, x: np.ndarray) -> np.ndarray:
+    """``a @ x``, each row summed from 0 in its stored column order, as
+    scipy's CSR product sums it, so the two agree bit for bit. Without
+    entries ``bincount`` counts in ints, hence the cast."""
+    return np.bincount(a.rows, a.data * np.take(x, a.indices),
                        minlength=a.shape[0]).astype(float, copy=False)
 
 
-def _rmatvec(a: Csr, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``a.T @ y`` given ``rows = _row_ids(a)``."""
-    return np.bincount(a.indices, a.data * np.take(y, rows),
+def _rmatvec(a: Csr, y: np.ndarray) -> np.ndarray:
+    """``a.T @ y``."""
+    return np.bincount(a.indices, a.data * np.take(y, a.rows),
                        minlength=a.shape[1]).astype(float, copy=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class LpInstance:
     model: FreewayModel
     demand: DemandProfile
@@ -183,6 +179,13 @@ class LpInstance:
     ub: np.ndarray
     objective_constant: float  # time already spent in the frozen t = 0 state
 
+    def __post_init__(self):
+        """A scipy CSR matrix, also one given by ``replace``, becomes a Csr."""
+        for name in ("a_eq", "a_ub"):
+            a = getattr(self, name)
+            if not isinstance(a, Csr):
+                setattr(self, name, Csr(a.indptr, a.indices, a.data, a.shape))
+
 
 def build_lp(model: FreewayModel, demand: DemandProfile,
              initial_state: SimState | None = None) -> LpInstance:
@@ -193,8 +196,7 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
     :func:`simulate`."""
     require_monotone(model)
     demand.check_against(model)
-    initial = zero_state(model) if initial_state is None else initial_state
-    initial = SimState(*_check_state(model, initial.rho, initial.q))
+    initial = SimState(*_check_initial(model, initial_state))
 
     n, T, dt = model.n, demand.horizon, model.dt
     vm = VarMap(n=n, horizon=T)
@@ -269,7 +271,7 @@ def build_lp(model: FreewayModel, demand: DemandProfile,
                       objective_constant=constant)
 
 
-@dataclass
+@dataclass(eq=False)
 class LpSolution:
     """An optimal point and how it was found.
 
@@ -296,7 +298,7 @@ class LpSolution:
     dual_bound: float         # the bound that proved the greedy point optimal
     x: np.ndarray = field(repr=False)
     _run: tuple[LpInstance, Trajectory] | None = field(
-        default=None, repr=False, compare=False)
+        default=None, repr=False)
 
 
 #: Devex dual pricing, because the default dual steepest edge pays for
@@ -374,20 +376,19 @@ def solve_lp(inst: LpInstance) -> LpSolution:
     without HiGHS's bindings raises ``ImportError`` once HiGHS is needed.
     :class:`LpSolution` says which path answered.
     """
-    ids = _row_ids(inst.a_eq), _row_ids(inst.a_ub)
-    point, point_residuals, run = _greedy_point(inst, ids) or (None,) * 3
+    point, point_residuals, run = _greedy_point(inst) or (None,) * 3
     # a numpy sum, not a BLAS dot, as in _dual_bound
     greedy = np.inf if point is None \
         else float(np.sum(inst.c * point)) + inst.objective_constant
-    basis = None if point is None else _greedy_basis(inst, point, ids)
+    basis = None if point is None else _greedy_basis(inst, point)
     if basis is not None:
-        bound = _dual_bound(inst, basis[2], ids)
+        bound = _dual_bound(inst, basis[2])
         if greedy - bound <= _CERTIFY_TOL * max(1.0, abs(greedy)):
             return _solution(inst, point, greedy, point_residuals,
                              "Optimal", 0, True, bound, (inst, run))
     for start in (None,) if basis is None else (basis[:2], None):
         x, fun, status, iterations = _solve_highs(inst, start)
-        residuals = _residuals(inst, x, ids)
+        residuals = _residuals(inst, x)
         fault = _fault(fun + inst.objective_constant, x, residuals, greedy)
         if not fault:
             break
@@ -412,7 +413,7 @@ def _solution(inst: LpInstance, x: np.ndarray, objective: float,
 
 
 def _greedy_point(
-        inst: LpInstance, ids: tuple[np.ndarray, np.ndarray],
+        inst: LpInstance,
         ) -> tuple[np.ndarray, tuple[float, float], Trajectory] | None:
     """The greedy run's point in the column layout, which bounds the
     optimum, its residuals and the run itself; None when that run leaves
@@ -430,7 +431,7 @@ def _greedy_point(
     for part, run in zip(inst.varmap.split(x), (
             greedy.flows, greedy.rates, greedy.rho[1:], greedy.q[1:])):
         part[:] = run
-    residuals = _residuals(inst, x, ids)
+    residuals = _residuals(inst, x)
     gap = _RESIDUAL_TOL * np.maximum(1.0, np.abs(x))
     if max(residuals) > _RESIDUAL_TOL or not np.all(
             (inst.lb - gap <= x) & (x <= inst.ub + gap)):
@@ -453,17 +454,16 @@ def _fault(objective: float, x: np.ndarray, residuals: tuple[float, float],
     return ""
 
 
-def _residuals(inst: LpInstance, x: np.ndarray,
-               ids: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+def _residuals(inst: LpInstance, x: np.ndarray) -> tuple[float, float]:
     """Largest relative violation of the equality and of the inequality
-    rows, given the records' ``_row_ids``."""
+    rows."""
     scale_eq = np.maximum(1.0, np.abs(inst.b_eq))
     residual_eq = float(np.max(
-        np.abs(_matvec(inst.a_eq, x, ids[0]) - inst.b_eq) / scale_eq)) \
+        np.abs(_matvec(inst.a_eq, x) - inst.b_eq) / scale_eq)) \
         if inst.b_eq.size else 0.0
     scale_ub = np.maximum(1.0, np.abs(inst.b_ub))
     residual_ub = float(np.max(
-        (_matvec(inst.a_ub, x, ids[1]) - inst.b_ub) / scale_ub)) \
+        (_matvec(inst.a_ub, x) - inst.b_ub) / scale_ub)) \
         if inst.b_ub.size else 0.0
     return residual_eq, residual_ub
 
@@ -518,10 +518,9 @@ def _solve_highs(inst: LpInstance,
 
 
 def _greedy_basis(inst: LpInstance, x: np.ndarray,
-                  ids: tuple[np.ndarray, np.ndarray],
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """HiGHS column and row statuses of a basis at the greedy point ``x``,
-    and that basis's row duals, given the records' ``_row_ids``; None when
+    and that basis's row duals; None when
     the rows are not ``build_lp``'s layout, and the solve starts cold.
 
     Each equality row owns one basic: the inflow row phi(t, 0), the
@@ -569,12 +568,12 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     lo_phi, lo_r, _, lo_q = vm.split(at_lo)
     hi_phi, hi_r, _, hi_q = vm.split(at_hi)
 
-    # the hypograph rows tight at x, as (T, n) masks; cell n has no
-    # supply row
+    # the hypograph rows tight at x, as (T, n) masks, with slack against
+    # |a| . |x| (the terms of a . x up to sign); cell n has no supply row
     a = inst.a_ub
-    slack = inst.b_ub - _matvec(a, x, ids[1])
-    scale = _matvec(Csr(a.indptr, a.indices, np.abs(a.data), a.shape),
-                    np.abs(x), ids[1])
+    terms = a.data * np.take(x, a.indices)
+    slack = inst.b_ub - np.bincount(a.rows, terms, minlength=a.shape[0])
+    scale = np.bincount(a.rows, np.abs(terms), minlength=a.shape[0])
     dem_tight, sup_row = vm.ub(slack <= _TIGHT * np.maximum(1.0, scale))
     sup_tight = np.zeros((T, n), dtype=bool)
     sup_tight[:, :-1] = sup_row
@@ -642,12 +641,11 @@ def _greedy_basis(inst: LpInstance, x: np.ndarray,
     return col, rows, y
 
 
-def _dual_bound(inst: LpInstance, y: np.ndarray,
-                ids: tuple[np.ndarray, np.ndarray]) -> float:
+def _dual_bound(inst: LpInstance, y: np.ndarray) -> float:
     """The Lagrangian lower bound on the instance's optimum at the row
-    duals ``y`` (HiGHS's row order, equality rows first), given the
-    records' ``_row_ids``: ``b . y + sum_j min(d_j lb_j, d_j ub_j)`` with
-    ``d = c - A^T y``, plus the objective constant.
+    duals ``y`` (HiGHS's row order, equality rows first): ``b . y +
+    sum_j min(d_j lb_j, d_j ub_j)`` with ``d = c - A^T y``, plus the
+    objective constant.
 
     It holds for any ``y`` by weak duality, once the inequality duals are
     clipped to HiGHS's sign (<= 0), and with the column bounds of
@@ -658,8 +656,7 @@ def _dual_bound(inst: LpInstance, y: np.ndarray,
     are not pinned to one."""
     m = inst.b_eq.size
     y_eq, y_ub = y[:m], np.minimum(y[m:], 0.0)
-    d = inst.c - _rmatvec(inst.a_eq, y_eq, ids[0]) \
-        - _rmatvec(inst.a_ub, y_ub, ids[1])
+    d = inst.c - _rmatvec(inst.a_eq, y_eq) - _rmatvec(inst.a_ub, y_ub)
     with np.errstate(invalid="ignore"):
         low = np.minimum(d * inst.lb, d * _implied_ub(inst))
     low[d == 0.0] = 0.0

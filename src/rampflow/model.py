@@ -103,9 +103,8 @@ class FreewayModel:
     as a 0-d array), ``_dt_over_length`` =
     dt / length and ``_length_over_dt`` = length / dt, the density box
     widened by its tolerance ``_rho_tol`` to [``_rho_floor``,
-    ``_rho_ceil``], and the queue box widened by ``_q_tol`` to
-    [``_q_floor``, ``_q_ceil``]. Each is the value the step would compute,
-    so folding changes no bit of a result.
+    ``_rho_ceil``], and the queue box's tolerance ``_q_tol``. Each is the
+    value the step would compute, so folding changes no bit of a result.
     """
 
     runs: int | None = None
@@ -189,8 +188,6 @@ class FreewayModel:
         self._rho_floor = frozen(-self._rho_tol)
         self._rho_ceil = frozen(self.rho_jam + self._rho_tol)
         self._q_tol = frozen(_BOX_TOL * np.maximum(1.0, self.queue_max))
-        self._q_floor = frozen(-self._q_tol)
-        self._q_ceil = frozen(self.queue_max + self._q_tol)
 
     @property
     def has_capacity_drop(self) -> bool:

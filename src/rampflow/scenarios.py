@@ -35,7 +35,7 @@ class ScenarioError(ValueError):
     """A scenario file or builtin reference could not be turned into a model."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     label: str
     model: FreewayModel

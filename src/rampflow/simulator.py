@@ -59,7 +59,7 @@ def _require_nonnegative(name: str, x: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {x}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SimState:
     """Densities and queues at one instant; arrays are copied on entry.
 
@@ -186,7 +186,7 @@ class DemandProfile:
         return np.concatenate(([self.w0[t]], self.w_ramp[t]))
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """A simulated run: T+1 states plus the T flow/rate rows between them.
 
@@ -296,18 +296,24 @@ def _check_state(model: FreewayModel, rho: np.ndarray, q: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The state clipped onto [0, rho_jam] x [0, queue_max]; raise unless
     it lies there up to rounding. A stacked model checks it against every
-    member's boxes, and the clipped state has the stack's shape. Each box
-    is one count against the model's folded bounds; only a failure builds
-    the message."""
-    inside = (rho >= model._rho_floor) & (rho <= model._rho_ceil)
-    if np.count_nonzero(inside) != inside.size:   # NaN fails
-        _check_box(rho, 0.0, model.rho_jam, model._rho_tol,
-                   "density outside its box")
-    inside = (q >= model._q_floor) & (q <= model._q_ceil)
-    if np.count_nonzero(inside) != inside.size:
-        _check_box(q, 0.0, model.queue_max, model._q_tol,
-                   "queue outside its box")
+    member's boxes, and the clipped state has the stack's shape."""
+    _check_box(rho, 0.0, model.rho_jam, model._rho_tol,
+               "density outside its box")
+    _check_box(q, 0.0, model.queue_max, model._q_tol, "queue outside its box")
     return _clip(rho, _ZERO, model.rho_jam), _clip(q, _ZERO, model.queue_max)
+
+
+def _check_initial(model: FreewayModel, state: SimState | None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_check_state` on a run's initial state, the zero state if
+    None. Every run of a batch starts from the same state, so anything but
+    one (n,) density and one (n,) queue is a ``ShapeMismatchError``."""
+    state = zero_state(model) if state is None else state
+    if state.rho.shape != (model.n,) or state.q.shape != (model.n,):
+        raise ShapeMismatchError(
+            f"initial state of shapes {state.rho.shape} and {state.q.shape} "
+            f"for {model.n} cells: a run starts from one ({model.n},) state")
+    return _check_state(model, state.rho, state.q)
 
 
 def step(model: FreewayModel, state: SimState, rates: np.ndarray,
@@ -397,7 +403,8 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     (NaN, or a full queue whose arrivals exceed the rate cap) is a
     contract violation, as in :func:`step`, and so is an initial state
     outside [0, rho_jam] x [0, queue_max]; one outside by rounding only
-    is moved onto the boxes.
+    is moved onto the boxes, and one whose arrays are not (n,), for a
+    batch too, is a ``ShapeMismatchError``.
 
     ``relaxed`` waives the constant rate bounds [0, ramp_flow_max] in that
     clamp, for every run or, given as R flags, per run; it applies to
@@ -430,8 +437,7 @@ def simulate(model: FreewayModel, demand: DemandProfile,
     runs = _batch_size(model.runs, getattr(controller, "runs", None),
                        disturbance.runs if disturbance is not None else None,
                        len(relaxed) if np.ndim(relaxed) else None)
-    state = initial_state if initial_state is not None else zero_state(model)
-    rho0, q0 = _check_state(model, state.rho, state.q)
+    rho0, q0 = _check_initial(model, initial_state)
 
     T, n, R = demand.horizon, model.n, runs or 1
     shape = (n,) if runs is None else (R, n)

@@ -153,7 +153,6 @@ def brute_force_max_next_flows(model: FreewayModel, state: SimState,
 
 
 def allocating_greedy_basis(inst: LpInstance, x: np.ndarray,
-                            ids: tuple[np.ndarray, np.ndarray],
                             ) -> tuple[np.ndarray, np.ndarray,
                                        np.ndarray] | None:
     """:func:`rampflow.lp._greedy_basis` with the backward pass that
@@ -175,9 +174,9 @@ def allocating_greedy_basis(inst: LpInstance, x: np.ndarray,
     # the hypograph rows tight at x, as (T, n) masks; cell n has no
     # supply row
     a = inst.a_ub
-    slack = inst.b_ub - _matvec(a, x, ids[1])
+    slack = inst.b_ub - _matvec(a, x)
     scale = _matvec(Csr(a.indptr, a.indices, np.abs(a.data), a.shape),
-                    np.abs(x), ids[1])
+                    np.abs(x))
     dem_tight, sup_row = vm.ub(slack <= _TIGHT * np.maximum(1.0, scale))
     sup_tight = np.zeros((T, n), dtype=bool)
     sup_tight[:, :-1] = sup_row

@@ -33,6 +33,7 @@ from rampflow.model import (
     CellParams,
     FreewayModel,
     UnsupportedModelError,
+    _STEP_RULES,
     validate_model,
 )
 from rampflow.simulator import (
@@ -394,6 +395,34 @@ def test_probe_flags_unstable_step_size():
     pert.phi_cum = freeflow.phi_cum + np.array([0.0, 1.0, 0.0])
     bad = monotonicity_probe(model, freeflow, pert)
     assert any(v.component == 1 for v in bad)
+
+
+@pytest.mark.parametrize("rho, component", [
+    ([40.0, 40.0], 2),      # free flow: cell 2's outflow follows demand
+    ([40.0, 200.0], 1),     # congested: cell 1's outflow is cell 2's supply
+], ids=["own-boundary-against", "upstream-along"])
+def test_input_probe_flags_a_cell_of_negative_length(rho, component):
+    """An input probe moves cell 2's ramp counter by one car either way.
+    On a cell of negative length, which breaks both step-size rules, the
+    car moves the cell's density the wrong way: in free flow its own
+    boundary then moves against the counter, and in congestion the
+    upstream boundary along with it. Negative control: the same probes on
+    the cell at length 1 report nothing."""
+    cell = CellParams(length=1.0, v_free=100.0, rho_crit=50.0, rho_jam=250.0,
+                      ramp_flow_max=1000.0, queue_max=50.0)
+    for length in (-1.0, 1.0):
+        model = FreewayModel([cell, replace(cell, length=length)], dt=0.005)
+        broken = {v.rule for v in validate_model(model)} >= set(
+            _STEP_RULES)
+        cum = cumulative_from_state(model, SimState(rho, np.zeros(2)),
+                                    inflow_cum=np.full(2, 10.0))
+        for delta in (1.0, -1.0):
+            pert = cum.copy()
+            pert.inflow_cum = cum.inflow_cum + np.array([0.0, delta])
+            found = monotonicity_probe(model, cum, pert, w0=3000.0)
+            assert [v.component for v in found] == \
+                ([component] if broken else [])
+        assert broken is (length < 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,11 @@ from scipy import sparse
 
 import rampflow.lp
 from rampflow.controllers import make_controller
-from rampflow.cumulative import tts_bounds
+from rampflow.cumulative import (
+    cumulative_from_state,
+    restrictiveness_report,
+    tts_bounds,
+)
 from rampflow.lp import (
     Csr,
     VarMap,
@@ -25,7 +29,6 @@ from rampflow.lp import (
     _greedy_point,
     _matvec,
     _rmatvec,
-    _row_ids,
     build_lp,
     certify_relaxation,
     export_lp_text,
@@ -590,10 +593,10 @@ def test_matvec_equals_scipys_product_bit_for_bit(case):
     rng = np.random.default_rng(0)
     x = rng.uniform(-1e3, 1e3, inst.varmap.size)
     for a in (inst.a_eq, inst.a_ub):
-        mine, ref = _matvec(a, x, _row_ids(a)), _scipy(a) @ x
+        mine, ref = _matvec(a, x), _scipy(a) @ x
         assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
         y = rng.uniform(-1e3, 1e3, a.shape[0])
-        mine, ref = _rmatvec(a, y, _row_ids(a)), _scipy(a).T @ y
+        mine, ref = _rmatvec(a, y), _scipy(a).T @ y
         assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
 
     a = inst.a_eq
@@ -610,9 +613,59 @@ def test_matvec_of_a_matrix_without_rows():
     for m in (0, 1):
         a = Csr(np.zeros(m + 1, dtype=np.int32), np.zeros(0, dtype=np.int32),
                 np.zeros(0), (m, 5))
-        mine, ref = _matvec(a, x, _row_ids(a)), _scipy(a) @ x
+        mine, ref = _matvec(a, x), _scipy(a) @ x
         assert mine.dtype == ref.dtype and mine.tolist() == ref.tolist() \
             == [0.0] * m
+
+
+def test_a_record_builds_its_row_ids_once():
+    """Every product over a record reads the same ``rows`` array, one row
+    id per stored entry; a record with other entries builds its own."""
+    inst = build_lp(*LP_CASES["random31"]())
+    a = inst.a_ub
+    assert a.rows is a.rows
+    assert a.rows.tolist() == _scipy(a).tocoo().row.tolist()
+    other = Csr(a.indptr, a.indices, np.abs(a.data), a.shape)
+    assert other.rows is not a.rows
+
+
+def test_an_instance_given_scipy_matrices_holds_records():
+    """A scipy CSR matrix, given to the constructor or through
+    ``replace``, is turned into a :class:`Csr` over the same arrays once;
+    the instance then solves to the same objective. Negative control: a
+    record given as it is stays that very record."""
+    inst = build_lp(*LP_CASES["random31"]())
+    a_eq, a_ub = _scipy(inst.a_eq), _scipy(inst.a_ub)
+    swapped = replace(inst, a_eq=a_eq, a_ub=a_ub)
+    assert type(swapped.a_eq) is Csr and type(swapped.a_ub) is Csr
+    assert swapped.a_ub.indices is a_ub.indices
+    assert swapped.a_ub.shape == a_ub.shape
+    assert solve_lp(swapped).objective == solve_lp(inst).objective
+    assert replace(inst).a_eq is inst.a_eq
+
+
+def test_records_holding_arrays_compare_by_identity():
+    """A record that holds arrays equals itself, and two equal ones
+    compare False instead of raising numpy's ambiguous-truth
+    ``ValueError``, as two equal solves once did. Negative control: the
+    frozen records of numbers, ``BoundsReport`` and
+    ``RelaxationCertificate``, still compare by value."""
+    model, demand, initial = LP_CASES["random31"]()
+    insts = [build_lp(model, demand, initial) for _ in range(2)]
+    sols = [solve_lp(inst) for inst in insts]
+    runs = [sol._run[1] for sol in sols]
+    sc = [builtin_example1() for _ in range(2)]
+    reports = [restrictiveness_report(model, run) for run in runs]
+    cums = [cumulative_from_state(model, initial) for _ in range(2)]
+    for a, b in (insts, sols, runs, sc, reports, cums,
+                 (sc[0].initial, sc[1].initial)):
+        assert a == a and not a != a
+        assert (a == b) is False and a != b
+
+    bounds = [tts_bounds(model, demand, initial) for _ in range(2)]
+    assert bounds[0] == bounds[1]
+    certs = [certify_relaxation(inst, sol) for inst, sol in zip(insts, sols)]
+    assert certs[0] == certs[1]
 
 
 def _flow_limits_as_rows(inst):
@@ -743,25 +796,21 @@ def test_solution_arrays_follow_the_column_layout(case):
 # ---------------------------------------------------------------------------
 # the warm start against the cold solve
 
-def _ids(inst):
-    return _row_ids(inst.a_eq), _row_ids(inst.a_ub)
-
-
 def _point(inst):
     """The greedy point, or None where ``solve_lp`` has none."""
-    found = _greedy_point(inst, _ids(inst))
+    found = _greedy_point(inst)
     return None if found is None else found[0]
 
 
 def _basis(inst, x):
-    return _greedy_basis(inst, x, _ids(inst))
+    return _greedy_basis(inst, x)
 
 
 def _solve_cold(inst, monkeypatch):
     """``solve_lp`` without the greedy basis: HiGHS's cold solve, under the
     same checks."""
     with monkeypatch.context() as m:
-        m.setattr(rampflow.lp, "_greedy_basis", lambda inst, x, ids: None)
+        m.setattr(rampflow.lp, "_greedy_basis", lambda inst, x: None)
         return solve_lp(inst)
 
 
@@ -813,10 +862,9 @@ def test_the_greedy_duals_zero_every_basic_reduced_cost(case):
     row's dual comes from the pair, and read off the row's status alone it
     leaves basic columns with reduced costs of order max|c|."""
     inst = DUAL_CASES[case]()
-    ids, m = _ids(inst), inst.b_eq.size
+    m = inst.b_eq.size
     cols, rows, y = _basis(inst, _point(inst))
-    d = inst.c - _rmatvec(inst.a_eq, y[:m], ids[0]) \
-        - _rmatvec(inst.a_ub, y[m:], ids[1])
+    d = inst.c - _rmatvec(inst.a_eq, y[:m]) - _rmatvec(inst.a_ub, y[m:])
     assert np.max(np.abs(d[cols == 1])) <= 1e-12 * np.max(np.abs(inst.c))
     assert np.all(y[m:][rows[m:] == 1] == 0.0)
 
@@ -850,7 +898,7 @@ def test_the_in_place_dual_pass_equals_the_allocating_one(case):
     inst = DUAL_CASES[case]()
     x = _point(inst)
     mine = _basis(inst, x)
-    ref = allocating_greedy_basis(inst, x, _ids(inst))
+    ref = allocating_greedy_basis(inst, x)
     for a, b in zip(mine, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -866,7 +914,7 @@ def _greedy_bound(inst, y=None):
     """The weak-duality bound at the greedy basis's duals, or at ``y``."""
     if y is None:
         y = _basis(inst, _point(inst))[2]
-    return rampflow.lp._dual_bound(inst, y, _ids(inst))
+    return rampflow.lp._dual_bound(inst, y)
 
 
 def _certifies(inst, bound):
@@ -930,7 +978,7 @@ def test_a_perturbed_dual_vector_is_refused(monkeypatch):
     assert solve_lp(inst).dual_bound == _greedy_bound(inst, y)
     assert calls == []
     monkeypatch.setattr(rampflow.lp, "_greedy_basis",
-                        lambda inst, x, ids: (cols, rows, moved))
+                        lambda inst, x: (cols, rows, moved))
     sol = solve_lp(inst)
     assert calls == ["warm"] and np.isnan(sol.dual_bound)
     assert sol.objective == pytest.approx(
@@ -1133,13 +1181,45 @@ def test_a_basis_one_basic_short_goes_through_the_alien_hand_off(
     cols, rows, y = _basis(inst, _point(inst))
     cols[np.flatnonzero(cols == 1)[0]] = 0
     monkeypatch.setattr(rampflow.lp, "_greedy_basis",
-                        lambda inst, x, ids: (cols, rows, y))
+                        lambda inst, x: (cols, rows, y))
     log.clear()
     short = solve_lp(inst)
     assert log == [(False, core.HighsStatus.kError),
                    (True, core.HighsStatus.kOk)]
     assert short.warm is True and short.status == "Optimal"
     assert short.objective == pytest.approx(sol.objective, rel=1e-12)
+
+
+class _PatchedHighs:
+    """A HiGHS instance whose methods named in ``patch`` are replaced."""
+
+    def __init__(self, make, patch):
+        self._highs, self._patch = make(), patch
+
+    def __getattr__(self, name):
+        return self._patch.get(name) or getattr(self._highs, name)
+
+
+def test_a_refused_basis_or_a_solve_that_is_not_optimal_raises(monkeypatch):
+    """Through bindings patched to answer so: HiGHS refusing the greedy
+    basis, alien hand-off included, and a run that ends in any status but
+    Optimal each raise ``LpError`` naming what failed. Negative control:
+    unpatched, example1 solves warm."""
+    core = rampflow.lp._highs_bindings()
+    make, patch = core._Highs, {}
+    monkeypatch.setattr(core, "_Highs", lambda: _PatchedHighs(make, patch))
+    inst = build_lp(*LP_CASES["example1"]())
+    sol = solve_lp(inst)
+    assert sol.warm is True and sol.status == "Optimal"
+    patch["setBasis"] = lambda basis: core.HighsStatus.kError
+    with pytest.raises(rampflow.lp.LpError,
+                       match="^HiGHS refused the greedy basis$"):
+        solve_lp(inst)
+    patch.clear()
+    patch["getModelStatus"] = lambda: core.HighsModelStatus.kInfeasible
+    with pytest.raises(rampflow.lp.LpError,
+                       match="^solver failed: Infeasible$"):
+        solve_lp(inst)
 
 
 # state after 77 windows of a receding-horizon loop on builtin_grenoble(0):
@@ -1202,7 +1282,7 @@ def test_a_warm_answer_above_the_greedy_point_is_solved_again_cold(
     inst = build_lp(*LP_CASES["example1"]())
     x = _unmetered_point(inst)
     point = (x, float(inst.c @ x), "Optimal", 0)
-    assert max(rampflow.lp._residuals(inst, x, _ids(inst))) <= rampflow.lp._RESIDUAL_TOL
+    assert max(rampflow.lp._residuals(inst, x)) <= rampflow.lp._RESIDUAL_TOL
     greedy = float(inst.c @ _point(inst)) + inst.objective_constant
     assert point[1] + inst.objective_constant > 1.01 * greedy
 
@@ -1305,11 +1385,11 @@ def test_a_nan_residual_fails_the_row_check(residuals, monkeypatch):
     sc = builtin_example1()
     inst = build_lp(sc.model, sc.demand, sc.initial)
     monkeypatch.setattr(rampflow.lp, "_residuals",
-                        lambda inst, x, ids: residuals)
+                        lambda inst, x: residuals)
     with pytest.raises(rampflow.lp.LpError, match="violates rows: eq"):
         solve_lp(inst)
     monkeypatch.setattr(rampflow.lp, "_residuals",
-                        lambda inst, x, ids: (0.0, 0.0))
+                        lambda inst, x: (0.0, 0.0))
     assert solve_lp(inst).status == "Optimal"
 
 

@@ -249,3 +249,21 @@ def test_demand_skips_the_drop_copy_only_where_no_cell_drops(monkeypatch):
         self._drops = bool(np.any(np.atleast_2d(self.capacity_drop)[0]))
     monkeypatch.setattr(FreewayModel, "_set_params", first_member_fold)
     assert _demand_copy_mismatches() > 0
+
+
+def test_a_stack_needs_single_models_of_one_shape():
+    """A stack is refused when it is empty, or when a member is itself a
+    stack or differs in cell count or step length. Negative control: two
+    copies of one model stack into a batch of 2."""
+    m = builtin_example1().model
+    other_dt = FreewayModel(m.cells, dt=m.dt / 2)
+    fewer = FreewayModel(m.cells[:1], dt=m.dt)
+    with pytest.raises(GeometryError, match="^need at least one model"):
+        FreewayModel.stack([])
+    for bad in (other_dt, fewer, FreewayModel.stack([m, m])):
+        with pytest.raises(GeometryError,
+                           match="must be single models with equal cell "
+                                 "counts and dt"):
+            FreewayModel.stack([m, bad])
+    stack = FreewayModel.stack([m, m])
+    assert stack.runs == 2 and stack.length.shape == (2, m.n)

@@ -157,6 +157,28 @@ def test_rows_outside_the_table_are_refused(mutate, message, tmp_path):
     assert type(refused.value) is ValueError   # exit 2, not a mismatch
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda lines: lines[:1], r"^empty trajectory table$"),
+    (lambda lines: lines[:7] + lines[8:],
+     r"^trajectory table has missing rows$"),
+], ids=["header-only", "a-state-left-out"])
+def test_an_empty_or_gappy_table_is_refused(mutate, message, tmp_path):
+    """A header without rows, or a table without the row of step 3, cell
+    1 (its eighth line), leaves states unread. Negative control: the
+    unmodified table reads back."""
+    traj = _greedy_example1()
+    lines = trajectory_csv_text(traj).splitlines(keepends=True)
+    assert lines[7].startswith("3,1,")
+    p = tmp_path / "traj.csv"
+    p.write_text("".join(lines), encoding="utf-8")
+    assert trajectory_csv_text(read_trajectory_csv(p, traj.demand)) \
+        == "".join(lines)
+    p.write_text("".join(mutate(lines)), encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as refused:
+        read_trajectory_csv(p, traj.demand)
+    assert type(refused.value) is ValueError   # exit 2, not a mismatch
+
+
 def test_a_second_row_for_a_step_and_cell_is_refused(tmp_path):
     """Before this refusal the last row for a (step, cell) won: example1's
     table with ``3,1,99,0,0,0`` appended replayed with that density.

@@ -376,13 +376,18 @@ _PIECEWISE = """\
     ("value: 600}", "value: 600, vlaue: 600}",
      r"toy\.yaml: demand\.piecewise: unknown keys \['vlaue'\]; have "
      r"from_min, to_min and value"),
+    ("  steps: 90\n", "  steps: 0\n",
+     r"toy\.yaml: demand: piecewise needs a positive 'steps'$"),
+    ("  steps: 90\n", "  steps: -3\n",
+     r"toy\.yaml: demand: piecewise needs a positive 'steps'$"),
 ], ids=["initial-not-a-mapping", "initial-not-numbers",
         "segment-without-to_min", "column-past-the-cells",
         "synth-not-a-mapping", "synth-ramp-past-the-cells",
         "table-not-a-mapping", "dt-a-list", "dt_seconds-a-mapping",
         "dt-not-a-number", "cell-length-not-a-number", "csv-ragged-row",
         "csv-not-found", "csv-bad-header", "csv-without-rows",
-        "synth-peak-over-the-cap", "dt-and-dt_seconds", "not-utf-8", "top-level-typo", "demand-typo", "segment-typo"])
+        "synth-peak-over-the-cap", "dt-and-dt_seconds", "not-utf-8", "top-level-typo", "demand-typo", "segment-typo",
+        "piecewise-zero-steps", "piecewise-negative-steps"])
 def test_malformed_sections_are_scenario_errors(old, new, message, tmp_path):
     """A malformed section is a ScenarioError naming the file and the
     section once each (exit 2), not an AttributeError, KeyError, TypeError

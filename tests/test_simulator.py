@@ -18,6 +18,7 @@ from rampflow.simulator import (
     ContractViolationError,
     DemandProfile,
     DisturbanceSpec,
+    ShapeMismatchError,
     SimState,
     _ZERO,
     _check_state,
@@ -1003,6 +1004,55 @@ def test_one_initial_state_is_checked_against_every_plant_of_a_stack():
     traj = simulate(stack, demand, initial_state=SimState([200.0, 0.0],
                                                           [0.0, 40.0]))
     assert traj.rho.shape == (2, demand.horizon + 1, model.n)
+
+
+def test_a_demand_with_another_ramp_column_count_is_refused():
+    """A profile is checked against the model's cells before any of its
+    columns is read. Negative control: example1's own two columns pass."""
+    sc = builtin_example1()
+    sc.demand.check_against(sc.model)
+    for cols in (1, 3):
+        demand = DemandProfile(sc.demand.w0, np.zeros((sc.demand.horizon,
+                                                       cols)))
+        with pytest.raises(ValueError,
+                           match=f"^demand has {cols} ramp columns for 2 "
+                                 f"cells$"):
+            demand.check_against(sc.model)
+
+
+@pytest.mark.parametrize("rho0, q0", [
+    ([[0.0, 0.0], [9.0, 9.0]], np.zeros((2, 2))),
+    ([9.0], [0.0]),
+    ([9.0, 9.0], [[0.0, 0.0]]),
+], ids=["one-row-per-run-of-a-pair", "too-few-cells", "a-1-by-n-queue"])
+def test_an_initial_state_of_another_shape_is_refused(rho0, q0):
+    """A run, and every run of a batch, starts from one (n,) state. Two
+    rows once started ``tts_bounds``' greedy and relaxed runs on example1
+    from different states, and it returned tts_lb 14.63 above tts_be 13.53
+    with the gap clipped to 0; ``simulate`` on one plant ended in numpy's
+    broadcast error and ``build_lp`` in a ``TypeError``. Negative control:
+    the (n,) state runs everywhere, and a batch of two from it holds the
+    single run twice, bit for bit."""
+    sc = builtin_example1()
+    state = SimState(rho0, q0)
+    for run in (lambda: simulate(sc.model, sc.demand, initial_state=state),
+                lambda: tts_bounds(sc.model, sc.demand, state),
+                lambda: build_lp(sc.model, sc.demand, state)):
+        with pytest.raises(ShapeMismatchError,
+                           match=r"a run starts from one \(2,\) state"):
+            run()
+
+    state = SimState([9.0, 9.0], [0.0, 0.0])
+    one = simulate(sc.model, sc.demand, initial_state=state)
+    pair = simulate(FreewayModel.stack([sc.model, sc.model]), sc.demand,
+                    initial_state=state)
+    for a in ("rho", "q", "flows", "rates"):
+        for r in (0, 1):
+            assert getattr(pair, a)[r].tobytes() == getattr(one, a).tobytes()
+    bounds = tts_bounds(sc.model, sc.demand, state)
+    assert bounds.tts_lb <= bounds.tts_be
+    assert build_lp(sc.model, sc.demand, state).initial.rho.tolist() \
+        == [9.0, 9.0]
 
 
 def _dot_mismatches(dot) -> int:
